@@ -139,6 +139,70 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_CUBIC = 0.044715
 
 
+def _make_masked_softmax(scores, reduce_buf, mask, head_dim: int
+                         ) -> Callable[[], None]:
+    """In place ``softmax(masked_fill(scores / sqrt(head_dim), mask))`` over
+    the last axis, with the graph kernels' dtype-cast scalars."""
+    dtype = scores.dtype
+    scale = dtype.type(1.0 / np.sqrt(head_dim))
+    mask_value = dtype.type(-1e9)
+
+    def run_masked_softmax(scores=scores, reduce_buf=reduce_buf, mask=mask,
+                           scale=scale, mask_value=mask_value):
+        scores *= scale
+        np.copyto(scores, mask_value, where=mask)
+        scores.max(axis=-1, keepdims=True, out=reduce_buf)
+        scores -= reduce_buf
+        np.exp(scores, out=scores)
+        scores.sum(axis=-1, keepdims=True, out=reduce_buf)
+        scores /= reduce_buf
+
+    return run_masked_softmax
+
+
+def _make_feed_forward(arena: BufferArena, tag: str, x: np.ndarray,
+                       block: Dict[str, object],
+                       norm: Callable[[], None]) -> Callable[[], None]:
+    """Second half of a block over the rows of ``x``, in place:
+    ``x = ln2(x + fc2(act(fc1(x))))``."""
+    dtype, hidden_dim = x.dtype, x.shape[-1]
+    x2 = x.reshape(-1, hidden_dim)
+    rows = x2.shape[0]
+    inner_dim = block["fc1"][0].shape[1]
+    ffn_hidden = arena.get(f"{tag}/ffn_hidden", (rows, inner_dim), dtype)
+    ffn_act = arena.get(f"{tag}/ffn_act", (rows, inner_dim), dtype)
+    ffn_out = arena.get(f"{tag}/ffn_out", (rows, hidden_dim), dtype)
+    gelu = block["activation"] == "gelu"
+    (w1, b1), (w2, b2) = block["fc1"], block["fc2"]
+
+    def run_feed_forward(x2=x2, ffn_hidden=ffn_hidden, ffn_act=ffn_act,
+                         ffn_out=ffn_out, gelu=gelu, w1=w1, b1=b1, w2=w2,
+                         b2=b2, norm=norm):
+        np.matmul(x2, w1, out=ffn_hidden)
+        ffn_hidden += b1
+        if gelu:
+            # Exactly Tensor.gelu's fused chain; _GELU_C stays float64.
+            np.multiply(ffn_hidden, ffn_hidden, out=ffn_act)
+            ffn_act *= ffn_hidden
+            ffn_act *= _GELU_CUBIC
+            ffn_act += ffn_hidden
+            ffn_act *= _GELU_C
+            np.tanh(ffn_act, out=ffn_act)
+            ffn_act += 1.0
+            ffn_act *= ffn_hidden
+            ffn_act *= 0.5
+        else:
+            # Tensor.relu: value = data * (data > 0).
+            np.greater(ffn_hidden, 0, out=ffn_act)
+            ffn_act *= ffn_hidden
+        np.matmul(ffn_act, w2, out=ffn_out)
+        ffn_out += b2
+        np.add(x2, ffn_out, out=x2)
+        norm()
+
+    return run_feed_forward
+
+
 def _build_stack_program(arena: BufferArena, tag: str, batch: int, seq: int,
                          dtype: np.dtype, stack: Dict[str, object],
                          mask) -> Tuple[Callable, np.ndarray]:
@@ -146,8 +210,12 @@ def _build_stack_program(arena: BufferArena, tag: str, batch: int, seq: int,
 
     ``mask`` is the shared ``(batch, 1, seq, seq)`` boolean attention mask,
     filled by the caller before the stack runs (FDSA's two streams share one
-    mask).  Returns ``(run, last_hidden_view)`` where the view selects the
-    last position's hidden state inside the persistent ``x`` buffer.
+    mask).  Like :meth:`TransformerEncoder.forward_last`, the final block
+    projects keys and values from every position of ``x`` and computes the
+    rest — query, attention row, output projection, layer norms, feed-forward
+    — for the last position only, in ``(batch, ...)``-row buffers.  Returns
+    ``(run, last_hidden)`` where ``last_hidden`` is that block's
+    ``(batch, hidden)`` output buffer.
     """
     hidden_dim = stack["position"].shape[1]
     position_slice = np.ascontiguousarray(stack["position"][:seq])
@@ -157,92 +225,103 @@ def _build_stack_program(arena: BufferArena, tag: str, batch: int, seq: int,
     var_buf = arena.get(f"{tag}/ln_var", (batch, seq, 1), dtype)
     sq_buf = arena.get(f"{tag}/ln_sq", (batch, seq, hidden_dim), dtype)
     input_norm = _make_layer_norm(x, mean_buf, var_buf, sq_buf, stack["input_ln"])
+    final = len(stack["blocks"]) - 1
 
     block_runs: List[Callable[[], None]] = []
     for index, block in enumerate(stack["blocks"]):
         block_tag = f"{tag}/block{index}"
         num_heads, head_dim = block["num_heads"], block["head_dim"]
-        q = arena.get(f"{block_tag}/q", (batch * seq, hidden_dim), dtype)
         k = arena.get(f"{block_tag}/k", (batch * seq, hidden_dim), dtype)
         v = arena.get(f"{block_tag}/v", (batch * seq, hidden_dim), dtype)
-        q_heads = q.reshape(batch, seq, num_heads, head_dim).transpose(0, 2, 1, 3)
         k_heads_t = (k.reshape(batch, seq, num_heads, head_dim)
                      .transpose(0, 2, 3, 1))
         v_heads = v.reshape(batch, seq, num_heads, head_dim).transpose(0, 2, 1, 3)
-        scores = arena.get(f"{block_tag}/scores", (batch, num_heads, seq, seq), dtype)
-        reduce_buf = arena.get(f"{block_tag}/reduce", (batch, num_heads, seq, 1), dtype)
-        context = arena.get(f"{block_tag}/context", (batch, num_heads, seq, head_dim), dtype)
-        context_t = context.transpose(0, 2, 1, 3)
-        merged = arena.get(f"{block_tag}/merged", (batch, seq, hidden_dim), dtype)
-        merged_heads = merged.reshape(batch, seq, num_heads, head_dim)
-        merged2 = merged.reshape(batch * seq, hidden_dim)
-        attended = arena.get(f"{block_tag}/attended", (batch * seq, hidden_dim), dtype)
-        attended3 = attended.reshape(batch, seq, hidden_dim)
-        inner_dim = block["fc1"][0].shape[1]
-        ffn_hidden = arena.get(f"{block_tag}/ffn_hidden", (batch * seq, inner_dim), dtype)
-        ffn_act = arena.get(f"{block_tag}/ffn_act", (batch * seq, inner_dim), dtype)
-        ffn_out = arena.get(f"{block_tag}/ffn_out", (batch * seq, hidden_dim), dtype)
-        ffn_out3 = ffn_out.reshape(batch, seq, hidden_dim)
-        norm1 = _make_layer_norm(x, mean_buf, var_buf, sq_buf, block["ln1"])
-        norm2 = _make_layer_norm(x, mean_buf, var_buf, sq_buf, block["ln2"])
-        scale = dtype.type(1.0 / np.sqrt(head_dim))
-        mask_value = dtype.type(-1e9)
-        gelu = block["activation"] == "gelu"
         (wq, bq), (wk, bk), (wv, bv), (wo, bo) = (
             block["wq"], block["wk"], block["wv"], block["wo"])
-        (w1, b1), (w2, b2) = block["fc1"], block["fc2"]
 
-        def run_block(x=x, x2=x2, q=q, k=k, v=v, q_heads=q_heads,
-                      k_heads_t=k_heads_t, v_heads=v_heads, scores=scores,
-                      reduce_buf=reduce_buf, context=context, context_t=context_t,
-                      merged_heads=merged_heads, merged2=merged2,
-                      attended=attended, attended3=attended3,
-                      ffn_hidden=ffn_hidden, ffn_act=ffn_act, ffn_out=ffn_out,
-                      ffn_out3=ffn_out3, norm1=norm1, norm2=norm2, scale=scale,
-                      mask_value=mask_value, mask=mask, gelu=gelu,
-                      wq=wq, bq=bq, wk=wk, bk=bk, wv=wv, bv=bv, wo=wo, bo=bo,
-                      w1=w1, b1=b1, w2=w2, b2=b2):
-            np.matmul(x2, wq, out=q)
-            q += bq
-            np.matmul(x2, wk, out=k)
-            k += bk
-            np.matmul(x2, wv, out=v)
-            v += bv
-            np.matmul(q_heads, k_heads_t, out=scores)
-            scores *= scale
-            np.copyto(scores, mask_value, where=mask)
-            scores.max(axis=-1, keepdims=True, out=reduce_buf)
-            scores -= reduce_buf
-            np.exp(scores, out=scores)
-            scores.sum(axis=-1, keepdims=True, out=reduce_buf)
-            scores /= reduce_buf
-            np.matmul(scores, v_heads, out=context)
-            np.copyto(merged_heads, context_t)
-            np.matmul(merged2, wo, out=attended)
-            attended += bo
-            np.add(x, attended3, out=x)
-            norm1()
-            np.matmul(x2, w1, out=ffn_hidden)
-            ffn_hidden += b1
-            if gelu:
-                # Exactly Tensor.gelu's fused chain; _GELU_C stays float64.
-                np.multiply(ffn_hidden, ffn_hidden, out=ffn_act)
-                ffn_act *= ffn_hidden
-                ffn_act *= _GELU_CUBIC
-                ffn_act += ffn_hidden
-                ffn_act *= _GELU_C
-                np.tanh(ffn_act, out=ffn_act)
-                ffn_act += 1.0
-                ffn_act *= ffn_hidden
-                ffn_act *= 0.5
-            else:
-                # Tensor.relu: value = data * (data > 0).
-                np.greater(ffn_hidden, 0, out=ffn_act)
-                ffn_act *= ffn_hidden
-            np.matmul(ffn_act, w2, out=ffn_out)
-            ffn_out += b2
-            np.add(x, ffn_out3, out=x)
-            norm2()
+        if index < final:
+            q = arena.get(f"{block_tag}/q", (batch * seq, hidden_dim), dtype)
+            q_heads = q.reshape(batch, seq, num_heads, head_dim).transpose(0, 2, 1, 3)
+            scores = arena.get(f"{block_tag}/scores", (batch, num_heads, seq, seq), dtype)
+            reduce_buf = arena.get(f"{block_tag}/reduce", (batch, num_heads, seq, 1), dtype)
+            softmax = _make_masked_softmax(scores, reduce_buf, mask, head_dim)
+            context = arena.get(f"{block_tag}/context", (batch, num_heads, seq, head_dim), dtype)
+            context_t = context.transpose(0, 2, 1, 3)
+            merged = arena.get(f"{block_tag}/merged", (batch, seq, hidden_dim), dtype)
+            merged_heads = merged.reshape(batch, seq, num_heads, head_dim)
+            merged2 = merged.reshape(batch * seq, hidden_dim)
+            attended = arena.get(f"{block_tag}/attended", (batch * seq, hidden_dim), dtype)
+            norm1 = _make_layer_norm(x, mean_buf, var_buf, sq_buf, block["ln1"])
+            feed_forward = _make_feed_forward(
+                arena, block_tag, x, block,
+                _make_layer_norm(x, mean_buf, var_buf, sq_buf, block["ln2"]))
+
+            def run_block(x2=x2, q=q, k=k, v=v, q_heads=q_heads,
+                          k_heads_t=k_heads_t, v_heads=v_heads, scores=scores,
+                          softmax=softmax, context=context,
+                          context_t=context_t, merged_heads=merged_heads,
+                          merged2=merged2, attended=attended, norm1=norm1,
+                          feed_forward=feed_forward,
+                          wq=wq, bq=bq, wk=wk, bk=bk, wv=wv, bv=bv, wo=wo, bo=bo):
+                np.matmul(x2, wq, out=q)
+                q += bq
+                np.matmul(x2, wk, out=k)
+                k += bk
+                np.matmul(x2, wv, out=v)
+                v += bv
+                np.matmul(q_heads, k_heads_t, out=scores)
+                softmax()
+                np.matmul(scores, v_heads, out=context)
+                np.copyto(merged_heads, context_t)
+                np.matmul(merged2, wo, out=attended)
+                attended += bo
+                np.add(x2, attended, out=x2)
+                norm1()
+                feed_forward()
+
+        else:
+            # The final block, op for op TransformerBlock.forward_last.
+            x_last = x[:, seq - 1, :]
+            last_hidden = arena.get(f"{block_tag}/last", (batch, hidden_dim), dtype)
+            q = arena.get(f"{block_tag}/q", (batch, hidden_dim), dtype)
+            q_heads = q.reshape(batch, num_heads, 1, head_dim)
+            scores = arena.get(f"{block_tag}/scores", (batch, num_heads, seq), dtype)
+            scores_rows = scores.reshape(batch, num_heads, 1, seq)
+            reduce_buf = arena.get(f"{block_tag}/reduce", (batch, num_heads, 1), dtype)
+            softmax = _make_masked_softmax(scores, reduce_buf,
+                                           mask[:, :, seq - 1, :], head_dim)
+            context = arena.get(f"{block_tag}/context", (batch, num_heads, 1, head_dim), dtype)
+            merged2 = context.reshape(batch, hidden_dim)
+            last_mean = arena.get(f"{block_tag}/ln_mean", (batch, 1), dtype)
+            last_var = arena.get(f"{block_tag}/ln_var", (batch, 1), dtype)
+            last_sq = arena.get(f"{block_tag}/ln_sq", (batch, hidden_dim), dtype)
+            norm1 = _make_layer_norm(last_hidden, last_mean, last_var, last_sq,
+                                     block["ln1"])
+            feed_forward = _make_feed_forward(
+                arena, block_tag, last_hidden, block,
+                _make_layer_norm(last_hidden, last_mean, last_var, last_sq,
+                                 block["ln2"]))
+
+            def run_block(x2=x2, x_last=x_last, last=last_hidden, q=q, k=k,
+                          v=v, q_heads=q_heads, k_heads_t=k_heads_t,
+                          v_heads=v_heads, scores_rows=scores_rows,
+                          softmax=softmax, context=context, merged2=merged2,
+                          norm1=norm1, feed_forward=feed_forward,
+                          wq=wq, bq=bq, wk=wk, bk=bk, wv=wv, bv=bv, wo=wo, bo=bo):
+                np.matmul(x_last, wq, out=q)
+                q += bq
+                np.matmul(x2, wk, out=k)
+                k += bk
+                np.matmul(x2, wv, out=v)
+                v += bv
+                np.matmul(q_heads, k_heads_t, out=scores_rows)
+                softmax()
+                np.matmul(scores_rows, v_heads, out=context)
+                np.matmul(merged2, wo, out=last)
+                last += bo
+                np.add(x_last, last, out=last)
+                norm1()
+                feed_forward()
 
         block_runs.append(run_block)
 
@@ -254,7 +333,7 @@ def _build_stack_program(arena: BufferArena, tag: str, batch: int, seq: int,
         for run_block in block_runs:
             run_block()
 
-    return run_stack, x[:, seq - 1, :]
+    return run_stack, last_hidden
 
 
 def _make_mask_fill(arena: BufferArena, tag: str, batch: int, seq: int,

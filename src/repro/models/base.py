@@ -103,7 +103,16 @@ class SequentialRecommender(nn.Module):
                 f"{self.max_seq_length}"
             )
 
-        item_emb = item_matrix.take_rows(item_ids)
+        hidden = item_matrix.take_rows(item_ids) + self._position_embeddings(batch_size, seq_len)
+        hidden = self.input_layernorm(hidden)
+        hidden = self.input_dropout(hidden)
+        # The user representation is the hidden state at the last position
+        # (sequences are left-padded, so the last position is always real);
+        # the encoder computes its final block there and nowhere else.
+        return self.encoder.forward_last(hidden, lengths=batch.lengths)
+
+    def _position_embeddings(self, batch_size: int, seq_len: int) -> Tensor:
+        """Position embeddings to add to a ``(batch, seq, d)`` item sequence."""
         if fused_kernels_enabled():
             # 1-D positions broadcast against the batch axis: the position
             # table gradient then reduces to a (seq, d) sum instead of a
@@ -111,16 +120,7 @@ class SequentialRecommender(nn.Module):
             positions = np.arange(seq_len)
         else:
             positions = np.broadcast_to(np.arange(seq_len), (batch_size, seq_len))
-        position_emb = self.position_embedding(positions)
-
-        hidden = item_emb + position_emb
-        hidden = self.input_layernorm(hidden)
-        hidden = self.input_dropout(hidden)
-        hidden = self.encoder(hidden, lengths=batch.lengths)
-
-        # The user representation is the hidden state at the last position
-        # (sequences are left-padded, so the last position is always real).
-        return hidden[:, seq_len - 1, :]
+        return self.position_embedding(positions)
 
     # ------------------------------------------------------------------ #
     # Prediction & loss
@@ -140,7 +140,8 @@ class SequentialRecommender(nn.Module):
         """Numpy scores for evaluation (padding item masked to -inf)."""
         was_training = self.training
         self.eval()
-        scores = self.score_all_items(batch).numpy().copy()
+        with nn.no_grad():
+            scores = self.score_all_items(batch).numpy()
         scores[:, 0] = -np.inf
         if was_training:
             self.train()

@@ -62,13 +62,10 @@ class FDSA(SequentialRecommender):
     def _encode_feature_stream(self, batch: SequenceBatch) -> Tensor:
         feature_table = self.feature_projection(self.features.all_embeddings())
         feature_emb = feature_table.take_rows(batch.item_ids)
-        batch_size, seq_len = batch.item_ids.shape
-        positions = np.broadcast_to(np.arange(seq_len), (batch_size, seq_len))
-        feature_emb = feature_emb + self.position_embedding(positions)
+        feature_emb = feature_emb + self._position_embeddings(*batch.item_ids.shape)
         feature_emb = self.feature_layernorm(feature_emb)
         feature_emb = self.input_dropout(feature_emb)
-        hidden = self.feature_encoder(feature_emb, lengths=batch.lengths)
-        return hidden[:, seq_len - 1, :]
+        return self.feature_encoder.forward_last(feature_emb, lengths=batch.lengths)
 
     def encode_sequence(self, batch: SequenceBatch,
                         item_matrix: Optional[Tensor] = None) -> Tensor:

@@ -5,6 +5,13 @@ used by SASRec: stacked blocks of (causal) multi-head self-attention and a
 position-wise feed-forward network, each wrapped with residual connections,
 dropout and layer normalisation.  BERT4Rec-style bidirectional attention is
 obtained by simply not applying the causal mask.
+
+Every model reads the encoder at the last position only, so each layer here
+has two entry points: ``forward`` computes all positions, and
+``forward_last`` computes what the last position needs — keys and values
+from every position, everything else from one row.  Models call
+:meth:`TransformerEncoder.forward_last`; ``forward`` is the definition it
+is tested against.
 """
 
 from __future__ import annotations
@@ -81,6 +88,30 @@ class MultiHeadSelfAttention(Module):
         context = context.transpose(0, 2, 1, 3).reshape(batch, seq_len, self.hidden_dim)
         return self.out_dropout(self.output(context))
 
+    def forward_last(self, x: Tensor, attention_mask: Optional[np.ndarray] = None) -> Tensor:
+        """``forward(x, mask)[:, -1]``: the attention output of the last query.
+
+        Keys and values are projected from all of ``x``; the query, the
+        attention row and the output projection only from its last position.
+        ``attention_mask`` is the last query's row of the full mask,
+        broadcastable to ``(batch, num_heads, seq_len)``.  Returns
+        ``(batch, hidden_dim)``.
+        """
+        batch, seq_len, _ = x.shape
+        q = self.query(x[:, seq_len - 1, :]).reshape(batch, self.num_heads, 1, self.head_dim)
+        k = self._split_heads(self.key(x), batch, seq_len)
+        v = self._split_heads(self.value(x), batch, seq_len)
+
+        scores = q.matmul(k.transpose(0, 1, 3, 2)).reshape(batch, self.num_heads, seq_len)
+        scores = scores * (1.0 / np.sqrt(self.head_dim))
+        if attention_mask is not None:
+            scores = F.masked_fill(scores, attention_mask)
+        weights = self.attn_dropout.forward_last(F.softmax(scores, axis=-1), seq_len)
+
+        context = weights.reshape(batch, self.num_heads, 1, seq_len).matmul(v)
+        context = context.reshape(batch, self.hidden_dim)
+        return self.out_dropout.forward_last(self.output(context), seq_len)
+
 
 class PositionwiseFeedForward(Module):
     """Two-layer feed-forward network applied at every position."""
@@ -96,11 +127,17 @@ class PositionwiseFeedForward(Module):
         self.dropout = Dropout(dropout, rng=rng)
         self.activation = activation
 
+    def _activate(self, hidden: Tensor) -> Tensor:
+        return hidden.gelu() if self.activation == "gelu" else hidden.relu()
+
     def forward(self, x: Tensor) -> Tensor:
-        hidden = self.fc1(x)
-        hidden = hidden.gelu() if self.activation == "gelu" else hidden.relu()
-        hidden = self.dropout(hidden)
+        hidden = self.dropout(self._activate(self.fc1(x)))
         return self.dropout(self.fc2(hidden))
+
+    def forward_last(self, x: Tensor, seq_len: int) -> Tensor:
+        """``forward`` of the last of ``seq_len`` positions, ``(batch, hidden_dim)``."""
+        hidden = self.dropout.forward_last(self._activate(self.fc1(x)), seq_len)
+        return self.dropout.forward_last(self.fc2(hidden), seq_len)
 
 
 class TransformerBlock(Module):
@@ -121,6 +158,18 @@ class TransformerBlock(Module):
         transformed = self.feed_forward(x)
         return self.feed_forward_norm(x + transformed)
 
+    def forward_last(self, x: Tensor, attention_mask: Optional[np.ndarray] = None) -> Tensor:
+        """``forward(x, mask)[:, -1]`` without computing the other positions.
+
+        ``attention_mask`` is the last query's row of the full mask (see
+        :meth:`MultiHeadSelfAttention.forward_last`).
+        """
+        seq_len = x.shape[1]
+        attended = self.attention.forward_last(x, attention_mask)
+        last = self.attention_norm(x[:, seq_len - 1, :] + attended)
+        transformed = self.feed_forward.forward_last(last, seq_len)
+        return self.feed_forward_norm(last + transformed)
+
 
 class TransformerEncoder(Module):
     """A stack of Transformer blocks with optional causal masking.
@@ -140,8 +189,19 @@ class TransformerEncoder(Module):
             for _ in range(num_layers)
         ]
 
+    def _attention_mask(self, x: Tensor, lengths: Optional[np.ndarray]) -> np.ndarray:
+        """``(batch, 1, seq_len, seq_len)``, True where attention is blocked."""
+        batch, seq_len, _ = x.shape
+        mask = np.zeros((batch, 1, seq_len, seq_len), dtype=bool)
+        if self.causal:
+            mask |= F.causal_mask(seq_len)[None, None, :, :]
+        if lengths is not None:
+            pad = F.padding_mask(lengths, seq_len)  # (batch, seq_len)
+            mask |= pad[:, None, None, :]
+        return mask
+
     def forward(self, x: Tensor, lengths: Optional[np.ndarray] = None) -> Tensor:
-        """Encode a batch of (left-padded) sequences.
+        """Encode a batch of (left-padded) sequences at every position.
 
         Parameters
         ----------
@@ -151,14 +211,25 @@ class TransformerEncoder(Module):
             True (unpadded) lengths of each sequence; padded positions are
             masked out of the attention.
         """
-        batch, seq_len, _ = x.shape
-        mask = np.zeros((batch, 1, seq_len, seq_len), dtype=bool)
-        if self.causal:
-            mask |= F.causal_mask(seq_len)[None, None, :, :]
-        if lengths is not None:
-            pad = F.padding_mask(lengths, seq_len)  # (batch, seq_len)
-            mask |= pad[:, None, None, :]
-
+        mask = self._attention_mask(x, lengths)
         for block in self.blocks:
             x = block(x, mask)
         return x
+
+    def forward_last(self, x: Tensor, lengths: Optional[np.ndarray] = None) -> Tensor:
+        """``forward(x, lengths)[:, -1]``: the hidden state the models read.
+
+        Blocks before the final one run at every position (the final block's
+        keys and values need them); the final block runs its query,
+        attention row, output projection, both layer norms and the
+        feed-forward network at the last position only.  Dropout masks are
+        still drawn for all positions (:func:`repro.nn.functional.dropout_last`),
+        so the generator stream is the one ``forward`` consumes.  Returns
+        ``(batch, hidden_dim)``; equal to the slice of ``forward`` up to
+        rounding (the GEMM row counts differ).
+        """
+        seq_len = x.shape[1]
+        mask = self._attention_mask(x, lengths)
+        for block in self.blocks[:-1]:
+            x = block(x, mask)
+        return self.blocks[-1].forward_last(x, mask[:, :, seq_len - 1, :])

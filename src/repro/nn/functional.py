@@ -310,6 +310,29 @@ def dropout(x: Tensor, p: float, training: bool,
     """Inverted dropout: at train time zero entries with probability ``p``."""
     if not training or p <= 0.0:
         return x
+    return _dropout(x, p, rng, x.shape, Ellipsis)
+
+
+def dropout_last(x: Tensor, p: float, training: bool,
+                 rng: Optional[np.random.Generator], seq_len: int) -> Tensor:
+    """Dropout of the last of ``seq_len`` rows, on the all-rows stream.
+
+    ``x`` holds row ``seq_len - 1`` along axis -2 of a tensor of shape
+    ``x.shape[:-1] + (seq_len, x.shape[-1])`` whose other rows were never
+    computed.  The mask is still drawn for that full shape and its last row
+    applied, so values and generator state afterwards equal
+    ``dropout(full)[..., seq_len - 1, :]``: pruning a forward pass never
+    re-rolls the seeds of a training run.
+    """
+    if not training or p <= 0.0:
+        return x
+    shape = x.shape[:-1] + (seq_len, x.shape[-1])
+    return _dropout(x, p, rng, shape, (Ellipsis, seq_len - 1, slice(None)))
+
+
+def _dropout(x: Tensor, p: float, rng: Optional[np.random.Generator],
+             shape, index) -> Tensor:
+    """Apply to ``x`` the entries ``index`` of a mask drawn for ``shape``."""
     if p >= 1.0:
         raise ValueError("dropout probability must be < 1")
     rng = rng or np.random.default_rng()
@@ -318,9 +341,9 @@ def dropout(x: Tensor, p: float, training: bool,
         # Single-precision draws halve the generator work; the float64 path
         # keeps the historical bit stream.  Both kernel modes consume the
         # same stream so fused vs reference stays bit-identical per dtype.
-        draws = rng.random(x.shape, dtype=np.float32)
+        draws = rng.random(shape, dtype=np.float32)[index]
     else:
-        draws = rng.random(x.shape)
+        draws = rng.random(shape)[index]
     if not fused_kernels_enabled():
         # Seed-style: float mask tensor multiplied through the graph.
         mask = (draws >= p).astype(dtype) / (1.0 - p)

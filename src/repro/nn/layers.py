@@ -130,6 +130,11 @@ class Dropout(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.p, training=self.training, rng=self._rng)
 
+    def forward_last(self, x: Tensor, seq_len: int) -> Tensor:
+        """:func:`repro.nn.functional.dropout_last` with this layer's state."""
+        return F.dropout_last(x, self.p, training=self.training,
+                              rng=self._rng, seq_len=seq_len)
+
 
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:

@@ -50,8 +50,9 @@ def infer_setup(rng):
     return features, train_sequences, histories
 
 
-def _build(name, features, train_sequences, dtype="float64", seed=0):
-    config = ModelConfig(hidden_dim=16, num_layers=2, num_heads=2,
+def _build(name, features, train_sequences, dtype="float64", seed=0,
+           num_layers=2):
+    config = ModelConfig(hidden_dim=16, num_layers=num_layers, num_heads=2,
                          dropout=0.2, max_seq_length=MAX_SEQ, seed=seed)
     kwargs = {}
     if requires_text_features(name):
@@ -245,6 +246,72 @@ class TestArena:
         plan.encode(item_ids, lengths, matrix)
         assert plan.num_programs == 2
         assert plan.arena.num_buffers == buffers_before
+
+
+# --------------------------------------------------------------------- #
+# Last-position pruning of the final block's compiled program
+# --------------------------------------------------------------------- #
+class TestLastPositionProgram:
+    STREAMS = [("sasrec_id", [""]), ("fdsa", ["/item", "/feature"])]
+
+    @pytest.mark.parametrize("name, streams", STREAMS)
+    def test_final_block_buffers_have_batch_rows(self, name, streams, infer_setup):
+        features, train_sequences, histories = infer_setup
+        model = _build(name, features, train_sequences, dtype="float32")
+        item_ids, lengths = _padded(histories)
+        plan = compile_plan(model)
+        plan.encode(item_ids, lengths, model.inference_item_matrix())
+
+        batch, seq = item_ids.shape
+        hidden, heads = 16, 2
+        final_block = {
+            "q": (batch, hidden), "scores": (batch, heads, seq),
+            "context": (batch, heads, 1, hidden // heads),
+            "last": (batch, hidden), "ffn_hidden": (batch, 4 * hidden),
+            "ffn_act": (batch, 4 * hidden), "ffn_out": (batch, hidden),
+        }
+        first_block = {"q": (batch * seq, hidden),
+                       "ffn_hidden": (batch * seq, 4 * hidden)}
+        # ``get`` allocates what is not registered under exactly this shape.
+        allocations = plan.arena.allocations
+        for stream in streams:
+            tag = plan._bucket_tag(batch, seq) + stream
+            for block, shapes in (("block1", final_block), ("block0", first_block)):
+                for buffer, shape in shapes.items():
+                    plan.arena.get(f"{tag}/{block}/{buffer}", shape, np.float32)
+        assert plan.arena.allocations == allocations
+
+    @pytest.mark.parametrize("name", ["sasrec_id", "fdsa"])
+    def test_describe_reports_the_smaller_arena(self, name, infer_setup):
+        """A whole one-block plan (inputs, mask, pruned block) holds fewer
+        bytes than the one all-positions block a second layer adds."""
+        features, train_sequences, histories = infer_setup
+        item_ids, lengths = _padded(histories)
+        nbytes = {}
+        for num_layers in (1, 2):
+            model = _build(name, features, train_sequences, num_layers=num_layers)
+            plan = compile_plan(model)
+            plan.encode(item_ids, lengths, model.inference_item_matrix())
+            nbytes[num_layers] = plan.describe()["arena"]["nbytes"]
+            assert nbytes[num_layers] == plan.arena.nbytes
+        assert nbytes[1] < nbytes[2] - nbytes[1]
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("name", ["sasrec_id", "fdsa"])
+    def test_buckets_do_not_alias(self, name, dtype, infer_setup):
+        """Encode at one (batch, seq) bucket, at a second, and back."""
+        features, train_sequences, histories = infer_setup
+        model = _build(name, features, train_sequences, dtype=dtype)
+        matrix = model.inference_item_matrix()
+        plan = compile_plan(model)
+        wide = _padded(histories)
+        narrow = pad_sequences([history[-4:] for history in histories[:3]], 4)
+        expected = [model.encode_sequences(*bucket, item_matrix=matrix)
+                    for bucket in (wide, narrow)]
+        for _ in range(2):
+            for bucket, reference in zip((wide, narrow), expected):
+                assert np.array_equal(plan.encode(*bucket, matrix), reference)
+        assert plan.num_programs == 2
 
 
 # --------------------------------------------------------------------- #

@@ -231,6 +231,118 @@ class TestAttention:
         assert any(np.abs(g).sum() > 0 for g in grads)
 
 
+def _scaled_close(result, reference, tolerance, scale=None):
+    """``|result - reference| <= tolerance * scale`` everywhere; the scale
+    defaults to the largest reference entry."""
+    if scale is None:
+        scale = float(np.abs(reference).max())
+    assert float(np.abs(result - reference).max()) <= tolerance * scale
+
+
+def _encoder_pair(dtype, num_layers, causal, dropout, seed=3, hidden=8):
+    """Two identically seeded encoders (same weights, same generator)."""
+    with nn.autocast(dtype):
+        return [nn.TransformerEncoder(num_layers, hidden, 2, dropout=dropout,
+                                      causal=causal,
+                                      rng=np.random.default_rng(seed))
+                for _ in range(2)]
+
+
+class TestLastPositionPruning:
+    """``forward_last`` against its definition, ``forward(...)[:, -1]``."""
+
+    #: relative to the largest reference entry; not zero, because the GEMM
+    #: row counts differ between the two paths
+    TOLERANCE = {"float32": 1e-6, "float64": 1e-12}
+
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("causal", [True, False])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_values_and_gradients_match_the_sliced_forward(
+            self, dtype, causal, num_layers, padded):
+        full, pruned = _encoder_pair(dtype, num_layers, causal, dropout=0.0)
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal((4, 6, 8))
+        readout = Tensor(rng.standard_normal((4, 8)), dtype=dtype)
+        lengths = np.array([6, 2, 1, 4]) if padded else None
+
+        x_full = Tensor(data, requires_grad=True, dtype=dtype)
+        out_full = full(x_full, lengths)[:, -1]
+        (out_full * readout).sum().backward()
+        x_pruned = Tensor(data, requires_grad=True, dtype=dtype)
+        out_pruned = pruned.forward_last(x_pruned, lengths)
+        (out_pruned * readout).sum().backward()
+
+        tolerance = self.TOLERANCE[dtype]
+        assert out_pruned.shape == (4, 8) and out_pruned.dtype == np.dtype(dtype)
+        _scaled_close(out_pruned.data, out_full.data, tolerance)
+        _scaled_close(x_pruned.grad, x_full.grad, tolerance)
+        # One scale for all parameters: some gradients (the key bias, which
+        # softmax cancels) are zero up to rounding of the others.
+        reference = dict(full.named_parameters())
+        scale = max(float(np.abs(param.grad).max()) for param in reference.values())
+        for name, param in pruned.named_parameters():
+            assert param.grad is not None, name
+            _scaled_close(param.grad, reference[name].grad, tolerance, scale)
+
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_dropout_consumes_the_all_positions_stream(self, dtype, fused):
+        """Same generator state afterwards, and the same masks applied."""
+        full, pruned = _encoder_pair(dtype, 2, True, dropout=0.2)
+        data = np.random.default_rng(6).standard_normal((3, 5, 8))
+        lengths = np.array([5, 3, 1])
+        with F.fused_kernels(fused):
+            out_full = full(Tensor(data, dtype=dtype), lengths)[:, -1]
+            out_pruned = pruned.forward_last(Tensor(data, dtype=dtype), lengths)
+        generators = [encoder.blocks[-1].feed_forward.dropout._rng
+                      for encoder in (full, pruned)]
+        assert (generators[0].bit_generator.state
+                == generators[1].bit_generator.state)
+        assert (generators[0].bit_generator.state
+                != np.random.default_rng(3).bit_generator.state)
+        _scaled_close(out_pruned.data, out_full.data, self.TOLERANCE[dtype])
+
+    def test_dropout_last_is_the_last_row_of_dropout(self):
+        data = np.random.default_rng(7).standard_normal((3, 2, 5, 4))
+        full = F.dropout(Tensor(data), 0.4, True, np.random.default_rng(8))
+        last = F.dropout_last(Tensor(data[:, :, 4, :]), 0.4, True,
+                              np.random.default_rng(8), seq_len=5)
+        np.testing.assert_array_equal(last.data, full.data[:, :, 4, :])
+
+    def test_final_block_gradients_match_central_differences(self):
+        """SNIPPETS.md Snippet 2: analytic ``grad`` against finite differences."""
+        block = nn.TransformerBlock(8, 2, dropout=0.0, rng=np.random.default_rng(9))
+        rng = np.random.default_rng(10)
+        data = rng.standard_normal((2, 4, 8))
+        readout = rng.standard_normal((2, 8))
+        mask = F.causal_mask(4)[None, None, 3, :] | F.padding_mask(
+            np.array([4, 2]), 4)[:, None, :]
+
+        def objective(x):
+            return (block.forward_last(x, mask) * Tensor(readout)).sum()
+
+        x = Tensor(data, requires_grad=True)
+        objective(x).backward()
+        targets = [(x.grad, data)] + [(param.grad, param.data)
+                                      for param in block.parameters()]
+        eps = 1e-6
+        for analytic, values in targets:
+            flat = values.reshape(-1)  # a view: edits reach the parameter
+            numeric = np.empty_like(flat)
+            for index in range(flat.size):
+                original = flat[index]
+                flat[index] = original + eps
+                upper = objective(Tensor(data)).item()
+                flat[index] = original - eps
+                lower = objective(Tensor(data)).item()
+                flat[index] = original
+                numeric[index] = (upper - lower) / (2 * eps)
+            np.testing.assert_allclose(analytic.reshape(-1), numeric,
+                                       rtol=1e-4, atol=1e-6)
+
+
 class TestOptimizers:
     @staticmethod
     def _quadratic_problem():

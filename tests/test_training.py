@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import nn
 from repro.data.splits import EvaluationCase
 from repro.models import ModelConfig, SASRecID, WhitenRec
 from repro.training import (
@@ -104,6 +105,27 @@ class TestTrainer:
         losses = [record.train_loss for record in result.history]
         assert len(losses) == 3
         assert losses[-1] < losses[0]
+
+    def test_last_position_pruning_keeps_the_training_trajectory(
+            self, tiny_split, tiny_features, tiny_model_config):
+        """Two fp32 epochs against the same run on the all-positions encoder."""
+        losses = {}
+        for pruned in (True, False):
+            with nn.autocast("float32"):
+                model = WhitenRec(tiny_split.num_items, tiny_features,
+                                  tiny_model_config)
+            if not pruned:
+                encoder = model.encoder
+                encoder.forward_last = (
+                    lambda x, lengths=None, encoder=encoder:
+                    encoder.forward(x, lengths)[:, -1])
+            trainer = Trainer(model, tiny_split, TrainingConfig(
+                batch_size=128, max_sequence_length=12, seed=0))
+            examples = len(trainer.loader.examples)
+            losses[pruned] = [trainer.train_one_epoch() / examples
+                              for _ in range(2)]
+        assert losses[True][1] < losses[True][0]
+        assert losses[True] == pytest.approx(losses[False], rel=1e-5)
 
     def test_trained_model_beats_untrained(self, tiny_split, tiny_features, tiny_model_config):
         untrained = WhitenRec(tiny_split.num_items, tiny_features, tiny_model_config)

@@ -1,17 +1,21 @@
 #!/usr/bin/env python
 """Bench regression gate: fail CI when tracked benchmarks regress.
 
-The benchmark suite writes its headline numbers to ``BENCH_*.json`` at the
-repository root, and those files are committed — a per-commit trajectory of
-training throughput (``BENCH_train.json``), serving latency
-(``BENCH_serve_latency.json``) and cold-path encode latency
-(``BENCH_encode.json``).  This script is the first real consumer of that
-trajectory: after CI re-runs the benchmarks, it compares the freshly written
-files against the committed baselines and exits non-zero when
+The committed ``BENCH_*.json`` at the repository root are the baselines — a
+per-commit trajectory of training throughput (``BENCH_train.json``), serving
+latency (``BENCH_serve_latency.json``), cold-path encode latency
+(``BENCH_encode.json``) and so on.  The benchmark suite never writes there:
+fresh results land in the git-ignored ``benchmarks/out/`` (see
+``write_bench_result`` in ``conftest.py``), so running the benches leaves
+the working tree clean, and refreshing a baseline is an explicit
+``cp benchmarks/out/BENCH_x.json .`` followed by a commit.  After CI re-runs
+the benchmarks, this script compares the fresh files against the committed
+baselines and exits non-zero when
 
-* any **relative** throughput metric (``speedup`` / ``min_speedup`` — a
-  ratio of two measurements from the *same* run, largely
-  hardware-independent) dropped by more than ``--tolerance`` (default 20%),
+* any **relative** throughput metric (``speedup`` / ``min_speedup`` /
+  ``goodput_speedup_raw`` — a ratio of two measurements from the *same*
+  run, largely hardware-independent) dropped by more than ``--tolerance``
+  (default 20%),
 * any **absolute** throughput metric (``*_rps``, ``*_per_s``, ``*_per_sec``)
   dropped by more than ``--absolute-tolerance`` (default 35% — committed
   baselines come from whatever machine last refreshed them, so absolute
@@ -73,6 +77,9 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
+#: where the benches write their fresh results (``conftest.BENCH_OUT_DIR``)
+FRESH_DIR = Path(__file__).resolve().parent / "out"
+
 #: the tracked benchmark files, in bench-suite order
 TRACKED_FILES = (
     "BENCH_train.json",
@@ -90,8 +97,10 @@ MIN_SAMPLES = 3
 #: key-name suffixes of *absolute* throughput metrics (hardware-dependent)
 ABSOLUTE_SUFFIXES = ("_rps", "_per_s", "_per_sec", "_per_second")
 
-#: key-name suffixes of *relative* throughput metrics (same-run ratios)
-RELATIVE_SUFFIXES = ("speedup",)
+#: key-name suffixes of *relative* throughput metrics (same-run ratios);
+#: ``speedup_raw`` is the resilience bench's unclamped goodput ratio — the
+#: clamped ``min(ratio, 3.0)`` it replaced tied every sample at 3.0
+RELATIVE_SUFFIXES = ("speedup", "speedup_raw")
 
 #: key-name prefixes treated as must-not-flip parity flags
 PARITY_PREFIXES = ("identical",)
@@ -215,7 +224,7 @@ def _declared_skips(fresh: Dict[str, Any]) -> Dict[str, str]:
 
 
 def _load_fresh(name: str) -> Optional[Dict[str, Any]]:
-    path = REPO_ROOT / name
+    path = FRESH_DIR / name
     if not path.exists():
         return None
     return json.loads(path.read_text(encoding="utf-8"))

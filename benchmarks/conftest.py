@@ -19,9 +19,17 @@ Environment knobs:
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 import pytest
+
+#: where benches write their fresh ``BENCH_*.json`` (git-ignored), so running
+#: them never dirties the committed baselines at the repository root;
+#: ``check_regression.py`` reads the fresh side from here, and refreshing a
+#: baseline is an explicit ``cp benchmarks/out/BENCH_x.json .``
+BENCH_OUT_DIR = Path(__file__).resolve().parent / "out"
 
 
 def bench_scale() -> str:
@@ -36,6 +44,16 @@ def scale() -> str:
 def run_once(benchmark, func, **kwargs):
     """Run ``func(**kwargs)`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(func, kwargs=kwargs, rounds=1, iterations=1, warmup_rounds=0)
+
+
+def write_bench_result(name: str, payload: dict) -> Path:
+    """Write one bench's result to ``benchmarks/out/BENCH_<name>.json``."""
+    BENCH_OUT_DIR.mkdir(exist_ok=True)
+    path = BENCH_OUT_DIR / f"BENCH_{name}.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+    print(f"wrote {path}")
+    return path
 
 
 def reset_rss_peak() -> bool:

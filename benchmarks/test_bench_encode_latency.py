@@ -12,8 +12,8 @@ This benchmark replays a stream of single-row cold requests (each history
 distinct, no caching anywhere) through both engines for two model families —
 the shared Transformer encoder (WhitenRec, the paper's model, at the CLI
 serving configuration) and the recurrent GRU4Rec — and records per-request
-encode p50/p95 latency plus sequences/second in ``BENCH_encode.json`` at the
-repository root (uploaded as a CI artifact; gated by
+encode p50/p95 latency plus sequences/second in
+``benchmarks/out/BENCH_encode.json`` (uploaded as a CI artifact; gated by
 ``benchmarks/check_regression.py``).
 
 Hard assertions: the two engines' top-k results are **bit-identical** (ids
@@ -30,12 +30,10 @@ serving at ``quantized_topk_speedup`` of the dense rate.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
-from conftest import run_once
+from conftest import run_once, write_bench_result
 
 from repro.data import leave_one_out_split, load_dataset
 from repro.infer import InferenceEngine
@@ -47,7 +45,6 @@ K = 10
 #: interleaved timing rounds per engine; the best is reported (single-core
 #: CI machines are noisy)
 ROUNDS = 5
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_encode.json"
 
 #: families under test: the shared Transformer encoder at the CLI serving
 #: configuration (hidden 32, 2 layers — see `repro serve`) and the recurrent
@@ -253,9 +250,7 @@ def test_encode_latency_cold_path(benchmark, scale):
         f"{quantized['quantized_bytes_per_item']:.0f} vs "
         f"{quantized['dense_bytes_per_item']:.0f} bytes/item"
     )
-    RESULT_PATH.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
-    print(f"wrote {RESULT_PATH}")
+    write_bench_result("encode", result)
 
     assert result["identical_topk_all"], (
         "compiled engine's top-k diverged from the graph path"

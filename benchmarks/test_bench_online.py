@@ -26,8 +26,8 @@ published checkpoint in a fresh deployment and checks the served
 recommendations are bit-identical to it — the hot-swapped state must be
 exactly what was published, not a partially invalidated hybrid.
 
-Results go to ``BENCH_online.json`` at the repository root (committed,
-uploaded as a CI artifact).  On single-core runners the latency-shaped
+Results go to ``benchmarks/out/BENCH_online.json`` (uploaded as a CI
+artifact; the committed baseline sits at the repository root).  On single-core runners the latency-shaped
 metrics are declared in ``skipped_metrics``: with the traffic thread, the
 trainer and the publisher sharing one core, freshness and pause measure
 scheduler interleaving, not the online loop.
@@ -35,7 +35,6 @@ scheduler interleaving, not the online loop.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import tempfile
@@ -45,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import run_once
+from conftest import run_once, write_bench_result
 
 from repro.data import leave_one_out_split, load_dataset
 from repro.models import ModelConfig, build_model
@@ -57,7 +56,6 @@ from repro.text import encode_items
 K = 10
 LEARNING_RATE = 0.01
 FRESHNESS_TIMEOUT_S = 30.0
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_online.json"
 
 
 def _median(values):
@@ -260,9 +258,7 @@ def test_online(benchmark, scale):
         f"{result['traffic_requests']} concurrent requests "
         f"({result['traffic_errors']} errors)"
     )
-    RESULT_PATH.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
-    print(f"wrote {RESULT_PATH}")
+    write_bench_result("online", result)
 
     assert result["traffic_errors"] == 0, (
         "hot-swaps surfaced as request failures: "

@@ -21,8 +21,8 @@ Two questions, one file:
   lifecycle timers are perf_counter reads at stage boundaries, never code
   inside the scoring loops.
 
-Results go to ``BENCH_serve_slo.json`` at the repository root (committed,
-uploaded as a CI artifact).  On single-core runners ``sustainable_rps`` is
+Results go to ``benchmarks/out/BENCH_serve_slo.json`` (uploaded as a CI
+artifact; the committed baseline sits at the repository root).  On single-core runners ``sustainable_rps`` is
 declared in ``skipped_metrics``: with the generator's worker threads and
 the service sharing one core, the ladder measures scheduler interleaving,
 not serving capacity.
@@ -30,12 +30,10 @@ not serving capacity.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
-from conftest import run_once
+from conftest import run_once, write_bench_result
 
 from repro.data import leave_one_out_split, load_dataset
 from repro.models import ModelConfig, build_model
@@ -53,7 +51,6 @@ RATE_LADDER = (25.0, 50.0, 100.0, 200.0, 400.0)
 #: ``_overhead_ratio``
 OVERHEAD_TRIALS = 8
 OVERHEAD_ATTEMPTS = 5
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_serve_slo.json"
 
 
 def _median(values):
@@ -216,9 +213,7 @@ def test_open_loop_slo(benchmark, scale):
         f"instrumentation overhead ratio "
         f"{result['instrumented_overhead_ratio']:.3f}"
     )
-    RESULT_PATH.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
-    print(f"wrote {RESULT_PATH}")
+    write_bench_result("serve_slo", result)
 
     assert result["identical_instrumented"], (
         "instrumented serving diverged from the metrics=False path — "

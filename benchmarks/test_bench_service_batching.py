@@ -15,20 +15,18 @@ Results must be *identical* (ids and scores — the exact float32 scoring path
 is batch-composition independent, see
 ``repro.training.evaluation.MIN_SCORING_ROWS``), the
 coalesced mode must be at least 2x faster, and the numbers (throughput plus
-client-observed p50/p95 latency) are recorded in ``BENCH_serve_latency.json``
-at the repository root (uploaded as a CI artifact) so the serving-latency
+client-observed p50/p95 latency) are recorded in
+``benchmarks/out/BENCH_serve_latency.json`` (uploaded as a CI artifact) so the serving-latency
 trajectory is tracked per commit.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
-from conftest import run_once
+from conftest import run_once, write_bench_result
 
 from repro.data import leave_one_out_split, load_dataset
 from repro.models import ModelConfig, build_model
@@ -40,7 +38,6 @@ K = 10
 NUM_CLIENTS = 32
 #: coalesced timing runs; the best is reported (thread scheduling is noisy)
 COALESCED_TRIALS = 3
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_serve_latency.json"
 
 
 def _percentile(samples, q):
@@ -172,9 +169,7 @@ def test_service_batching_throughput(benchmark, scale):
         f"p95 {result['per_request_p95_ms']:.1f}ms) "
         f"-> {result['speedup']:.1f}x"
     )
-    RESULT_PATH.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
-    print(f"wrote {RESULT_PATH}")
+    write_bench_result("serve_latency", result)
 
     assert result["identical_results"], (
         "coalesced serving diverged from per-request results"

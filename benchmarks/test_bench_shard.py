@@ -15,8 +15,8 @@ Two halves, one JSON:
   with 1 and 4 workers attached via zero-copy memmap, and scanned by a
   stream of batched exact searches.  Reported: items-scanned/s, per-request
   p50/p95 latency, peak RSS, and the 4-vs-1 worker speedup — written to
-  ``BENCH_shard.json`` at the repository root (uploaded as a CI artifact;
-  gated by ``check_regression.py``).
+  ``benchmarks/out/BENCH_shard.json`` (uploaded as a CI artifact; gated by
+  ``check_regression.py`` against the baseline at the repository root).
 
 The int8 catalogue codec (:mod:`repro.quant`) rides both halves: the parity
 gate asserts the quantized path bit-identical to the dense scorer at small
@@ -38,15 +38,14 @@ is visible.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
-from conftest import reset_rss_peak, rss_peak_mb, run_once
+from conftest import (reset_rss_peak, rss_peak_mb, run_once,
+                      write_bench_result)
 
 from repro.data.synthetic import synthetic_item_matrix_layout
 from repro.shard import LocalShardClient, ShardPool
@@ -55,7 +54,6 @@ K = 10
 MILLION = 1_000_000
 DIM = 32
 BATCH = 8
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_shard.json"
 POOL_TIMEOUT = 300.0
 WORKER_COUNTS = (1, 4)
 
@@ -81,8 +79,7 @@ def _parity_gate() -> dict:
         local_ok = (local_ok and np.array_equal(ref_ids, ids)
                     and np.array_equal(ref_scores, scores))
 
-    with ShardPool.from_matrix(matrix, 4, transport="memmap",
-                               timeout=POOL_TIMEOUT) as pool:
+    with ShardPool.from_matrix(matrix, 4, timeout=POOL_TIMEOUT) as pool:
         pool_ids, pool_scores = pool.search(queries, K, exclude=exclude)
     process_ok = (np.array_equal(ref_ids, pool_ids)
                   and np.array_equal(ref_scores, pool_scores))
@@ -115,8 +112,8 @@ def _quantized_parity_gate() -> bool:
             queries, K, exclude=exclude)
         ok = (ok and np.array_equal(ref_ids, ids)
               and np.array_equal(ref_scores, scores))
-    with ShardPool.from_matrix(matrix, 2, transport="memmap",
-                               timeout=POOL_TIMEOUT, codec="int8") as pool:
+    with ShardPool.from_matrix(matrix, 2, timeout=POOL_TIMEOUT,
+                               codec="int8") as pool:
         pool_ids, pool_scores = pool.search(queries, K, exclude=exclude)
     return bool(ok and np.array_equal(ref_ids, pool_ids)
                 and np.array_equal(ref_scores, pool_scores))
@@ -150,14 +147,16 @@ def _bench_workers(layout, num_workers, num_requests,
     queries = rng.standard_normal((BATCH, layout.dim)).astype(np.float32)
     # Peak RSS is measured per section: without the reset, the kernel's
     # high-water mark inherits whatever earlier suite sections faulted in
-    # and the recorded "scan footprint" depends on test ordering.
-    reset_rss_peak()
+    # and the recorded "scan footprint" depends on test ordering — so where
+    # the reset is refused the entry carries no ``rss_peak_mb`` at all (see
+    # :func:`_rss_skips`), never the process-lifetime peak as a number.
+    rss_is_sectional = reset_rss_peak()
     with ShardPool.from_layout(layout, num_workers,
                                timeout=POOL_TIMEOUT, codec=codec) as pool:
         _scan_stream(pool, queries, 2)  # warm-up: page in the memmaps
         latencies, seconds = _scan_stream(pool, queries, num_requests)
     items_scanned = layout.num_rows * BATCH * num_requests
-    return {
+    entry = {
         "workers": num_workers,
         "num_requests": num_requests,
         "batch": BATCH,
@@ -165,8 +164,21 @@ def _bench_workers(layout, num_workers, num_requests,
         "items_scanned_per_s": items_scanned / seconds,
         "scan_p50_ms": _percentile(latencies, 50),
         "scan_p95_ms": _percentile(latencies, 95),
-        "rss_peak_mb": round(rss_peak_mb(), 1),
     }
+    if rss_is_sectional:
+        entry["rss_peak_mb"] = round(rss_peak_mb(), 1)
+    return entry
+
+
+def _rss_skips(scans: dict) -> dict:
+    """``skipped_metrics`` entries for every scan whose peak-RSS reset was
+    refused (restricted ``/proc``, macOS)."""
+    return {
+        f"scans.{name}.rss_peak_mb": (
+            "reset_rss_peak() returned False (/proc/self/clear_refs not "
+            "writable): only the process-lifetime peak is readable, which "
+            "is not this scan's footprint")
+        for name, entry in scans.items() if "rss_peak_mb" not in entry}
 
 
 def _speedup_fields(single_rate: float, fanned_rate: float,
@@ -228,6 +240,9 @@ def run_shard_bench(scale: str = "bench") -> dict:
             scans["workers_1_int8"]["items_scanned_per_s"] / single),
     }
     result.update(_speedup_fields(single, fanned, result["cpu_count"]))
+    rss_skips = _rss_skips(scans)
+    if rss_skips:
+        result.setdefault("skipped_metrics", {}).update(rss_skips)
     return result
 
 
@@ -251,9 +266,7 @@ def test_shard_scatter_gather(benchmark, scale):
     print(f"int8 codec: {result['quantized_bytes_per_item']:.0f} vs "
           f"{result['dense_bytes_per_item']:.0f} bytes/item, "
           f"{result['quantized_scan_speedup']:.2f}x 1-worker scan rate")
-    RESULT_PATH.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
-    print(f"wrote {RESULT_PATH}")
+    write_bench_result("shard", result)
 
     assert result["parity"]["identical_topk_local"], (
         "sharded exact path diverged from the single-process scorer "

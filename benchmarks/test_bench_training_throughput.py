@@ -18,18 +18,17 @@ in two modes:
 The benchmark asserts the fast path reaches at least ``MIN_SPEEDUP`` the
 examples/second of the seed-style path while landing within tolerance of the
 same validation metrics, and records the measured numbers in
-``BENCH_train.json`` at the repository root so future PRs have a training
-performance trajectory to regress against.
+``benchmarks/out/BENCH_train.json`` so future PRs have a training
+performance trajectory to regress against (the committed baseline sits at
+the repository root).
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
-from conftest import run_once
+from conftest import run_once, write_bench_result
 
 from repro import nn
 from repro.nn import functional as F
@@ -40,7 +39,6 @@ from repro.models import ModelConfig, build_model
 from repro.text import encode_items
 from repro.training.evaluation import evaluate_model
 
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_train.json"
 
 MIN_SPEEDUP = 2.0
 #: |ndcg difference| must stay under max(METRIC_ATOL, METRIC_RTOL * seed).
@@ -171,9 +169,7 @@ def test_training_throughput(benchmark, scale):
             f"{row['fast_validation']['ndcg@20']:.4f})"
         )
 
-    RESULT_PATH.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
-    print(f"wrote {RESULT_PATH}")
+    write_bench_result("train", result)
 
     for model_name, row in result["models"].items():
         assert row["fast_dtype"] == "float32", model_name

@@ -51,8 +51,6 @@ class ResilientShardClient(ShardClient):
     ----------
     primary:
         The guarded client (typically a :class:`~repro.shard.ShardPool`).
-        Must accept a per-call ``timeout=`` override on ``search`` when
-        deadline propagation is used.
     fallback_factory:
         Zero-argument callable building the degradation client (typically a
         :class:`~repro.shard.LocalShardClient` over the same matrix).
@@ -126,7 +124,7 @@ class ResilientShardClient(ShardClient):
             attempt = 0
             while True:
                 try:
-                    ids, scores = self._primary_search(
+                    ids, scores = self._primary.search(
                         queries, k, exclude=exclude, backend=backend,
                         overfetch=overfetch, timeout=timeout)
                 except WorkerCrashed as error:
@@ -159,14 +157,6 @@ class ResilientShardClient(ShardClient):
         return self._degrade(None, queries, k, exclude=exclude,
                              backend=backend, overfetch=overfetch,
                              retries=retries_this_call)
-
-    def _primary_search(self, queries, k, *, exclude, backend, overfetch,
-                        timeout):
-        kwargs: Dict[str, Any] = {"exclude": exclude, "backend": backend,
-                                  "overfetch": overfetch}
-        if timeout is not None:
-            kwargs["timeout"] = timeout
-        return self._primary.search(queries, k, **kwargs)
 
     def _degrade(self, error: Optional[BaseException], queries, k, *,
                  exclude, backend, overfetch, retries: int

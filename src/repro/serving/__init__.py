@@ -17,8 +17,8 @@ into a cache-backed top-K service:
 """
 
 from .config import (CATALOGUE_CODECS, SERVING_BACKENDS, SERVING_ENGINES,
-                     SHARD_BACKENDS, WEIGHT_STORAGES, ServingConfig,
-                     resolve_config)
+                     SHARD_BACKENDS, STRUCTURAL_FIELDS, WEIGHT_STORAGES,
+                     ServingConfig)
 from .generations import (GenerationClock, GenerationFollower,
                           GenerationalCache)
 from .recommender import Recommender, TopKResult, full_sort_topk
@@ -35,6 +35,7 @@ __all__ = [
     "SERVING_BACKENDS",
     "SERVING_ENGINES",
     "SHARD_BACKENDS",
+    "STRUCTURAL_FIELDS",
     "ServingConfig",
     "WEIGHT_STORAGES",
     "ThroughputReport",
@@ -42,5 +43,4 @@ __all__ = [
     "full_sort_topk",
     "measure_throughput",
     "per_sequence_topk",
-    "resolve_config",
 ]

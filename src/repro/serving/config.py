@@ -12,7 +12,7 @@ protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 
@@ -41,6 +41,15 @@ CATALOGUE_CODECS = ("fp32", "int8")
 #: bit-identity contract; ``"fp16"`` halves the snapshot's resident bytes
 #: and casts back to fp32 for compute (rank-parity gated, opt-in).
 WEIGHT_STORAGES = ("fp32", "fp16")
+
+#: fields that decide what a :class:`~repro.serving.Recommender` *builds*
+#: (the cast item matrix and every index over it, the compiled engine and
+#: its session cache, int8 codes, the shard layout / worker pool) — fixed at
+#: construction, rejected as per-call overrides.  The rest (``k``,
+#: ``backend``, ``exclude_seen``, ``overfetch_margin``, ``engine``) only
+#: steer one ``topk`` call.
+STRUCTURAL_FIELDS = ("score_dtype", "session_cache", "shards",
+                     "shard_backend", "catalogue_codec", "weight_storage")
 
 
 @dataclass(frozen=True)
@@ -189,47 +198,15 @@ class ServingConfig:
         unknown = sorted(set(updates) - known)
         if unknown:
             raise ValueError(f"unknown ServingConfig field(s): {', '.join(unknown)}")
-        # numpy dtypes arrive from legacy `dtype=` call sites; normalise them.
-        if "score_dtype" in updates and not isinstance(updates["score_dtype"], str):
-            updates["score_dtype"] = np.dtype(updates["score_dtype"]).name
         return replace(self, **updates)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable form (used by ``stats`` and deployment listings)."""
-        return {
-            "k": self.k,
-            "backend": self.backend,
-            "score_dtype": self.score_dtype,
-            "exclude_seen": self.exclude_seen,
-            "overfetch_margin": self.overfetch_margin,
-            "engine": self.engine,
-            "session_cache": self.session_cache,
-            "shards": self.shards,
-            "shard_backend": self.shard_backend,
-            "catalogue_codec": self.catalogue_codec,
-            "weight_storage": self.weight_storage,
-        }
+        return {field.name: getattr(self, field.name)
+                for field in fields(self)}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ServingConfig":
         """Build a config from a (possibly partial) JSON mapping."""
         return cls().with_overrides(**dict(payload))
 
-
-def resolve_config(config: Optional[ServingConfig] = None,
-                   **legacy_overrides: Any) -> ServingConfig:
-    """Normalise a ``config=`` / legacy-kwarg combination into one config.
-
-    Raises when both a config object and explicit legacy overrides are given
-    — the two styles cannot be merged unambiguously.
-    """
-    explicit = {name: value for name, value in legacy_overrides.items()
-                if value is not None}
-    if config is not None:
-        if explicit:
-            raise ValueError(
-                "pass either config= or individual keyword arguments "
-                f"({', '.join(sorted(explicit))}), not both"
-            )
-        return config
-    return ServingConfig().with_overrides(**explicit)

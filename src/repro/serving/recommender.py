@@ -29,10 +29,8 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,8 +40,9 @@ from ..index.base import topk_best_first
 from ..infer import InferenceEngine, UnsupportedModelError
 from ..resilience.deadline import expired, remaining_s
 from ..resilience.errors import DeadlineExceeded
-from ..training.evaluation import inference_catalogue_scores
-from .config import SERVING_BACKENDS, ServingConfig, resolve_config
+from ..shard.scoring import ann_shard_topk
+from ..training.evaluation import padded_catalogue_scores
+from .config import SERVING_BACKENDS, STRUCTURAL_FIELDS, ServingConfig
 from .generations import GenerationClock, GenerationFollower
 from .store import EmbeddingStore
 
@@ -215,6 +214,34 @@ class _EngineSlot:
                 self.unsupported = False
 
 
+class _StageClock:
+    """The stage stopwatch of one :meth:`Recommender.topk` call: the time
+    since the previous lap is booked to the named stage, so the three stages
+    partition the call and can never sum past its wall-clock."""
+
+    def __init__(self) -> None:
+        self.ms = {"encode": 0.0, "score": 0.0, "merge": 0.0}
+        self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.ms[stage] += (now - self._last) * 1000.0
+        self._last = now
+
+
+def _mask(scores: np.ndarray, exclude: Sequence[Sequence[int]]) -> None:
+    """Masking, not filtering: excluded ids keep their candidate slot but
+    score ``-inf`` (in place, one exclude list per row)."""
+    for row, masked in enumerate(exclude):
+        scores[row, masked] = -np.inf
+
+
+def _all_ids(scores: np.ndarray) -> np.ndarray:
+    """The item ids aligned with a dense ``(batch, num_items + 1)`` block."""
+    return np.broadcast_to(np.arange(scores.shape[1], dtype=np.int64),
+                           scores.shape)
+
+
 def full_sort_topk(scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """Brute-force top-K via a full sort (the reference the fast path must match).
 
@@ -248,18 +275,10 @@ class Recommender:
     config:
         A :class:`~repro.serving.config.ServingConfig` bundling the serving
         defaults (k, backend, scoring dtype, seen-item masking, ANN
-        over-fetch margin).  The legacy ``dtype`` / ``backend`` keyword
-        arguments are **deprecated**: either style works alone (legacy kwargs
-        emit a :class:`DeprecationWarning`), combining them raises.
-    dtype:
-        Scoring precision for the single-matmul fast path (default float32).
+        over-fetch margin) and the structural choices (scoring dtype,
+        catalogue codec, shard layout) the caches are built for.
     fallback_method / fallback_groups:
         Whitening specification used for the content-based fallback space.
-    backend:
-        Default retrieval backend for :meth:`topk`: ``"exact"`` (dense
-        full-catalogue matmul, the reference), ``"ivf"`` or ``"ivfpq"``
-        (ANN retrieval through :mod:`repro.index`, O(scanned fraction)
-        instead of O(catalogue)).
     index_params:
         Extra constructor kwargs for :func:`repro.index.build_index` when an
         ANN backend builds its index (e.g. ``{"n_lists": 64, "nprobe": 8}``).
@@ -268,35 +287,16 @@ class Recommender:
     def __init__(self, model, store: Optional[EmbeddingStore] = None,
                  train_sequences: Optional[Dict[int, List[int]]] = None,
                  cold_items: Optional[Iterable[int]] = None,
-                 dtype=None,
                  fallback_method: str = "zca", fallback_groups=1,
-                 backend: Optional[str] = None,
                  index_params: Optional[Dict] = None,
                  config: Optional[ServingConfig] = None):
-        if dtype is not None or backend is not None:
-            if config is not None:
-                # Same contract as topk(): the two styles cannot be merged
-                # unambiguously, so an explicit config wins by rejection,
-                # never by silently overriding the legacy kwargs (or vice
-                # versa).
-                raise ValueError(
-                    "pass either config= or the legacy dtype=/backend= "
-                    "keyword arguments to Recommender(), not both"
-                )
-            warnings.warn(
-                "passing dtype=/backend= to Recommender() is deprecated; "
-                "pass config=ServingConfig(...) instead",
-                DeprecationWarning, stacklevel=2,
-            )
         config = config if config is not None else ServingConfig()
-        config = config.with_overrides(score_dtype=dtype, backend=backend)
         self.config = config
         self.model = model
         self.store = store
         self.dtype = config.np_dtype
         self.fallback_method = fallback_method
         self.fallback_groups = fallback_groups
-        self.default_backend = config.backend
         self.index_params = dict(index_params or {})
         self._indexes: Dict[str, ItemIndex] = {}
         self.cold_items = frozenset(int(item) for item in cold_items) if cold_items else frozenset()
@@ -452,14 +452,17 @@ class Recommender:
         self._popularity_cast = None
 
     def shard_client(self):
-        """The :class:`repro.shard.ShardClient` serving sharded retrieval.
+        """The :class:`repro.shard.ShardClient` behind every retrieval cell
+        other than the dense fp32 single-shard scan.
 
-        Built lazily from the scoring-precision :meth:`item_matrix` under
-        the configured ``shards`` / ``shard_backend`` (a spawned
-        :class:`~repro.shard.ShardPool` holding the matrix via zero-copy
-        memmap, or an in-process :class:`~repro.shard.LocalShardClient`).
-        :meth:`refresh_item_matrix` closes and drops it, so the next
-        sharded request re-shards the new catalogue generation.
+        Built lazily from the scoring-precision :meth:`item_matrix`: an
+        in-process :class:`~repro.shard.LocalShardClient` whenever
+        ``shards == 1`` or ``shard_backend == "local"`` (one shard never
+        spawns a pool — the 1-shard int8 client *is* the in-process
+        quantized scan), a spawned :class:`~repro.shard.ShardPool` holding
+        the matrix via zero-copy memmap otherwise.
+        :meth:`refresh_item_matrix` closes and drops it, so the next request
+        re-shards the new catalogue generation.
 
         A process pool comes wrapped in a
         :class:`~repro.resilience.ResilientShardClient`: worker crashes are
@@ -475,33 +478,33 @@ class Recommender:
         self._sync_generation()
         with self._shard_lock:
             if self._shard_client is None:
+                config = self.config
                 matrix = self.item_matrix()
-                codec = self.config.catalogue_codec
-                # The degradation fallback reuses the memoised quantization:
-                # deterministic codes mean the pool's sidecar and the local
-                # client score identical int8 artefacts, so degraded results
-                # keep the bit-identity contract codec included.
+                codec = config.catalogue_codec
+                # The local client (and the degradation fallback) reuses the
+                # memoised quantization: deterministic codes mean the pool's
+                # sidecar and the local client score identical int8
+                # artefacts, so degraded results keep the bit-identity
+                # contract codec included.
                 quantized = (self._matrix_cache.quantized()
                              if codec == "int8" else None)
-                def _local_client(matrix=matrix, quantized=quantized,
-                                  codec=codec):
+
+                def local_client():
                     return LocalShardClient(
-                        matrix, self.config.shards,
-                        index_params=self.index_params,
+                        matrix, config.shards, index_params=self.index_params,
                         codec=codec, quantized=quantized)
 
-                if self.config.shard_backend == "process":
-                    pool = ShardPool.from_matrix(
-                        matrix, self.config.shards, transport="memmap",
-                        index_params=self.index_params, codec=codec)
+                if config.shards == 1 or config.shard_backend == "local":
+                    self._shard_client = local_client()
+                else:
                     self._shard_client = ResilientShardClient(
-                        pool,
-                        fallback_factory=_local_client,
+                        ShardPool.from_matrix(
+                            matrix, config.shards,
+                            index_params=self.index_params, codec=codec),
+                        fallback_factory=local_client,
                         retry=RetryPolicy(max_retries=1, base_backoff_ms=20.0,
                                           seed=0),
                         breaker=CircuitBreaker())
-                else:
-                    self._shard_client = _local_client()
             return self._shard_client
 
     def shard_stats(self) -> Optional[Dict[str, object]]:
@@ -544,7 +547,7 @@ class Recommender:
         return self._indexes[backend]
 
     # ------------------------------------------------------------------ #
-    # Request classification
+    # Request classification & encoding
     # ------------------------------------------------------------------ #
     def _clean(self, sequence: Sequence[int]) -> List[int]:
         """Valid catalogue ids of a request history, order preserved."""
@@ -563,67 +566,40 @@ class Recommender:
         cold = np.array([len(items) == 0 for items in servable], dtype=bool)
         return histories, servable, cold
 
-    def _warm_batch(self, servable: Sequence[List[int]],
-                    warm_rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Padded ``(item_ids, lengths)`` for the warm rows of a batch.
+    def _encode_warm(self, servable: Sequence[List[int]],
+                     warm_rows: np.ndarray,
+                     engine_kind: Optional[str] = None) -> np.ndarray:
+        """User representations of the warm rows, in scoring precision.
 
         Histories are truncated and padded to the model's full window:
         position embeddings depend on the padded width, so serving must use
         the same width as training and evaluation for the representations to
-        match.
+        match.  ``engine_kind`` picks the compiled plan or the autodiff graph
+        (see :meth:`engine`); both encode in model precision.
         """
-        warm_histories = [servable[row][-self.model.max_seq_length:]
-                          for row in warm_rows]
-        return pad_sequences(warm_histories, self.model.max_seq_length)
-
-    def _encoder(self, engine_kind: Optional[str] = None
-                 ) -> Tuple[Callable, Dict[str, float]]:
-        """A timed sequence encoder honouring the engine choice.
-
-        Returns ``(encode, timing)``: ``encode`` has the
-        ``model.encode_sequences`` contract and records its wall-clock cost
-        into ``timing["ms"]`` (a per-call cell, so concurrent requests never
-        race on shared state).
-        """
-        timing = {"ms": 0.0}
+        window = self.model.max_seq_length
+        item_ids, lengths = pad_sequences(
+            [servable[row][-window:] for row in warm_rows], window)
         engine = self.engine(engine_kind)
-        if engine is not None:
-            def encode(item_ids, lengths, item_matrix=None,
-                       engine=engine, timing=timing):
-                started = time.perf_counter()
-                users = engine.encode_sequences(item_ids, lengths, item_matrix)
-                timing["ms"] += (time.perf_counter() - started) * 1000.0
-                return users
-        else:
-            def encode(item_ids, lengths, item_matrix=None, timing=timing):
-                started = time.perf_counter()
-                users = self.model.encode_sequences(
-                    item_ids, lengths, item_matrix=item_matrix)
-                timing["ms"] += (time.perf_counter() - started) * 1000.0
-                return users
-        return encode, timing
-
-    def _engine_label(self, engine_kind: Optional[str] = None) -> str:
-        """Which engine :meth:`_encoder` would pick for ``engine_kind``."""
-        return "compiled" if self.engine(engine_kind) is not None else "graph"
-
-    def _encode_warm_rows(self, servable: Sequence[List[int]],
-                          warm_rows: np.ndarray,
-                          encoder: Optional[Callable] = None) -> np.ndarray:
-        """User representations for the warm rows of a classified batch."""
-        item_ids, lengths = self._warm_batch(servable, warm_rows)
-        encode = (encoder if encoder is not None
+        encode = (engine.encode_sequences if engine is not None
                   else self.model.encode_sequences)
-        return encode(item_ids, lengths, item_matrix=self._warm_matrix64())
+        users = encode(item_ids, lengths,
+                       item_matrix=self._matrix_cache.native())
+        return np.asarray(users).astype(self.dtype, copy=False)
+
+    @staticmethod
+    def _exclude_lists(histories: Sequence[List[int]], rows: Iterable[int],
+                       exclude_seen: bool) -> List[List[int]]:
+        """Per-row ids that are never recommendable: the padding item and,
+        under ``exclude_seen``, the row's own history."""
+        return [[0] + histories[row] if exclude_seen else [0] for row in rows]
 
     # ------------------------------------------------------------------ #
     # Scoring
     # ------------------------------------------------------------------ #
     def score(self, sequences: Sequence[Sequence[int]],
               exclude_seen: bool = True,
-              engine: Optional[str] = None,
-              encode_timing: Optional[Dict[str, float]] = None
-              ) -> Tuple[np.ndarray, np.ndarray]:
+              engine: Optional[str] = None) -> Tuple[np.ndarray, np.ndarray]:
         """Full-catalogue scores for a batch of request histories.
 
         Returns ``(scores, cold)`` where ``scores`` has shape
@@ -631,43 +607,27 @@ class Recommender:
         ``exclude_seen``, every history item) masked to ``-inf``, and ``cold``
         flags the rows that used the fallback path.  ``engine`` overrides the
         configured sequence-encoding engine for this call (``"graph"`` /
-        ``"compiled"``); ``encode_timing`` (a mutable mapping) receives the
-        warm-row encode cost under ``"ms"``.
+        ``"compiled"``).  This is the reference every exact :meth:`topk`
+        cell must reproduce bit for bit.
         """
         histories, servable, cold = self._classify(sequences)
-        batch_size = len(histories)
-        scores = np.full((batch_size, self.num_items + 1), -np.inf, dtype=self.dtype)
-
+        scores = np.empty((len(histories), self.num_items + 1),
+                          dtype=self.dtype)
         warm_rows = np.flatnonzero(~cold)
         if warm_rows.size:
-            item_ids, lengths = self._warm_batch(servable, warm_rows)
-            encode, timing = self._encoder(engine)
-            # The shared entry point pads tiny batches up to MIN_SCORING_ROWS
-            # so scores never depend on batch composition (the contract the
+            # The shared kernel pads tiny batches up to MIN_SCORING_ROWS so
+            # scores never depend on batch composition (the contract the
             # dynamic micro-batcher's bit-identity guarantee rests on).
-            scores[warm_rows] = inference_catalogue_scores(
-                self.model, item_ids, lengths,
-                item_matrix=self._warm_matrix64(),
-                scoring_matrix=self.item_matrix(), score_dtype=self.dtype,
-                encoder=encode,
-            )
-            if encode_timing is not None:
-                encode_timing["ms"] = timing["ms"]
-
+            scores[warm_rows] = padded_catalogue_scores(
+                self._encode_warm(servable, warm_rows, engine),
+                self.item_matrix(), self.dtype)
         cold_rows = np.flatnonzero(cold)
         if cold_rows.size:
-            scores[cold_rows] = self._fallback_scores([histories[row] for row in cold_rows])
-
-        scores[:, 0] = -np.inf
-        if exclude_seen:
-            for row, valid in enumerate(histories):
-                if valid:
-                    scores[row, valid] = -np.inf
+            scores[cold_rows] = self._fallback_scores(
+                [histories[row] for row in cold_rows])
+        _mask(scores, self._exclude_lists(histories, range(len(histories)),
+                                          exclude_seen))
         return scores, cold
-
-    def _warm_matrix64(self) -> np.ndarray:
-        """The model-precision matrix for embedding lookups (memoised)."""
-        return self._matrix_cache.native()
 
     def _fallback_scores(self, histories: Sequence[Sequence[int]]) -> np.ndarray:
         """Content-based (whitened text space) or popularity fallback scores."""
@@ -700,486 +660,153 @@ class Recommender:
         return table
 
     # ------------------------------------------------------------------ #
-    # Top-K fast path
+    # Top-K retrieval: one pipeline
     # ------------------------------------------------------------------ #
+    def _candidates(self, backend: str, users: np.ndarray, k: int,
+                    exclude: Sequence[Sequence[int]], overfetch: int = 0,
+                    deadline: Optional[float] = None
+                    ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
+        """Ask the candidate source for ``(ids, scores, info)`` blocks.
+
+        The one place that decides which code scores a request — from the
+        structural config and the backend, nothing else:
+
+        * one shard, ANN backend — the cached :meth:`item_index`, over-fetched
+          and filtered by :func:`~repro.shard.scoring.ann_shard_topk` (rows
+          the filter leaves short keep ``-1`` / ``-inf`` padding);
+        * one shard, fp32, exact — the dense single GEMM :meth:`score`
+          exposes, every catalogue row a candidate (masked, not filtered);
+        * everything else (int8 codes, several shards) —
+          :meth:`shard_client`, with the remaining deadline budget clamping
+          the pool's per-search timeout; ``info`` then carries the
+          resilience layer's ``degraded`` / ``retries`` for this search.
+        """
+        if self.config.shards == 1 and backend != "exact":
+            ids, scores = ann_shard_topk(self.item_index(backend), users, k,
+                                         exclude, overfetch)
+            return ids, scores, {}
+        if self.config.shards == 1 and self.config.catalogue_codec == "fp32":
+            scores = padded_catalogue_scores(users, self.item_matrix(),
+                                             self.dtype)
+            _mask(scores, exclude)
+            return _all_ids(scores), scores, {}
+        return self.shard_client().search_ex(
+            users, k, exclude=exclude, backend=backend, overfetch=overfetch,
+            timeout=remaining_s(deadline))
+
     def topk(self, sequences: Sequence[Sequence[int]], k: Optional[int] = None,
-             exclude_seen: Optional[bool] = None, backend: Optional[str] = None,
              *, config: Optional[ServingConfig] = None,
              deadline: Optional[float] = None) -> TopKResult:
         """Batched top-K recommendations for a batch of request histories.
 
         The serving policy comes from ``config`` (a
         :class:`~repro.serving.config.ServingConfig`), defaulting to the one
-        chosen at construction.  ``k`` remains a first-class convenience
-        override; the ``exclude_seen`` / ``backend`` keyword arguments are
-        **deprecated** — they still work (folded into the config with a
-        :class:`DeprecationWarning`) but new code should pass a config.
+        chosen at construction; ``k`` is the first-class per-call override
+        and composes with either.  The structural fields
+        (:data:`~repro.serving.config.STRUCTURAL_FIELDS`) describe what this
+        recommender's caches were built for and cannot change per call.
 
-        With ``backend="exact"`` (the default), one matmul scores the whole
-        batch against the full catalogue; ``np.argpartition`` then extracts
-        the K best candidates per row in O(num_items) instead of the
-        O(num_items log num_items) full sort.  Ties are broken towards the
-        smaller item id so the result is identical to :func:`full_sort_topk`
-        — including ties that straddle the partition boundary, which
-        :func:`repro.index.base.topk_best_first` resolves by id too.
-        The exact path's float32 results are independent of batch composition
-        (see :data:`repro.training.evaluation.MIN_SCORING_ROWS`), which is
-        what makes dynamic micro-batching in :mod:`repro.service` lossless.
+        Every request runs the same pipeline:
 
-        With ``backend="ivf"`` / ``"ivfpq"``, warm requests retrieve through
-        the cached :meth:`item_index` instead, scanning only the probed
-        fraction of the catalogue: the index is over-fetched by the history
-        length (plus ``config.overfetch_margin``) so that seen-item masking
-        can still drop every history item from the candidates.  Cold requests
-        (and any row the over-fetch cannot fill) transparently use the exact
-        path.
+        1. **classify** each history as warm or cold;
+        2. **encode** the warm rows once (compiled plan or graph);
+        3. ask the **candidate source** (:meth:`_candidates`) for the warm
+           rows' candidates — exact sources mask the padding item and (under
+           ``exclude_seen``) the history to ``-inf`` but keep them as
+           candidates, ANN sources over-fetch by the history length plus
+           ``config.overfetch_margin`` and drop them;
+        4. **re-run** the ANN rows whose filtered candidates came up short
+           of ``k`` through the exact source, reusing the vectors encoded in
+           step 2;
+        5. score the **cold** rows in the fallback space
+           (:meth:`_fallback_scores`), masked the same way;
+        6. **assemble**: every candidate block goes through
+           :func:`repro.index.base.topk_best_first`, the one ``(-score,
+           smaller id)`` total order — ``np.argpartition`` extraction in
+           O(width) that agrees with :func:`full_sort_topk` even at
+           duplicate-score selection boundaries — so exact results carry the
+           same ids and score bits for every codec, shard count and shard
+           backend, independent of batch composition (see
+           :data:`repro.training.evaluation.MIN_SCORING_ROWS`).
 
         ``deadline`` (an absolute :func:`time.monotonic` timestamp, see
         :mod:`repro.resilience.deadline`) bounds the call: it is checked on
-        entry and again between encode and shard search, and the remaining
-        budget clamps the shard pool's per-search timeout, so a request whose
-        caller has already given up never consumes scatter-gather compute.
-        An exceeded deadline raises
-        :class:`~repro.resilience.DeadlineExceeded`.
+        entry and again after encode, and the remaining budget clamps the
+        shard pool's per-search timeout, so a request whose caller has
+        already given up never consumes catalogue-scan compute.  An exceeded
+        deadline raises :class:`~repro.resilience.DeadlineExceeded`.
         """
-        if deadline is not None and expired(deadline):
+        if expired(deadline):
             raise DeadlineExceeded("deadline expired before scoring began")
-        if exclude_seen is not None or backend is not None:
-            warnings.warn(
-                "passing exclude_seen=/backend= to Recommender.topk is "
-                "deprecated; pass config=ServingConfig(...) instead",
-                DeprecationWarning, stacklevel=2,
-            )
-        if config is None:
-            config = self.config.with_overrides(
-                k=k, exclude_seen=exclude_seen, backend=backend)
-        else:
-            # k composes with an explicit config (it is the per-call knob);
-            # the deprecated kwargs do not.
-            config = resolve_config(config, exclude_seen=exclude_seen,
-                                    backend=backend).with_overrides(k=k)
-        if config.score_dtype != self.config.score_dtype:
-            # The scoring dtype is structural (the cached item matrix and
-            # every ANN index live in it), not per-call state.
-            raise ValueError(
-                f"per-call score_dtype overrides are not supported: this "
-                f"recommender scores in {self.config.score_dtype}, the config "
-                f"asks for {config.score_dtype}; build a sibling Recommender "
-                f"(e.g. repro.service.Deployment.recommender_for) instead"
-            )
-        if config.session_cache != self.config.session_cache:
-            # The session cache lives inside the compiled engine, which is
-            # built once per recommender — like the scoring dtype it is
-            # structural, not per-call state.
-            raise ValueError(
-                f"per-call session_cache overrides are not supported: this "
-                f"recommender's engine was built with session_cache="
-                f"{self.config.session_cache}, the config asks for "
-                f"{config.session_cache}"
-            )
-        if config.catalogue_codec != self.config.catalogue_codec:
-            # The codec decides what the caches hold (int8 codes alongside —
-            # or instead of resident — fp32 rows, per-worker sidecar
-            # attachments): structural, not per-call state.
-            raise ValueError(
-                f"per-call catalogue_codec overrides are not supported: this "
-                f"recommender's catalogue is served as "
-                f"{self.config.catalogue_codec!r}, the config asks for "
-                f"{config.catalogue_codec!r}"
-            )
-        if config.weight_storage != self.config.weight_storage:
-            # The weight snapshot is demoted (or not) when the plan compiles;
-            # like the session cache it cannot change per call.
-            raise ValueError(
-                f"per-call weight_storage overrides are not supported: this "
-                f"recommender's engine stores weights as "
-                f"{self.config.weight_storage!r}, the config asks for "
-                f"{config.weight_storage!r}"
-            )
-        if (config.shards != self.config.shards
-                or config.shard_backend != self.config.shard_backend):
-            # The shard pool (worker processes, partition ranges, per-shard
-            # indexes) is built once from the structural config — a per-call
-            # override cannot re-shard a running pool.
-            raise ValueError(
-                f"per-call shards/shard_backend overrides are not supported: "
-                f"this recommender serves {self.config.shards} shard(s) via "
-                f"{self.config.shard_backend!r}, the config asks for "
-                f"{config.shards} via {config.shard_backend!r}"
-            )
-        if config.backend != "exact":
-            if self.config.shards > 1:
-                return self._topk_with_index_sharded(sequences, config,
-                                                     deadline=deadline)
-            return self._topk_with_index(sequences, config)
-        if self.config.shards > 1:
-            return self._topk_exact_sharded(sequences, config,
-                                            deadline=deadline)
-        return self._topk_exact(sequences, config)
+        config = (config if config is not None
+                  else self.config).with_overrides(k=k)
+        for name in STRUCTURAL_FIELDS:
+            built, asked = getattr(self.config, name), getattr(config, name)
+            if asked != built:
+                raise ValueError(
+                    f"per-call {name} overrides are not supported: this "
+                    f"recommender was built with {name}={built!r}, the "
+                    f"config asks for {asked!r}; build a sibling Recommender "
+                    f"(e.g. repro.service.Deployment.recommender_for) instead")
 
-    def _topk_exact(self, sequences: Sequence[Sequence[int]],
-                    config: ServingConfig) -> TopKResult:
-        """Dense scan + argpartition extraction (the reference path).
-
-        Extraction goes through :func:`repro.index.base.topk_best_first`, the
-        same total-order kernel the sharded path merges with — the
-        ``(-score, id)`` order holds even at duplicate-score selection
-        boundaries, which is what keeps single-process and scatter-gather
-        results bit-identical under ties.
-
-        With ``catalogue_codec="int8"`` the warm rows route through the
-        quantized scan + fp32 block re-rank instead — same ids, same score
-        bits (see :mod:`repro.quant`).
-        """
-        if self.config.catalogue_codec == "int8":
-            return self._topk_exact_quantized(sequences, config)
-        timing: Dict[str, float] = {"ms": 0.0}
-        score_started = time.perf_counter()
-        scores, cold = self.score(sequences, exclude_seen=config.exclude_seen,
-                                  engine=config.engine, encode_timing=timing)
-        merge_started = time.perf_counter()
-        k = min(config.k, self.num_items)
-        all_ids = np.broadcast_to(
-            np.arange(scores.shape[1], dtype=np.int64), scores.shape)
-        items, top_scores = topk_best_first(all_ids, scores, k)
-        merge_ms = (time.perf_counter() - merge_started) * 1000.0
-        score_ms = max(0.0, (merge_started - score_started) * 1000.0
-                       - timing["ms"])
-        return TopKResult(items=items, scores=top_scores, cold=cold,
-                          engine=self._engine_label(config.engine),
-                          encode_ms=round(timing["ms"], 3),
-                          score_ms=round(score_ms, 3),
-                          merge_ms=round(merge_ms, 3))
-
-    def _topk_exact_quantized(self, sequences: Sequence[Sequence[int]],
-                              config: ServingConfig) -> TopKResult:
-        """Exact retrieval over the int8-quantized catalogue (in-process).
-
-        Warm rows are encoded exactly like the dense path, then scored by
-        :func:`repro.quant.scorer.quantized_topk`: an int8 scan shortlists
-        candidate blocks, and the shortlisted blocks are re-scored with the
-        same absolute-grid fp32 GEMMs as the dense kernel — the returned ids
-        *and* scores are bit-identical to :meth:`_topk_exact` on the fp32
-        codec, while the scan touches ~0.28x the catalogue bytes.  Masking
-        semantics match the dense path: the padding item and (under
-        ``exclude_seen``) the history items score ``-inf`` but stay
-        candidates.  Cold rows score in their fallback space dense, exactly
-        as every other path does — the codec only covers the catalogue scan.
-        """
-        from ..quant.scorer import quantized_topk
-
+        clock = _StageClock()
         histories, servable, cold = self._classify(sequences)
-        batch_size = len(histories)
         k = min(config.k, self.num_items)
-        items = np.empty((batch_size, k), dtype=np.int64)
-        scores = np.empty((batch_size, k), dtype=self.dtype)
+        items = np.full((len(histories), k), -1, dtype=np.int64)
+        scores = np.full((len(histories), k), -np.inf, dtype=self.dtype)
+        infos: List[Dict[str, Any]] = []
 
-        timing: Dict[str, float] = {"ms": 0.0}
-        score_ms = 0.0
-        merge_ms = 0.0
+        def place(rows, candidate_ids, candidate_scores):
+            clock.lap("score")
+            best_ids, best_scores = topk_best_first(candidate_ids,
+                                                    candidate_scores, k)
+            items[rows, :best_ids.shape[1]] = best_ids
+            scores[rows, :best_ids.shape[1]] = best_scores
+            clock.lap("merge")
+
         warm_rows = np.flatnonzero(~cold)
         if warm_rows.size:
-            score_started = time.perf_counter()
-            encode, timing = self._encoder(config.engine)
-            users = self._encode_warm_rows(servable, warm_rows,
-                                           encoder=encode)
-            matrix = self.item_matrix()
-            quantized = self._matrix_cache.quantized()
-            exclude = []
-            for row in warm_rows:
-                masked = [0]  # the padding item is never recommendable
-                if config.exclude_seen and histories[row]:
-                    masked.extend(histories[row])
-                exclude.append(masked)
-            warm_items, warm_scores = quantized_topk(
-                np.asarray(users), matrix, quantized, 0, matrix.shape[0], k,
-                exclude)
-            merge_started = time.perf_counter()
-            items[warm_rows] = warm_items
-            scores[warm_rows] = warm_scores.astype(self.dtype, copy=False)
-            score_ms += max(0.0, (merge_started - score_started) * 1000.0
-                            - timing["ms"])
-            merge_ms += (time.perf_counter() - merge_started) * 1000.0
-
-        cold_rows = np.flatnonzero(cold)
-        if cold_rows.size:
-            score_started = time.perf_counter()
-            fallback = self._fallback_scores(
-                [histories[row] for row in cold_rows])
-            fallback[:, 0] = -np.inf
-            if config.exclude_seen:
-                for local, row in enumerate(cold_rows):
-                    if histories[row]:
-                        fallback[local, histories[row]] = -np.inf
-            merge_started = time.perf_counter()
-            all_ids = np.broadcast_to(
-                np.arange(fallback.shape[1], dtype=np.int64), fallback.shape)
-            cold_items, cold_scores = topk_best_first(all_ids, fallback, k)
-            items[cold_rows] = cold_items
-            scores[cold_rows] = cold_scores
-            score_ms += (merge_started - score_started) * 1000.0
-            merge_ms += (time.perf_counter() - merge_started) * 1000.0
-
-        return TopKResult(items=items, scores=scores, cold=cold,
-                          engine=self._engine_label(config.engine),
-                          encode_ms=round(timing["ms"], 3),
-                          score_ms=round(score_ms, 3),
-                          merge_ms=round(merge_ms, 3))
-
-    def _shard_search(self, users: np.ndarray, k: int, *,
-                      exclude: Sequence[Sequence[int]], backend: str,
-                      overfetch: int = 0,
-                      deadline: Optional[float] = None,
-                      ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
-        """Scatter a warm search with deadline clamping and degradation info.
-
-        Checks the deadline *after* encode (the caller runs this right before
-        the scatter), clamps the shard pool's per-search timeout to the
-        remaining budget, and normalises the two client surfaces: a
-        :class:`~repro.resilience.ResilientShardClient` reports per-call
-        degradation info through ``search_ex``, a bare
-        :class:`~repro.shard.LocalShardClient` has neither timeouts nor a
-        degraded mode.
-        """
-        client = self.shard_client()
-        remaining: Optional[float] = None
-        if deadline is not None:
-            remaining = remaining_s(deadline)
-            if remaining <= 0.0:
+            clock.lap("score")
+            users = self._encode_warm(servable, warm_rows, config.engine)
+            clock.lap("encode")
+            if expired(deadline):
                 raise DeadlineExceeded(
-                    "deadline expired before the shard search")
-        if hasattr(client, "search_ex"):
-            kwargs: Dict[str, Any] = {}
-            if remaining is not None:
-                kwargs["timeout"] = remaining
-            return client.search_ex(users, k, exclude=exclude,
-                                    backend=backend, overfetch=overfetch,
-                                    **kwargs)
-        items, scores = client.search(users, k, exclude=exclude,
-                                      backend=backend, overfetch=overfetch)
-        return items, scores, {}
-
-    def _topk_exact_sharded(self, sequences: Sequence[Sequence[int]],
-                            config: ServingConfig, *,
-                            deadline: Optional[float] = None) -> TopKResult:
-        """Exact retrieval scattered over the shard client.
-
-        Warm rows are encoded once (same batch, same engine as the dense
-        path) and searched across every shard with masking semantics — the
-        padding item and, under ``exclude_seen``, the history score ``-inf``
-        but stay candidates — so the merged result carries the dense path's
-        exact contract.  Results are bit-identical for every shard count and
-        both shard backends (see :mod:`repro.shard`).  Cold rows score in
-        their fallback space in-process, exactly as the dense path does.
-        """
-        histories, servable, cold = self._classify(sequences)
-        batch_size = len(histories)
-        k = min(config.k, self.num_items)
-        items = np.empty((batch_size, k), dtype=np.int64)
-        scores = np.empty((batch_size, k), dtype=self.dtype)
-
-        timing: Dict[str, float] = {"ms": 0.0}
-        score_ms = 0.0
-        merge_ms = 0.0
-        shard_info: Dict[str, Any] = {}
-        warm_rows = np.flatnonzero(~cold)
-        if warm_rows.size:
-            score_started = time.perf_counter()
-            encode, timing = self._encoder(config.engine)
-            users = self._encode_warm_rows(servable, warm_rows,
-                                           encoder=encode)
-            exclude = []
-            for row in warm_rows:
-                masked = [0]  # the padding item is never recommendable
-                if config.exclude_seen and histories[row]:
-                    masked.extend(histories[row])
-                exclude.append(masked)
-            # The scatter-gather call covers per-shard scoring *and* the
-            # top-K merge in one round trip; it is accounted to the score
-            # stage (the merge stage covers in-process assembly only).
-            warm_items, warm_scores, shard_info = self._shard_search(
-                np.asarray(users), k, exclude=exclude, backend="exact",
-                deadline=deadline)
-            merge_started = time.perf_counter()
-            items[warm_rows] = warm_items
-            scores[warm_rows] = warm_scores.astype(self.dtype, copy=False)
-            score_ms += max(0.0, (merge_started - score_started) * 1000.0
-                            - timing["ms"])
-            merge_ms += (time.perf_counter() - merge_started) * 1000.0
+                    "deadline expired before the catalogue search")
+            exclude = self._exclude_lists(histories, warm_rows,
+                                          config.exclude_seen)
+            found_ids, found_scores, info = self._candidates(
+                config.backend, users, k, exclude, config.overfetch_margin,
+                deadline)
+            infos.append(info)
+            place(warm_rows, found_ids, found_scores)
+            # Only filtering (ANN) sources can leave a row short of k: masked
+            # ids keep their slot.  Short rows re-run through the exact
+            # source from the vectors already encoded.
+            short = np.flatnonzero(items[warm_rows, -1] < 0)
+            if short.size:
+                found_ids, found_scores, info = self._candidates(
+                    "exact", users[short], k, [exclude[i] for i in short],
+                    deadline=deadline)
+                infos.append(info)
+                place(warm_rows[short], found_ids, found_scores)
 
         cold_rows = np.flatnonzero(cold)
         if cold_rows.size:
-            score_started = time.perf_counter()
             fallback = self._fallback_scores(
                 [histories[row] for row in cold_rows])
-            fallback[:, 0] = -np.inf
-            if config.exclude_seen:
-                for local, row in enumerate(cold_rows):
-                    if histories[row]:
-                        fallback[local, histories[row]] = -np.inf
-            merge_started = time.perf_counter()
-            all_ids = np.broadcast_to(
-                np.arange(fallback.shape[1], dtype=np.int64), fallback.shape)
-            cold_items, cold_scores = topk_best_first(all_ids, fallback, k)
-            items[cold_rows] = cold_items
-            scores[cold_rows] = cold_scores
-            score_ms += (merge_started - score_started) * 1000.0
-            merge_ms += (time.perf_counter() - merge_started) * 1000.0
+            _mask(fallback, self._exclude_lists(histories, cold_rows,
+                                                config.exclude_seen))
+            place(cold_rows, _all_ids(fallback), fallback)
 
-        return TopKResult(items=items, scores=scores, cold=cold,
-                          engine=self._engine_label(config.engine),
-                          encode_ms=round(timing["ms"], 3),
-                          score_ms=round(score_ms, 3),
-                          merge_ms=round(merge_ms, 3),
-                          degraded=bool(shard_info.get("degraded", False)),
-                          shard_retries=int(shard_info.get("retries", 0)))
-
-    def _topk_with_index_sharded(self, sequences: Sequence[Sequence[int]],
-                                 config: ServingConfig, *,
-                                 deadline: Optional[float] = None
-                                 ) -> TopKResult:
-        """ANN retrieval through per-shard indexes in the shard client.
-
-        Mirrors :meth:`_topk_with_index` semantics — over-fetch, filter the
-        seen items, fall back to the exact path for cold rows and rows the
-        candidates cannot fill — but both the index searches and the exact
-        fallback run through the shard client.
-        """
-        histories, servable, cold = self._classify(sequences)
-        batch_size = len(histories)
-        k = min(config.k, self.num_items)
-        items = np.full((batch_size, k), -1, dtype=np.int64)
-        scores = np.full((batch_size, k), -np.inf, dtype=self.dtype)
-
-        exact_rows = set(int(row) for row in np.flatnonzero(cold))
-        warm_rows = np.flatnonzero(~cold)
-        encode_timing: Dict[str, float] = {"ms": 0.0}
-        score_ms = 0.0
-        merge_ms = 0.0
-        shard_info: Dict[str, Any] = {}
-        if warm_rows.size:
-            score_started = time.perf_counter()
-            encode, encode_timing = self._encoder(config.engine)
-            users = self._encode_warm_rows(
-                servable, warm_rows, encoder=encode).astype(self.dtype,
-                                                            copy=False)
-            exclude = [histories[row] if config.exclude_seen else []
-                       for row in warm_rows]
-            warm_items, warm_scores, shard_info = self._shard_search(
-                users, k, exclude=exclude, backend=config.backend,
-                overfetch=config.overfetch_margin, deadline=deadline)
-            merge_started = time.perf_counter()
-            for local, row in enumerate(warm_rows):
-                if warm_items.shape[1] < k or np.any(warm_items[local] < 0):
-                    exact_rows.add(int(row))
-                else:
-                    items[row] = warm_items[local]
-                    scores[row] = warm_scores[local].astype(self.dtype,
-                                                            copy=False)
-            score_ms += max(0.0, (merge_started - score_started) * 1000.0
-                            - encode_timing["ms"])
-            merge_ms += (time.perf_counter() - merge_started) * 1000.0
-
-        degraded = bool(shard_info.get("degraded", False))
-        shard_retries = int(shard_info.get("retries", 0))
-        if exact_rows:
-            rows = sorted(exact_rows)
-            fallback = self._topk_exact_sharded(
-                [sequences[row] for row in rows],
-                config.with_overrides(backend="exact"),
-                deadline=deadline,
-            )
-            items[rows] = fallback.items
-            scores[rows] = fallback.scores
-            encode_timing["ms"] += fallback.encode_ms
-            score_ms += fallback.score_ms
-            merge_ms += fallback.merge_ms
-            degraded = degraded or fallback.degraded
-            shard_retries += fallback.shard_retries
-        return TopKResult(items=items, scores=scores, cold=cold,
-                          engine=self._engine_label(config.engine),
-                          encode_ms=round(encode_timing["ms"], 3),
-                          score_ms=round(score_ms, 3),
-                          merge_ms=round(merge_ms, 3),
-                          degraded=degraded,
-                          shard_retries=shard_retries)
-
-    def _topk_with_index(self, sequences: Sequence[Sequence[int]],
-                         config: ServingConfig) -> TopKResult:
-        """ANN retrieval with seen-item masking via over-fetch + filter."""
-        exclude_seen = config.exclude_seen
-        histories, servable, cold = self._classify(sequences)
-        batch_size = len(histories)
-        k = min(config.k, self.num_items)
-        items = np.full((batch_size, k), -1, dtype=np.int64)
-        scores = np.full((batch_size, k), -np.inf, dtype=self.dtype)
-
-        # Rows the index cannot serve fall back to the exact dense path: cold
-        # rows (their fallback space differs from the indexed matrix) plus
-        # any warm row whose filtered candidates come up short of k.
-        exact_rows = set(int(row) for row in np.flatnonzero(cold))
-        warm_rows = np.flatnonzero(~cold)
-        encode_timing: Dict[str, float] = {"ms": 0.0}
-        score_ms = 0.0
-        merge_ms = 0.0
-        if warm_rows.size:
-            score_started = time.perf_counter()
-            encode, encode_timing = self._encoder(config.engine)
-            users = self._encode_warm_rows(servable, warm_rows,
-                                           encoder=encode).astype(
-                self.dtype, copy=False)
-            index = self.item_index(config.backend)
-            score_ms += max(0.0, (time.perf_counter() - score_started)
-                            * 1000.0 - encode_timing["ms"])
-            # Each row needs k candidates plus room for its own seen items
-            # (and the configured safety margin).  Rows are searched in
-            # power-of-two fetch buckets so one long history does not inflate
-            # the candidate buffers of the whole batch.
-            needed = np.full(warm_rows.size, k + config.overfetch_margin,
-                             dtype=np.int64)
-            if exclude_seen:
-                needed += np.array([len(histories[row]) for row in warm_rows])
-            buckets = np.minimum(
-                2 ** np.ceil(np.log2(np.maximum(needed, 1))).astype(np.int64),
-                len(index),
-            )
-            for fetch in np.unique(buckets):
-                members = np.flatnonzero(buckets == fetch)
-                search_started = time.perf_counter()
-                candidate_ids, candidate_scores = index.search(
-                    users[members], int(fetch))
-                filter_started = time.perf_counter()
-                score_ms += (filter_started - search_started) * 1000.0
-                for local, position in enumerate(members):
-                    row = int(warm_rows[position])
-                    ids_row = candidate_ids[local]
-                    keep = ids_row >= 0
-                    if exclude_seen and histories[row]:
-                        keep &= ~np.isin(ids_row, histories[row])
-                    chosen = np.flatnonzero(keep)[:k]
-                    if chosen.size < k:
-                        exact_rows.add(row)
-                        continue
-                    items[row] = ids_row[chosen]
-                    scores[row] = candidate_scores[local, chosen]
-                merge_ms += (time.perf_counter() - filter_started) * 1000.0
-
-        if exact_rows:
-            rows = sorted(exact_rows)
-            fallback = self._topk_exact(
-                [sequences[row] for row in rows],
-                config.with_overrides(backend="exact"),
-            )
-            items[rows] = fallback.items
-            scores[rows] = fallback.scores
-            encode_timing["ms"] += fallback.encode_ms
-            score_ms += fallback.score_ms
-            merge_ms += fallback.merge_ms
-        return TopKResult(items=items, scores=scores, cold=cold,
-                          engine=self._engine_label(config.engine),
-                          encode_ms=round(encode_timing["ms"], 3),
-                          score_ms=round(score_ms, 3),
-                          merge_ms=round(merge_ms, 3))
+        return TopKResult(
+            items=items, scores=scores, cold=cold,
+            engine=("compiled" if self.engine(config.engine) is not None
+                    else "graph"),
+            encode_ms=round(clock.ms["encode"], 3),
+            score_ms=round(clock.ms["score"], 3),
+            merge_ms=round(clock.ms["merge"], 3),
+            degraded=any(info.get("degraded", False) for info in infos),
+            shard_retries=sum(info.get("retries", 0) for info in infos))
 
     # ------------------------------------------------------------------ #
     # Construction helpers

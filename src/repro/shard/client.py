@@ -15,7 +15,7 @@ interchangeable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,9 +106,25 @@ class ShardClient:
 
     def search(self, queries: np.ndarray, k: int, *,
                exclude: Optional[Sequence[Sequence[int]]] = None,
-               backend: str = "exact",
-               overfetch: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+               backend: str = "exact", overfetch: int = 0,
+               timeout: Optional[float] = None
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """``timeout`` (seconds) is the caller's remaining deadline budget;
+        clients with a remote hop clamp their per-search timeout to it, an
+        in-process scan cannot be interrupted and ignores it."""
         raise NotImplementedError
+
+    def search_ex(self, queries: np.ndarray, k: int, *,
+                  exclude: Optional[Sequence[Sequence[int]]] = None,
+                  backend: str = "exact", overfetch: int = 0,
+                  timeout: Optional[float] = None
+                  ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
+        """:meth:`search` plus a per-call info dict.  Empty here: only the
+        resilience layer has a degraded mode or retries to report."""
+        ids, scores = self.search(queries, k, exclude=exclude,
+                                  backend=backend, overfetch=overfetch,
+                                  timeout=timeout)
+        return ids, scores, {}
 
     def close(self) -> None:  # pragma: no cover - trivial default
         pass
@@ -174,8 +190,9 @@ class LocalShardClient(ShardClient):
 
     def search(self, queries: np.ndarray, k: int, *,
                exclude: Optional[Sequence[Sequence[int]]] = None,
-               backend: str = "exact",
-               overfetch: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+               backend: str = "exact", overfetch: int = 0,
+               timeout: Optional[float] = None
+               ) -> Tuple[np.ndarray, np.ndarray]:
         queries = np.asarray(queries)
         exclude = split_exclude(exclude, queries.shape[0])
         parts = [

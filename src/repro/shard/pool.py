@@ -1,9 +1,8 @@
 """Scatter-gather worker pool: the multi-process :class:`ShardClient`.
 
 ``ShardPool`` spawns one process per shard, each attached zero-copy to the
-item matrix (memmap over an :class:`~repro.shard.layout.ItemMatrixLayout`,
-or a ``multiprocessing.shared_memory`` segment), scatters each request's
-query batch to every worker over a duplex pipe, gathers the per-shard
+item matrix (memmap over an :class:`~repro.shard.layout.ItemMatrixLayout`),
+scatters each request's query batch to every worker over a duplex pipe, gathers the per-shard
 top-K blocks, and merges them with the exact-merge contract
 (:func:`~repro.shard.merge.merge_topk`).
 
@@ -19,10 +18,10 @@ Failure semantics are typed, never hangs:
 * any use after :meth:`close` raises :class:`PoolClosedError`.
 
 ``close()`` (also run via ``weakref.finalize`` if the pool is dropped)
-stops workers, joins/terminates/kills escalatingly, closes pipes, unlinks
-any owned shared-memory segment and deletes any owned temporary layout —
-leaving no orphan processes and no leaked segments, which the fault-path
-tests assert via ``multiprocessing.active_children()``.
+stops workers, joins/terminates/kills escalatingly, closes pipes and deletes
+any owned temporary layout — leaving no orphan processes and no leaked
+files, which the fault-path tests assert via
+``multiprocessing.active_children()``.
 
 Workers are started under the ``spawn`` context (fork is unsafe with BLAS
 threads and is being retired as a default anyway) with
@@ -51,9 +50,6 @@ from .worker import worker_main
 
 _THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
-
-#: transports a pool can reach the matrix through
-TRANSPORTS = ("memmap", "shm")
 
 
 class ShardError(RuntimeError):
@@ -104,16 +100,6 @@ def _cleanup(state: Dict[str, Any]) -> None:
                 conn.close()
             except OSError:
                 pass
-    segment = state.get("segment")
-    if segment is not None:
-        state["segment"] = None
-        try:
-            segment.close()
-        finally:
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
     owned_dir = state.get("owned_dir")
     if owned_dir is not None:
         state["owned_dir"] = None
@@ -124,26 +110,23 @@ class ShardPool(ShardClient):
     """Multi-process scatter-gather :class:`ShardClient`.
 
     Build one with :meth:`from_matrix` (writes the matrix to an owned
-    temporary layout, or copies it into an owned shared-memory segment) or
-    :meth:`from_layout` (maps an existing on-disk layout without owning it).
+    temporary layout) or :meth:`from_layout` (maps an existing on-disk
+    layout without owning it).
     """
 
-    def __init__(self, source: Dict[str, Any],
+    def __init__(self, directory: str,
                  ranges: Sequence[Tuple[int, int]], *,
                  num_rows: int, dim: int, dtype: str,
                  block_rows: int = DEFAULT_BLOCK_ROWS,
                  index_params: Optional[Dict] = None,
                  timeout: float = 60.0,
                  mp_context: str = "spawn",
-                 segment=None, owned_dir: Optional[str] = None,
+                 owned_dir: Optional[str] = None,
                  codec: str = "fp32"):
         if codec not in ("fp32", "int8"):
             raise ValueError(f"codec must be 'fp32' or 'int8', got {codec!r}")
-        if codec == "int8" and source.get("kind") != "layout":
-            raise ValueError(
-                "the int8 catalogue codec requires the memmap transport")
         self.codec = codec
-        self._source = source
+        self._directory = str(directory)
         self.ranges = list(ranges)
         self._num_rows = int(num_rows)
         self._dim = int(dim)
@@ -161,7 +144,7 @@ class ShardPool(ShardClient):
         self._fault_plan = None
         self._search_index = 0
         self._state: Dict[str, Any] = {
-            "closed": False, "segment": segment, "owned_dir": owned_dir,
+            "closed": False, "owned_dir": owned_dir,
             "processes": [None] * len(self.ranges),
             "conns": [None] * len(self.ranges),
         }
@@ -174,49 +157,24 @@ class ShardPool(ShardClient):
     # ------------------------------------------------------------------ #
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, num_shards: int, *,
-                    transport: str = "memmap",
                     block_rows: int = DEFAULT_BLOCK_ROWS,
                     index_params: Optional[Dict] = None,
                     timeout: float = 60.0,
                     codec: str = "fp32") -> "ShardPool":
         """Shard an in-memory matrix, copying it once into an owned
-        zero-copy transport (a temporary layout directory or a shared-memory
-        segment) that is removed on :meth:`close`."""
-        if transport not in TRANSPORTS:
-            raise ValueError(f"transport must be one of {TRANSPORTS}, "
-                             f"got {transport!r}")
-        if codec == "int8" and transport != "memmap":
-            raise ValueError(
-                "the int8 catalogue codec requires the memmap transport")
+        temporary layout directory (memmapped zero-copy by every worker)
+        that is removed on :meth:`close`."""
         matrix = np.ascontiguousarray(matrix)
         ranges = partition_ranges(matrix.shape[0], num_shards, block_rows)
-        common = dict(num_rows=matrix.shape[0], dim=matrix.shape[1],
-                      dtype=matrix.dtype.name, block_rows=block_rows,
-                      index_params=index_params, timeout=timeout, codec=codec)
-        if transport == "memmap":
-            directory = tempfile.mkdtemp(prefix="repro-shard-")
-            layout = ItemMatrixLayout.write(matrix, directory, block_rows)
-            if codec == "int8":
-                layout.ensure_int8_sidecar()
-            return cls({"kind": "layout", "directory": str(layout.directory)},
-                       ranges, owned_dir=directory, **common)
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(create=True,
-                                             size=max(1, matrix.nbytes))
-        try:
-            view = np.ndarray(matrix.shape, dtype=matrix.dtype,
-                              buffer=segment.buf)
-            view[...] = matrix
-            del view
-            return cls({"kind": "shm", "name": segment.name,
-                        "shape": list(matrix.shape),
-                        "dtype": matrix.dtype.name},
-                       ranges, segment=segment, **common)
-        except BaseException:
-            segment.close()
-            segment.unlink()
-            raise
+        directory = tempfile.mkdtemp(prefix="repro-shard-")
+        layout = ItemMatrixLayout.write(matrix, directory, block_rows)
+        if codec == "int8":
+            layout.ensure_int8_sidecar()
+        return cls(layout.directory, ranges, owned_dir=directory,
+                   num_rows=matrix.shape[0], dim=matrix.shape[1],
+                   dtype=matrix.dtype.name,
+                   block_rows=block_rows, index_params=index_params,
+                   timeout=timeout, codec=codec)
 
     @classmethod
     def from_layout(cls, layout: ItemMatrixLayout, num_shards: int, *,
@@ -235,9 +193,9 @@ class ShardPool(ShardClient):
             layout.ensure_int8_sidecar()
         ranges = partition_ranges(layout.num_rows, num_shards,
                                   layout.block_rows)
-        return cls({"kind": "layout", "directory": str(layout.directory)},
-                   ranges, num_rows=layout.num_rows, dim=layout.dim,
-                   dtype=layout.dtype, block_rows=layout.block_rows,
+        return cls(layout.directory, ranges, num_rows=layout.num_rows,
+                   dim=layout.dim, dtype=layout.dtype,
+                   block_rows=layout.block_rows,
                    index_params=index_params, timeout=timeout, codec=codec)
 
     # ------------------------------------------------------------------ #
@@ -302,7 +260,7 @@ class ShardPool(ShardClient):
             "num_rows": self.num_rows,
             "ranges": list(self.ranges),
             "block_rows": self.block_rows,
-            "transport": self._source["kind"],
+            "transport": "layout",
             "codec": self.codec,
             "restarts": self._restarts,
             "timeouts": self._timeouts,
@@ -346,7 +304,8 @@ class ShardPool(ShardClient):
                 lo, hi = self.ranges[shard]
                 process = self._ctx.Process(
                     target=worker_main,
-                    args=(child_conn, self._source, lo, hi, self.block_rows,
+                    args=(child_conn, self._directory, lo, hi,
+                          self.block_rows,
                           self.index_params, self.codec),
                     name=f"repro-shard-{shard}", daemon=True)
                 process.start()

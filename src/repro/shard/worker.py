@@ -1,14 +1,10 @@
 """The shard worker process: attach the matrix, loop on pipe RPC.
 
 Each worker owns one contiguous row range of the item matrix, reached
-through whichever zero-copy transport the pool chose:
-
-* ``{"kind": "layout", "directory": ...}`` — ``np.memmap`` over the
-  :class:`~repro.shard.layout.ItemMatrixLayout` ``.npy`` (OS page cache
-  shares the physical pages between all workers), or
-* ``{"kind": "shm", "name", "shape", "dtype"}`` — an ndarray view over a
-  :class:`multiprocessing.shared_memory.SharedMemory` segment the parent
-  created (the parent owns the unlink; workers only attach and close).
+zero-copy as an ``np.memmap`` over the
+:class:`~repro.shard.layout.ItemMatrixLayout` ``.npy`` in the directory the
+pool names (the OS page cache shares the physical pages between all
+workers).
 
 The protocol is strictly sequential request/reply over one duplex pipe:
 ``(op, seq, payload)`` in, ``("ok", seq, result)`` or
@@ -28,50 +24,20 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 
-def _attach(source: Dict[str, Any], codec: str = "fp32"):
-    """Map the item matrix described by ``source``.
-
-    Returns ``(matrix, quantized, shm)`` where ``quantized`` is the
-    zero-copy int8 sidecar when ``codec == "int8"`` (``None`` otherwise)
-    and ``shm`` is the attached shared-memory segment to close on exit
-    (``None`` for the memmap transport).  The int8 codec requires the
-    layout transport: its codes live in sidecar files next to the matrix,
-    which a shared-memory segment has no analogue for.
-    """
-    kind = source.get("kind")
-    if kind == "layout":
-        from .layout import ItemMatrixLayout
-
-        layout = ItemMatrixLayout.open(source["directory"])
-        quantized = None
-        if codec == "int8":
-            quantized = layout.quantized()
-        return layout.matrix(), quantized, None
-    if kind == "shm":
-        if codec == "int8":
-            raise ValueError(
-                "the int8 catalogue codec requires the memmap transport")
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=source["name"])
-        matrix = np.ndarray(tuple(source["shape"]),
-                            dtype=np.dtype(source["dtype"]),
-                            buffer=segment.buf)
-        return matrix, None, segment
-    raise ValueError(f"unknown matrix source kind {kind!r}")
-
-
-def worker_main(conn, source: Dict[str, Any], lo: int, hi: int,
+def worker_main(conn, directory: str, lo: int, hi: int,
                 block_rows: int, index_params: Optional[Dict],
                 codec: str = "fp32") -> None:
     """Entry point executed in the spawned worker process."""
     from .client import single_shard_search
+    from .layout import ItemMatrixLayout
 
     index_cache: Dict[str, Any] = {}
-    matrix = segment = quantized = None
     crash_armed = False
     try:
-        matrix, quantized, segment = _attach(source, codec)
+        layout = ItemMatrixLayout.open(directory)
+        matrix = layout.matrix()
+        # the int8 sidecar sits next to the matrix, attached zero-copy too
+        quantized = layout.quantized() if codec == "int8" else None
         while True:
             try:
                 op, seq, payload = conn.recv()
@@ -115,9 +81,6 @@ def worker_main(conn, source: Dict[str, Any], lo: int, hi: int,
                 except OSError:
                     break
     finally:
-        if segment is not None:
-            del matrix
-            segment.close()
         try:
             conn.close()
         except OSError:

@@ -29,6 +29,19 @@ from ..nn.functional import catalogue_scores
 MIN_SCORING_ROWS = 4
 
 
+def padded_catalogue_scores(users: np.ndarray, scoring_matrix: np.ndarray,
+                            score_dtype=np.float32) -> np.ndarray:
+    """``users @ scoring_matrix.T`` in ``score_dtype``, with batches below
+    :data:`MIN_SCORING_ROWS` padded (last row repeated) for the GEMM and
+    trimmed after — the one full-catalogue scoring call evaluation and
+    serving share, so a row's scores never depend on its batchmates."""
+    padding = MIN_SCORING_ROWS - users.shape[0]
+    if padding > 0:  # see MIN_SCORING_ROWS: keep tiny batches off GEMV kernels
+        users = np.concatenate([users, np.repeat(users[-1:], padding, axis=0)])
+    scores = catalogue_scores(users, scoring_matrix, dtype=score_dtype)
+    return scores[:-padding] if padding > 0 else scores
+
+
 def inference_catalogue_scores(model, item_ids: np.ndarray, lengths: np.ndarray,
                                item_matrix: Optional[np.ndarray] = None,
                                scoring_matrix: Optional[np.ndarray] = None,
@@ -62,12 +75,7 @@ def inference_catalogue_scores(model, item_ids: np.ndarray, lengths: np.ndarray,
                           else item_matrix.astype(score_dtype, copy=False))
     encode = model.encode_sequences if encoder is None else encoder
     users = encode(item_ids, lengths, item_matrix=item_matrix)
-    padding = MIN_SCORING_ROWS - users.shape[0]
-    if padding > 0:  # see MIN_SCORING_ROWS: keep tiny batches off GEMV kernels
-        users = np.concatenate([users, np.repeat(users[-1:], padding, axis=0)])
-    scores = catalogue_scores(users, scoring_matrix, dtype=score_dtype)
-    if padding > 0:
-        scores = scores[:-padding]
+    scores = padded_catalogue_scores(users, scoring_matrix, score_dtype)
     scores[:, 0] = -np.inf
     return scores
 

@@ -389,8 +389,6 @@ class TestServingBackends:
         recommender = self._recommender(serving_setup)
         with pytest.raises(ValueError):
             ServingConfig(backend="faiss")
-        with pytest.raises(ValueError), pytest.warns(DeprecationWarning):
-            recommender.topk([[1, 2]], k=3, backend="faiss")
         with pytest.raises(ValueError):
             recommender.item_index("exact")
         with pytest.raises(ValueError):

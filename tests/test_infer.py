@@ -651,7 +651,8 @@ class TestBenchRegressionGate:
 
         (tmp_path / "baseline").mkdir(exist_ok=True)
         (tmp_path / "baseline" / "BENCH_x.json").write_text(json.dumps(baseline))
-        fresh_path = gate.REPO_ROOT / "BENCH_x.json"
+        gate.FRESH_DIR.mkdir(exist_ok=True)
+        fresh_path = gate.FRESH_DIR / "BENCH_x.json"
         fresh_path.write_text(json.dumps(fresh))
         try:
             argv = ["--baseline-dir", str(tmp_path / "baseline"),
@@ -681,6 +682,21 @@ class TestBenchRegressionGate:
         baseline = {"speedup": 3.0}
         fresh = {"speedup": 2.1}
         assert self._run(gate, tmp_path, baseline, fresh) == 1
+
+    def test_unclamped_goodput_speedup_is_gated(self, gate, tmp_path):
+        """`goodput_speedup_raw` is the tracked ratio: its per-round samples
+        differ, so the rank test can see a drop (the clamped
+        `min(ratio, 3.0)` samples it replaced were all ties)."""
+        baseline = {"goodput_speedup_raw": 6.5,
+                    "samples": {"goodput_speedup_raw": [6.4, 8.5, 6.5]}}
+        steady = {"goodput_speedup_raw": 7.0,
+                  "samples": {"goodput_speedup_raw": [6.1, 7.0, 9.0]}}
+        dropped = {"goodput_speedup_raw": 2.0,
+                   "samples": {"goodput_speedup_raw": [1.9, 2.0, 2.2]}}
+        assert self._run(gate, tmp_path, baseline, steady) == 0
+        assert self._run(gate, tmp_path, baseline, dropped) == 1
+        assert self._run(gate, tmp_path, {"goodput_speedup_raw": 6.5},
+                         {"goodput_speedup_raw": 2.0}) == 1
 
     def test_fails_on_parity_flip(self, gate, tmp_path):
         baseline = {"identical_results": True, "rps": 10.0}
@@ -767,6 +783,31 @@ class TestBenchRegressionGate:
                 sys.modules["conftest"] = saved_conftest
         return module
 
+    @pytest.mark.timeout(120)
+    def test_shard_bench_never_records_an_unreset_rss_peak(
+            self, gate, tmp_path, monkeypatch):
+        """A refused peak-RSS reset leaves only the process-lifetime peak
+        readable — not the scan's footprint.  The entry must then carry no
+        `rss_peak_mb` at all and declare the skip, which the gate accepts
+        against a baseline that has the number."""
+        from repro.data.synthetic import synthetic_item_matrix_layout
+
+        module = self._load_bench_module("test_bench_shard")
+        layout = synthetic_item_matrix_layout(tmp_path / "layout", 2048, 8,
+                                              seed=0)
+        measured = module._bench_workers(layout, 1, 1)
+        monkeypatch.setattr(module, "reset_rss_peak", lambda: False)
+        refused = module._bench_workers(layout, 1, 1)
+        assert "rss_peak_mb" not in refused
+        assert set(refused) == set(measured) - {"rss_peak_mb"}
+        skips = module._rss_skips({"workers_1": refused,
+                                   "workers_4": {"rss_peak_mb": 80.0}})
+        assert list(skips) == ["scans.workers_1.rss_peak_mb"]
+        assert "reset_rss_peak() returned False" in next(iter(skips.values()))
+        baseline = {"scans": {"workers_1": {"rss_peak_mb": 80.0}}}
+        fresh = {"scans": {"workers_1": {}}, "skipped_metrics": skips}
+        assert self._run(gate, tmp_path, baseline, fresh) == 0
+
     def test_resilience_bench_declares_single_core_skips(self):
         """On single-core machines the resilience bench must declare its
         contention-bound metrics — the goodput pair AND recovery_ms (gated
@@ -776,7 +817,8 @@ class TestBenchRegressionGate:
         assert module._single_core_skips(4) == {}
         for cores in (1, None):
             skips = module._single_core_skips(cores)["skipped_metrics"]
-            assert set(skips) == {"goodput_admission_rps", "goodput_speedup",
+            assert set(skips) == {"goodput_admission_rps",
+                                  "goodput_speedup_raw",
                                   "healthy_search_ms", "recovery_ms"}
             assert all(f"cpu_count={cores}" in reason
                        for reason in skips.values())

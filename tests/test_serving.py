@@ -2,11 +2,15 @@
 
 Covers: top-K correctness against a brute-force full-sort reference,
 seen-item masking, the cold-start fallback paths, fit-once caching of the
-whitening transforms, the no-grad inference mode, checkpoint round trips and
-the `serve` CLI command.
+whitening transforms, the no-grad inference mode, checkpoint round trips,
+the `serve` CLI command, and the one retrieval pipeline behind
+`Recommender.topk` over every structural config cell
+(`TestRetrievalPipeline`).
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +26,9 @@ from repro.experiments.persistence import (
 from repro.models import ModelConfig, SASRecID, build_model
 from repro.models.whitenrec import _whiten_feature_table
 from repro.nn import Tensor, is_grad_enabled, no_grad
+from repro.resilience import FaultAction, FaultPlan
 from repro.serving import (
+    STRUCTURAL_FIELDS,
     EmbeddingStore,
     Recommender,
     ServingConfig,
@@ -33,11 +39,10 @@ from repro.serving import (
 from repro.text import encode_items
 
 
-@pytest.fixture(scope="module")
-def serving_setup(request):
-    """A small untrained (but deterministic) model + store + split."""
-    dataset = load_dataset("arts", scale="tiny", seed=3,
-                           num_users=150, num_items=90, min_sequence_length=4)
+def _untrained_setup(num_users, num_items):
+    """An untrained (but deterministic) model + features + split."""
+    dataset = load_dataset("arts", scale="tiny", seed=3, num_users=num_users,
+                           num_items=num_items, min_sequence_length=4)
     split = leave_one_out_split(dataset.interactions)
     features = encode_items(dataset.items, embedding_dim=16, seed=3)
     config = ModelConfig(hidden_dim=16, num_layers=1, num_heads=2,
@@ -45,6 +50,12 @@ def serving_setup(request):
     model = build_model("whitenrec", dataset.num_items,
                         feature_table=features, config=config)
     return dataset, split, features, model
+
+
+@pytest.fixture(scope="module")
+def serving_setup():
+    """A small catalogue: one scoring block, every path's cheap fixture."""
+    return _untrained_setup(num_users=150, num_items=90)
 
 
 def _brute_force_topk(scores: np.ndarray, k: int) -> np.ndarray:
@@ -182,43 +193,6 @@ class TestServingConfig:
         assert recommender.dtype == np.dtype("float64")
         result = recommender.topk([case.history for case in split.test[:3]])
         assert result.items.shape == (3, 4)  # config.k is the default cut-off
-
-    def test_legacy_kwargs_warn_but_still_work(self, serving_setup):
-        _, split, features, model = serving_setup
-        recommender = Recommender(model, store=EmbeddingStore(features))
-        histories = [case.history for case in split.test[:4]]
-        with pytest.warns(DeprecationWarning, match="ServingConfig"):
-            legacy = recommender.topk(histories, k=5, exclude_seen=False)
-        modern = recommender.topk(histories, config=ServingConfig(
-            k=5, exclude_seen=False))
-        assert np.array_equal(legacy.items, modern.items)
-        assert np.array_equal(legacy.scores, modern.scores)
-
-    def test_config_plus_legacy_kwargs_rejected(self, serving_setup):
-        _, split, features, model = serving_setup
-        recommender = Recommender(model, store=EmbeddingStore(features))
-        with pytest.raises(ValueError), pytest.warns(DeprecationWarning):
-            recommender.topk([split.test[0].history], exclude_seen=False,
-                             config=ServingConfig())
-
-    def test_constructor_legacy_kwargs_warn_but_still_work(self, serving_setup):
-        _, split, features, model = serving_setup
-        with pytest.warns(DeprecationWarning, match="ServingConfig"):
-            legacy = Recommender(model, store=EmbeddingStore(features),
-                                 dtype=np.float64)
-        assert legacy.config.score_dtype == "float64"
-
-    def test_constructor_config_plus_legacy_kwargs_rejected(self, serving_setup):
-        """Same contract as topk(): an explicit config never silently
-        overrides (or is overridden by) the legacy dtype=/backend= kwargs."""
-        _, _, features, model = serving_setup
-        with pytest.raises(ValueError, match="not both"):
-            Recommender(model, store=EmbeddingStore(features),
-                        dtype=np.float64,
-                        config=ServingConfig(score_dtype="float32"))
-        with pytest.raises(ValueError, match="not both"):
-            Recommender(model, store=EmbeddingStore(features),
-                        backend="ivf", config=ServingConfig())
 
     def test_k_composes_with_config(self, serving_setup):
         """k is the per-call knob: it merges into an explicit config instead
@@ -546,24 +520,6 @@ class TestShardedServing:
         assert np.array_equal(expected.scores, result.scores)
         assert np.array_equal(expected.cold, result.cold)
 
-    @pytest.mark.timeout(180)
-    def test_sharded_ann_path_serves_valid_items(self, serving_setup):
-        _, split, features, model = serving_setup
-        histories = [case.history for case in split.test[:8]]
-        recommender = Recommender(
-            model, store=EmbeddingStore(features),
-            index_params={"n_lists": 4, "nprobe": 4},
-            config=ServingConfig(backend="ivf", shards=2,
-                                 shard_backend="local"))
-        try:
-            result = recommender.topk(histories, k=5)
-        finally:
-            recommender.close()
-        assert result.items.shape == (8, 5)
-        assert (result.items > 0).all()  # row 0 (padding) is never served
-        for row, history in enumerate(histories):
-            assert not np.isin(result.items[row], history).any()
-
     def test_shard_fields_are_structural(self, recommender, serving_setup):
         """Like score_dtype, shards cannot be overridden per call — the
         shard pool is part of the recommender's identity."""
@@ -623,6 +579,240 @@ class TestShardedServing:
         help_text = capsys.readouterr().out
         assert "--shards" in help_text
         assert "--shard-backend" in help_text
+
+
+# --------------------------------------------------------------------- #
+# The one retrieval pipeline: every structural cell, one matrix
+# --------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def pipeline_setup():
+    """A 2,300-item catalogue: three 1024-row scoring blocks, so ``shards=3``
+    puts a different block on every shard (the 90-item fixture fits one
+    block and would leave two of three shards empty)."""
+    return _untrained_setup(num_users=300, num_items=2300)
+
+
+def _pipeline_recommender(pipeline_setup, **structural):
+    """One recommender per structural cell.  ``nprobe=1`` over 16 lists
+    keeps the ANN candidate pool small, so a large ``k`` forces every warm
+    row short of candidates and through the exact re-run."""
+    _, split, features, model = pipeline_setup
+    return Recommender(
+        model, store=EmbeddingStore(features),
+        train_sequences=split.train_sequences,
+        index_params={"n_lists": 16, "nprobe": 1, "seed": 0},
+        config=ServingConfig(**structural))
+
+
+def _pipeline_batch(pipeline_setup, kind):
+    dataset, split, _, _ = pipeline_setup
+    warm = [case.history for case in split.test[:12]]
+    beyond = dataset.num_items + 50
+    cold = [[], [beyond, 0, -3]]
+    mixed = warm[:5] + cold + [[warm[5][0], beyond, 0]] + warm[6:9]
+    return {"warm": warm, "mixed": mixed, "cold": cold}[kind]
+
+
+def _timed_topk(recommender, histories, **kwargs):
+    started = time.perf_counter()
+    result = recommender.topk(histories, **kwargs)
+    return result, (time.perf_counter() - started) * 1000.0
+
+
+def _assert_stages_partition_the_call(result, wall_ms):
+    stages = (result.encode_ms, result.score_ms, result.merge_ms)
+    assert all(stage >= 0.0 for stage in stages)
+    # each stage is rounded to 3 decimals: half a microsecond of slack apiece
+    assert sum(stages) <= wall_ms + 0.0015
+    if result.cold.all():
+        assert result.encode_ms == 0.0
+    else:
+        assert result.encode_ms > 0.0
+
+
+class TestRetrievalPipeline:
+    """`Recommender.topk` is one pipeline — classify, encode once, candidate
+    source, short-row exact re-run, cold rows, assemble — whatever the
+    structural config picks as the source."""
+
+    K = 10
+    SHORT_K = 1000  # beyond any nprobe=1 candidate pool: all warm rows short
+
+    @pytest.fixture(scope="class")
+    def recommenders(self, pipeline_setup):
+        built = {}
+
+        def get(codec, shards):
+            if (codec, shards) not in built:
+                built[codec, shards] = _pipeline_recommender(
+                    pipeline_setup, catalogue_codec=codec, shards=shards,
+                    shard_backend="local")
+            return built[codec, shards]
+
+        yield get
+        for recommender in built.values():
+            recommender.close()
+
+    @pytest.mark.parametrize("exclude_seen", [True, False],
+                             ids=["unseen", "seen-allowed"])
+    @pytest.mark.parametrize("batch", ["warm", "mixed", "cold"])
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("codec", ["fp32", "int8"])
+    @pytest.mark.parametrize("backend", ["exact", "ivf"])
+    def test_every_cell(self, pipeline_setup, recommenders, backend, codec,
+                        shards, batch, exclude_seen):
+        dataset = pipeline_setup[0]
+        recommender = recommenders(codec, shards)
+        histories = _pipeline_batch(pipeline_setup, batch)
+        config = recommender.config.with_overrides(
+            k=self.K, backend=backend, exclude_seen=exclude_seen)
+        result, wall_ms = _timed_topk(recommender, histories, config=config)
+        _assert_stages_partition_the_call(result, wall_ms)
+
+        # The reference: full sort of the dense scores `score()` exposes.
+        reference, cold = recommender.score(histories,
+                                            exclude_seen=exclude_seen)
+        want_ids, want_scores = full_sort_topk(reference, self.K)
+        assert np.array_equal(result.cold, cold)
+        assert result.items.shape == (len(histories), self.K)
+        assert not result.degraded and result.shard_retries == 0
+
+        # Exact cells, and the cold rows of every cell: ids AND score bits.
+        exact_rows = (np.arange(len(histories)) if backend == "exact"
+                      else np.flatnonzero(cold))
+        assert np.array_equal(result.items[exact_rows], want_ids[exact_rows])
+        assert np.array_equal(result.scores[exact_rows],
+                              want_scores[exact_rows])
+        if backend == "exact":
+            return
+
+        # ANN cells: k real items per row, best first, none seen.
+        assert (result.items >= 1).all()
+        assert (result.items <= dataset.num_items).all()
+        assert np.all(np.diff(result.scores, axis=1) <= 0)
+        if exclude_seen:
+            for row, history in enumerate(histories):
+                assert not np.isin(result.items[row], history).any()
+        # Rows forced short of candidates re-run through the exact source
+        # and must agree with it bit for bit.
+        short, wall_ms = _timed_topk(recommender, histories,
+                                     config=config.with_overrides(
+                                         k=self.SHORT_K))
+        _assert_stages_partition_the_call(short, wall_ms)
+        want_ids, want_scores = full_sort_topk(reference, self.SHORT_K)
+        assert np.array_equal(short.items, want_ids)
+        assert np.array_equal(short.scores, want_scores)
+
+    @pytest.mark.parametrize("engine", ["graph", "compiled"])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_each_history_is_encoded_once(self, pipeline_setup, recommenders,
+                                          monkeypatch, shards, engine):
+        """Regression: a short ANN row used to be handed back as a raw
+        history to a nested exact call — re-classified, re-padded and put
+        through a second Transformer forward.  The pipeline re-runs it from
+        the vectors it already encoded."""
+        recommender = recommenders("fp32", shards)
+        histories = _pipeline_batch(pipeline_setup, "mixed")
+        owner = (recommender.model if engine == "graph"
+                 else recommender.engine())
+        encode = owner.encode_sequences
+        encoded_rows = []
+
+        def counting(item_ids, lengths, item_matrix=None):
+            encoded_rows.append(len(lengths))
+            return encode(item_ids, lengths, item_matrix=item_matrix)
+
+        monkeypatch.setattr(owner, "encode_sequences", counting)
+        result = recommender.topk(histories, config=ServingConfig(
+            k=self.SHORT_K, backend="ivf", engine=engine, shards=shards,
+            shard_backend="local"))
+        assert result.engine == engine
+        assert encoded_rows == [int((~result.cold).sum())]
+        exact = recommender.topk(histories, k=self.SHORT_K)
+        assert np.array_equal(result.items, exact.items)  # all rows re-ran
+
+    @pytest.mark.timeout(180)
+    def test_short_row_rerun_surfaces_shard_diagnostics(self, pipeline_setup):
+        """The exact re-run of short ANN rows is a shard search like any
+        other: when *it* is the call that crashes, its retry — and, with
+        retries exhausted, its degradation — reach the `TopKResult`."""
+        histories = _pipeline_batch(pipeline_setup, "mixed")
+        reference = _pipeline_recommender(pipeline_setup)
+        expected = reference.topk(histories, k=self.SHORT_K)
+        recommender = _pipeline_recommender(pipeline_setup, backend="ivf",
+                                            shards=2)  # process pool
+        try:
+            client = recommender.shard_client()
+            client.ping()  # spawn before injecting
+            # search 0 is the ANN scatter, search 1 the exact re-run
+            client.set_fault_plan(FaultPlan(
+                [FaultAction("kill", shard=0, at_search=1)]))
+            retried = recommender.topk(histories, k=self.SHORT_K)
+            assert retried.shard_retries == 1 and not retried.degraded
+            # ... and search 2 its one retry: kill both, the guard degrades
+            client.set_fault_plan(FaultPlan(
+                [FaultAction("kill", shard=1, at_search=1),
+                 FaultAction("kill", shard=1, at_search=2)]))
+            degraded = recommender.topk(histories, k=self.SHORT_K)
+            assert degraded.degraded and degraded.shard_retries == 1
+        finally:
+            recommender.close()
+        for result in (retried, degraded):
+            assert np.array_equal(result.items, expected.items)
+            assert np.array_equal(result.scores, expected.scores)
+
+    def test_single_shard_never_spawns_a_pool(self, pipeline_setup):
+        """`shards == 1` is in-process whatever `shard_backend` says: the
+        int8 cell is the 1-shard int8 `LocalShardClient`."""
+        from repro.shard import LocalShardClient
+
+        recommender = _pipeline_recommender(
+            pipeline_setup, catalogue_codec="int8", shard_backend="process")
+        assert recommender.shard_stats() is None  # nothing built yet
+        recommender.topk(_pipeline_batch(pipeline_setup, "warm"))
+        assert isinstance(recommender.shard_client(), LocalShardClient)
+        assert recommender.shard_stats()["codec"] == "int8"
+
+    def test_deadline_is_checked_after_encode_on_every_source(
+            self, pipeline_setup, recommenders, monkeypatch):
+        """A deadline that lapses during encode stops the request before
+        any catalogue scan — on the dense source too, not only in front of
+        a shard scatter."""
+        from repro.resilience import DeadlineExceeded
+
+        histories = _pipeline_batch(pipeline_setup, "warm")
+        for codec, shards in (("fp32", 1), ("int8", 1), ("fp32", 3)):
+            recommender = recommenders(codec, shards)
+            encode = recommender._encode_warm
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    recommender, "_encode_warm",
+                    lambda *args: (encode(*args), time.sleep(0.02))[0])
+                patch.setattr(
+                    recommender, "_candidates",
+                    lambda *args, **kwargs: pytest.fail(
+                        "catalogue scanned after the deadline"))
+                with pytest.raises(DeadlineExceeded):
+                    recommender.topk(histories,
+                                     deadline=time.monotonic() + 0.01)
+            served = recommender.topk(histories,
+                                      deadline=time.monotonic() + 3600.0)
+            assert len(served) == len(histories)
+
+    def test_every_structural_field_rejects_a_per_call_override(
+            self, serving_setup):
+        _, split, features, model = serving_setup
+        recommender = Recommender(model, store=EmbeddingStore(features))
+        other = {"score_dtype": "float64", "session_cache": 4, "shards": 2,
+                 "shard_backend": "local", "catalogue_codec": "int8",
+                 "weight_storage": "fp16"}
+        assert set(other) == set(STRUCTURAL_FIELDS)
+        assert set(STRUCTURAL_FIELDS) < set(ServingConfig().to_dict())
+        for name in STRUCTURAL_FIELDS:
+            with pytest.raises(ValueError,
+                               match=f"per-call {name} overrides"):
+                recommender.topk([split.test[0].history],
+                                 config=ServingConfig(**{name: other[name]}))
 
 
 class TestServeCLI:

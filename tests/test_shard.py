@@ -9,7 +9,7 @@ Three layers of guarantees:
   for arbitrary catalogues, partitions (empty and size-1 shards included),
   duplicate scores, and ``k`` larger than any shard;
 * **end-to-end parity**: :class:`LocalShardClient` and the multi-process
-  :class:`ShardPool` (both transports) return identical results for every
+  :class:`ShardPool` return identical results for every
   shard count, which the aligned block grid guarantees by construction;
 * **fault paths**: a worker killed mid-request surfaces as a typed
   :class:`WorkerCrashed` (never a hang), the pool respawns the dead slot,
@@ -271,7 +271,7 @@ class TestShardPool:
         reference = LocalShardClient(shard_matrix, 1)
         ref_ids, ref_scores = reference.search(shard_queries, 10,
                                                exclude=EXCLUDES)
-        with ShardPool.from_matrix(shard_matrix, 2, transport="memmap",
+        with ShardPool.from_matrix(shard_matrix, 2,
                                    timeout=PROCESS_TIMEOUT) as pool:
             owned_dir = pool._state["owned_dir"]
             assert Path(owned_dir).exists()
@@ -279,26 +279,6 @@ class TestShardPool:
             assert np.array_equal(ref_ids, ids)
             assert np.array_equal(ref_scores, scores)
         assert not Path(owned_dir).exists()  # owned layout removed on close
-
-    def test_shm_transport_parity_and_unlink(self, shard_matrix,
-                                             shard_queries):
-        from multiprocessing import shared_memory
-
-        reference = LocalShardClient(shard_matrix, 1)
-        ref_ids, ref_scores = reference.search(shard_queries, 10,
-                                               exclude=EXCLUDES)
-        pool = ShardPool.from_matrix(shard_matrix, 2, transport="shm",
-                                     timeout=PROCESS_TIMEOUT)
-        segment_name = pool._state["segment"].name
-        try:
-            ids, scores = pool.search(shard_queries, 10, exclude=EXCLUDES)
-            assert np.array_equal(ref_ids, ids)
-            assert np.array_equal(ref_scores, scores)
-        finally:
-            pool.close()
-        assert not multiprocessing.active_children()
-        with pytest.raises(FileNotFoundError):  # segment must be unlinked
-            shared_memory.SharedMemory(name=segment_name)
 
     def test_worker_killed_mid_request_raises_then_heals(self, shard_matrix,
                                                          shard_queries):
@@ -349,8 +329,10 @@ class TestShardPool:
             pool.search(shard_queries, 5)
 
     def test_rejects_unknown_transport(self, shard_matrix):
-        with pytest.raises(ValueError):
-            ShardPool.from_matrix(shard_matrix, 2, transport="carrier-pigeon")
+        """memmap is the only way a pool reaches the matrix: the former
+        ``transport=`` option (and its shared-memory path) is gone."""
+        with pytest.raises(TypeError):
+            ShardPool.from_matrix(shard_matrix, 2, transport="shm")
 
 
 # --------------------------------------------------------------------- #

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 #: where benches write their fresh ``BENCH_*.json`` (git-ignored), so running
@@ -47,10 +49,15 @@ def run_once(benchmark, func, **kwargs):
 
 
 def write_bench_result(name: str, payload: dict) -> Path:
-    """Write one bench's result to ``benchmarks/out/BENCH_<name>.json``."""
+    """Write one bench's result to ``benchmarks/out/BENCH_<name>.json``,
+    stamped with the environment it was taken on so two artefacts can be
+    told apart before they are compared."""
     BENCH_OUT_DIR.mkdir(exist_ok=True)
     path = BENCH_OUT_DIR / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    stamped = {**payload, "cpu_count": os.cpu_count(),
+               "python_version": platform.python_version(),
+               "numpy_version": np.__version__}
+    path.write_text(json.dumps(stamped, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     print(f"wrote {path}")
     return path

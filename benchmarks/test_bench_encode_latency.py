@@ -16,8 +16,9 @@ encode p50/p95 latency plus sequences/second in
 ``benchmarks/out/BENCH_encode.json`` (uploaded as a CI artifact; gated by
 ``benchmarks/check_regression.py``).
 
-Hard assertions: the two engines' top-k results are **bit-identical** (ids
-and scores), and the compiled engine encodes at least 2x faster per family.
+Hard assertions: the served (compiled) top-k is **bit-identical** (ids and
+scores) to a full sort over the graph encoder's scores, and the compiled
+engine encodes at least 2x faster per family.
 
 A second section exercises the **int8 catalogue codec** (:mod:`repro.quant`)
 end to end through the serving stack: a Recommender constructed with
@@ -38,8 +39,10 @@ from conftest import run_once, write_bench_result
 from repro.data import leave_one_out_split, load_dataset
 from repro.infer import InferenceEngine
 from repro.models import ModelConfig, build_model
-from repro.serving import EmbeddingStore, Recommender, ServingConfig
+from repro.serving import (EmbeddingStore, Recommender, ServingConfig,
+                           full_sort_topk)
 from repro.text import encode_items
+from repro.training.evaluation import padded_catalogue_scores
 
 K = 10
 #: interleaved timing rounds per engine; the best is reported (single-core
@@ -76,22 +79,30 @@ def _bench_family(name, dataset, split, features, num_requests) -> dict:
     model = build_model(name, dataset.num_items, config=config, **kwargs)
     model.eval()
     matrix = model.inference_item_matrix()
-    engine = InferenceEngine(model)  # no session cache: pure cold path
+    engine = InferenceEngine(model)
 
     cases = split.test
     histories = [list(cases[index % len(cases)].history)
                  for index in range(num_requests)]
     requests = [pad_sequences([history[-20:]], 20) for history in histories]
 
-    # Parity gate first: served top-k must be bit-identical between engines.
+    # Parity gate first: the served top-k must be bit-identical to a full
+    # sort over the graph encoder's scores (seen items allowed, so the
+    # reference masks the padding item only).
     recommender = Recommender(model, store=EmbeddingStore(features),
                               train_sequences=split.train_sequences)
-    compiled_topk = recommender.topk(
-        histories[:48], config=ServingConfig(k=K, engine="compiled"))
-    graph_topk = recommender.topk(
-        histories[:48], config=ServingConfig(k=K, engine="graph"))
-    identical = (np.array_equal(compiled_topk.items, graph_topk.items)
-                 and np.array_equal(compiled_topk.scores, graph_topk.scores))
+    served = recommender.topk(
+        histories[:48], config=ServingConfig(k=K, exclude_seen=False))
+    item_ids, lengths = pad_sequences(
+        [history[-20:] for history in histories[:48]], 20)
+    graph_scores = padded_catalogue_scores(
+        model.encode_sequences(item_ids, lengths, item_matrix=matrix),
+        recommender.item_matrix(), recommender.dtype)
+    graph_scores[:, 0] = -np.inf
+    graph_items, graph_top = full_sort_topk(graph_scores, K)
+    identical = (served.engine == "compiled"
+                 and np.array_equal(served.items, graph_items)
+                 and np.array_equal(served.scores, graph_top))
 
     # Encode-identity across the whole stream (single-row, both engines).
     encode_identical = all(
@@ -157,8 +168,7 @@ def _bench_quantized_serving(dataset, split, features, num_requests) -> dict:
         return Recommender(
             model, store=EmbeddingStore(features),
             train_sequences=split.train_sequences,
-            config=ServingConfig(k=K, engine="compiled",
-                                 catalogue_codec=codec))
+            config=ServingConfig(k=K, catalogue_codec=codec))
 
     dense = _make("fp32")
     quant = _make("int8")

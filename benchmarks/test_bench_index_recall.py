@@ -1,9 +1,9 @@
 """Benchmark: ANN retrieval — recall and latency of repro.index vs the dense scan.
 
 Like the serving-throughput benchmark this guards an engineering layer rather
-than regenerating a paper artefact: the IVF / IVFPQ indexes must retrieve
-almost exactly what the exact full-catalogue inner-product scan retrieves
-while *scanning only a fraction of the catalogue*.
+than regenerating a paper artefact: the IVF index must retrieve almost
+exactly what the exact full-catalogue inner-product scan retrieves while
+*scanning only a fraction of the catalogue*.
 
 The substrate mirrors the geometry the serving layer actually indexes: item
 embeddings with semantic cluster structure (the synthetic text encoder's
@@ -15,12 +15,10 @@ item manifold, exactly like ``Recommender.topk``'s encoded histories.
 
 Assertions:
 
-* IVF-Flat and IVFPQ recall@10 >= 0.9 against the exact top-10 while their
-  mean scan fraction stays below 25% of the catalogue;
+* IVF-Flat recall@10 >= 0.9 against the exact top-10 while its mean scan
+  fraction stays below 25% of the catalogue;
 * the IVF-Flat search is faster than the dense full-catalogue scan at
-  catalogue size >= 10k (IVFPQ is *not* asserted faster: in pure numpy its
-  ADC table gathers cost more per candidate than a BLAS dot — its win is the
-  8x smaller list storage, which the result reports as a compression ratio).
+  catalogue size >= 10k.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import time
 import numpy as np
 from conftest import run_once
 
-from repro.index import FlatIndex, IVFFlatIndex, IVFPQIndex
+from repro.index import FlatIndex, IVFFlatIndex
 from repro.whitening import ZCAWhitening
 
 K = 10
@@ -97,31 +95,17 @@ def run_index_recall(scale: str = "bench") -> dict:
     ivf_recall = _recall(ivf_ids, exact_ids)
     ivf_scan = float(ivf.last_scan_counts.mean()) / num_items
 
-    ivfpq = IVFPQIndex(n_lists=64, nprobe=8, n_subspaces=16, n_centroids=128,
-                       refine_factor=4, seed=0).build(table, ids=ids)
-    ivfpq_ids, _ = ivfpq.search(queries, K)
-    ivfpq_recall = _recall(ivfpq_ids, exact_ids)
-    ivfpq_scan = float(ivfpq.last_scan_counts.mean()) / num_items
-
     dense_seconds = _best_of(lambda: exact.search(queries, K))
     ivf_seconds = _best_of(lambda: ivf.search(queries, K))
-    ivfpq_seconds = _best_of(lambda: ivfpq.search(queries, K))
-
-    # Resident per-item list payload: d float32 vs m one-byte PQ codes.
-    compression = (table.shape[1] * table.dtype.itemsize) / ivfpq.quantizer.num_subspaces
 
     return {
         "num_items": num_items,
         "num_queries": num_queries,
         "ivf_recall": ivf_recall,
         "ivf_scan_fraction": ivf_scan,
-        "ivfpq_recall": ivfpq_recall,
-        "ivfpq_scan_fraction": ivfpq_scan,
         "dense_ms": dense_seconds * 1e3,
         "ivf_ms": ivf_seconds * 1e3,
-        "ivfpq_ms": ivfpq_seconds * 1e3,
         "ivf_speedup": dense_seconds / ivf_seconds,
-        "pq_compression": compression,
     }
 
 
@@ -133,20 +117,13 @@ def test_index_recall(benchmark, scale):
         f"ivf recall@{K}={result['ivf_recall']:.3f} "
         f"(scan {result['ivf_scan_fraction']:.1%}, "
         f"{result['ivf_ms']:.1f}ms vs dense {result['dense_ms']:.1f}ms, "
-        f"{result['ivf_speedup']:.1f}x); "
-        f"ivfpq recall@{K}={result['ivfpq_recall']:.3f} "
-        f"(scan {result['ivfpq_scan_fraction']:.1%}, "
-        f"{result['pq_compression']:.0f}x list compression)"
+        f"{result['ivf_speedup']:.1f}x)"
     )
     assert result["num_items"] >= 10_000
     assert result["ivf_recall"] >= 0.9, (
         f"IVF recall@{K} {result['ivf_recall']:.3f} < 0.9 vs exact"
     )
-    assert result["ivfpq_recall"] >= 0.9, (
-        f"IVFPQ recall@{K} {result['ivfpq_recall']:.3f} < 0.9 vs exact"
-    )
     assert result["ivf_scan_fraction"] < 0.25
-    assert result["ivfpq_scan_fraction"] < 0.25
     assert result["ivf_speedup"] > 1.0, (
         f"IVF search ({result['ivf_ms']:.1f}ms) not faster than the dense "
         f"scan ({result['dense_ms']:.1f}ms) at {result['num_items']} items"

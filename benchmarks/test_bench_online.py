@@ -212,7 +212,6 @@ def run_online(scale: str = "bench") -> dict:
     result = {
         "k": K,
         "num_items": dataset.num_items,
-        "cpu_count": cpu_count,
         "cycles": cycles,
         "events_per_cycle": events_per_cycle,
         "learning_rate": LEARNING_RATE,
@@ -249,7 +248,7 @@ def run_online(scale: str = "bench") -> dict:
 def test_online(benchmark, scale):
     result = run_once(benchmark, run_online, scale=scale)
     print(
-        f"\nonline loop ({result['cpu_count']} cores): "
+        f"\nonline loop ({os.cpu_count()} cores): "
         f"{result['cycles']} cycles x {result['events_per_cycle']} events "
         f"-> freshness p95 {result['freshness_p95_ms']:,.0f}ms "
         f"(median {result['freshness_median_ms']:,.0f}ms), "

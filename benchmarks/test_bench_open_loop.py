@@ -182,7 +182,6 @@ def run_open_loop_slo(scale: str = "bench") -> dict:
     result.update({
         "k": K,
         "num_items": dataset.num_items,
-        "cpu_count": cpu_count,
         "slo_p95_ms": SLO_P95_MS,
         "concurrency": CONCURRENCY,
         "step_duration_s": step_duration_s,
@@ -207,7 +206,7 @@ def test_open_loop_slo(benchmark, scale):
     result = run_once(benchmark, run_open_loop_slo, scale=scale)
     print(
         f"\nopen-loop SLO (p95 <= {result['slo_p95_ms']:g}ms, "
-        f"{result['concurrency']} senders, {result['cpu_count']} cores): "
+        f"{result['concurrency']} senders, {os.cpu_count()} cores): "
         f"sustainable {result['sustainable_rps']:,.0f} rps "
         f"(rounds: {', '.join(f'{rate:g}' for rate in result['samples']['sustainable_rps'])}); "
         f"instrumentation overhead ratio "

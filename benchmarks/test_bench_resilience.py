@@ -225,7 +225,6 @@ def run_resilience(scale: str = "bench") -> dict:
     result = {
         "k": K,
         "num_items": dataset.num_items,
-        "cpu_count": cpu_count,
         "slo_p95_ms": SLO_P95_MS,
         "concurrency": CONCURRENCY,
         "rounds": rounds,
@@ -284,7 +283,7 @@ def _single_core_skips(cpu_count: int | None) -> dict:
 def test_resilience(benchmark, scale):
     result = run_once(benchmark, run_resilience, scale=scale)
     print(
-        f"\nresilience ({result['cpu_count']} cores, "
+        f"\nresilience ({os.cpu_count()} cores, "
         f"SLO p95 <= {result['slo_p95_ms']:g}ms): "
         f"2x overload at {result['overload_rate']:g} rps -> goodput "
         f"{result['goodput_admission_rps']:,.1f} rps with admission vs "

@@ -229,7 +229,6 @@ def run_shard_bench(scale: str = "bench") -> dict:
         "k": K,
         "num_items": MILLION,
         "dim": DIM,
-        "cpu_count": os.cpu_count(),
         "parity": parity,
         "scans": scans,
         "dense_bytes_per_item": dense_bytes,
@@ -239,7 +238,7 @@ def run_shard_bench(scale: str = "bench") -> dict:
         "quantized_scan_speedup": (
             scans["workers_1_int8"]["items_scanned_per_s"] / single),
     }
-    result.update(_speedup_fields(single, fanned, result["cpu_count"]))
+    result.update(_speedup_fields(single, fanned, os.cpu_count()))
     rss_skips = _rss_skips(scans)
     if rss_skips:
         result.setdefault("skipped_metrics", {}).update(rss_skips)
@@ -258,7 +257,7 @@ def test_shard_scatter_gather(benchmark, scale):
         )
     if "scan_speedup" in result:
         print(f"{WORKER_COUNTS[-1]}-worker speedup: "
-              f"{result['scan_speedup']:.2f}x on {result['cpu_count']} "
+              f"{result['scan_speedup']:.2f}x on {os.cpu_count()} "
               f"core(s)")
     else:
         print("scan_speedup skipped: "
@@ -287,9 +286,9 @@ def test_shard_scatter_gather(benchmark, scale):
             <= 0.3 * result["dense_bytes_per_item"]), (
         "int8 sidecar stores more than 0.3x the dense bytes per item"
     )
-    if (result["cpu_count"] or 1) >= 2:
+    if "scan_speedup" in result:
         assert result["scan_speedup"] > 1.0, (
             f"{WORKER_COUNTS[-1]} workers scanned no faster than one "
             f"({result['scan_speedup']:.2f}x) on a "
-            f"{result['cpu_count']}-core machine"
+            f"{os.cpu_count()}-core machine"
         )

@@ -42,7 +42,7 @@ Build an ANN index over the whitened item embeddings (or over a checkpoint's
 candidate item matrix) and save it for a retrieval process::
 
     python -m repro index build arts --kind ivf --output runs/arts_index.npz
-    python -m repro index build arts --checkpoint runs/arts.npz --kind ivfpq
+    python -m repro index build arts --checkpoint runs/arts.npz --kind ivf
 """
 
 from __future__ import annotations
@@ -109,18 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="training epochs when no checkpoint is loaded")
     serve_parser.add_argument("--k", type=int, default=10,
                               help="top-K cut-off (number of items per request)")
-    serve_parser.add_argument("--engine", default="compiled",
-                              help="sequence-encoding engine: 'compiled' "
-                                   "(graph-free plan, default) or 'graph' "
-                                   "(nn.no_grad reference)")
-    serve_parser.add_argument("--session-cache", type=int, default=0,
-                              metavar="N",
-                              help="entries of the compiled engine's "
-                                   "incremental session cache (0 disables)")
     serve_parser.add_argument("--backend", default="exact",
-                              metavar="{exact,ivf,ivfpq}",
-                              help="retrieval backend: exact dense scan or an "
-                                   "ANN index (default: exact)")
+                              metavar="{exact,ivf}",
+                              help="retrieval backend: exact dense scan or "
+                                   "the IVF ANN index (default: exact)")
     serve_parser.add_argument("--shards", type=int, default=1, metavar="N",
                               help="partition the item matrix over N shards "
                                    "(1 keeps the single-scorer paths; results "
@@ -138,12 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "exact fp32 block re-rank — bit-identical "
                                    "top-K at ~0.28x the bytes per item "
                                    "(requires float32 scoring)")
-    serve_parser.add_argument("--weight-storage", default="fp32",
-                              metavar="{fp32,fp16}",
-                              help="compiled-engine weight snapshot storage: "
-                                   "fp32 (default, bit-identical) or fp16 "
-                                   "(half the resident weight bytes, fp32 "
-                                   "compute, rank-parity gated)")
     serve_parser.add_argument("--requests", type=int, default=8,
                               help="number of test histories to serve "
                                    "(one-shot demo)")
@@ -334,13 +320,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     index_commands = index_parser.add_subparsers(dest="index_command", required=True)
     build_parser = index_commands.add_parser(
-        "build", help="build an IVF/IVFPQ/flat index and save it as .npz"
+        "build", help="build an IVF/flat index and save it as .npz"
     )
     build_parser.add_argument("dataset", choices=available_presets())
     build_parser.add_argument("--scale", default="tiny",
                               choices=["tiny", "small", "paper"])
     build_parser.add_argument("--kind", default="ivf",
-                              choices=["flat", "ivf", "ivfpq"],
+                              choices=["flat", "ivf"],
                               help="index family (default: ivf)")
     build_parser.add_argument("--checkpoint", default=None,
                               help="index the checkpointed model's candidate "
@@ -422,9 +408,9 @@ def _command_serve(args) -> int:
     from .data.splits import leave_one_out_split
     from .experiments.persistence import load_checkpoint, load_model, save_checkpoint
     from .models import ModelConfig, build_model, display_label
-    from .serving import (CATALOGUE_CODECS, SERVING_BACKENDS, SERVING_ENGINES,
-                          SHARD_BACKENDS, WEIGHT_STORAGES, EmbeddingStore,
-                          Recommender, ServingConfig, measure_throughput)
+    from .serving import (CATALOGUE_CODECS, SERVING_BACKENDS, SHARD_BACKENDS,
+                          EmbeddingStore, Recommender, ServingConfig,
+                          measure_throughput)
     from .service import Deployment, ModelRegistry, RecommenderService, serve_http, serve_jsonl
     from .training import quick_train
 
@@ -434,11 +420,6 @@ def _command_serve(args) -> int:
     if args.backend not in SERVING_BACKENDS:
         return _fail(f"unknown backend {args.backend!r} "
                      f"(expected one of {', '.join(SERVING_BACKENDS)})")
-    if args.engine not in SERVING_ENGINES:
-        return _fail(f"unknown engine {args.engine!r} "
-                     f"(expected one of {', '.join(SERVING_ENGINES)})")
-    if args.session_cache < 0:
-        return _fail(f"--session-cache must be >= 0, got {args.session_cache}")
     if args.shards < 1:
         return _fail(f"--shards must be >= 1, got {args.shards}")
     if args.shard_backend not in SHARD_BACKENDS:
@@ -447,17 +428,11 @@ def _command_serve(args) -> int:
     if args.catalogue_codec not in CATALOGUE_CODECS:
         return _fail(f"unknown catalogue codec {args.catalogue_codec!r} "
                      f"(expected one of {', '.join(CATALOGUE_CODECS)})")
-    if args.weight_storage not in WEIGHT_STORAGES:
-        return _fail(f"unknown weight storage {args.weight_storage!r} "
-                     f"(expected one of {', '.join(WEIGHT_STORAGES)})")
     try:
         serving_config = ServingConfig(k=args.k, backend=args.backend,
-                                       engine=args.engine,
-                                       session_cache=args.session_cache,
                                        shards=args.shards,
                                        shard_backend=args.shard_backend,
-                                       catalogue_codec=args.catalogue_codec,
-                                       weight_storage=args.weight_storage)
+                                       catalogue_codec=args.catalogue_codec)
     except ValueError as error:
         return _fail(str(error))
 
@@ -528,16 +503,6 @@ def _command_serve(args) -> int:
                                        feature_table=features)
                 print(f"saved checkpoint to {path}", file=log)
 
-        import numpy as np
-
-        if (args.weight_storage == "fp16"
-                and np.dtype(model.dtype) != np.float32):
-            # Fail here (not deep inside the first encode) so the message
-            # names the incompatibility instead of a compile traceback.
-            return _fail(
-                f"--weight-storage fp16 requires a float32 model, but "
-                f"{display_label(model.model_name)} holds "
-                f"{np.dtype(model.dtype).name} weights")
         recommender = Recommender(model, store=EmbeddingStore(features),
                                   train_sequences=split.train_sequences,
                                   config=serving_config)
@@ -613,16 +578,7 @@ def _serve_demo(args, registry, service, split) -> int:
         print(f"throughput: {report.sequences_per_second:,.0f} sequences/second "
               f"({report.num_sequences} requests x {report.repeats} repeats "
               f"in {report.seconds:.3f}s)")
-        engine_stats = registry.get(args.dataset).recommender.engine_stats()
-        engine_line = f"engine: {engine_stats.get('engine', 'graph')}"
-        cache_stats = engine_stats.get("session_cache")
-        if isinstance(cache_stats, dict) and cache_stats.get("enabled"):
-            engine_line += (f"  session-cache hit rate: "
-                            f"{cache_stats['hit_rate']:.1%} "
-                            f"({cache_stats['hits']} exact + "
-                            f"{cache_stats['prefix_hits']} incremental / "
-                            f"{cache_stats['entries']} entries)")
-        print(engine_line)
+        print(f"engine: {registry.get(args.dataset).recommender.engine_name}")
     return 0
 
 
@@ -911,7 +867,7 @@ def _command_index_build(args) -> int:
     from .serving import EmbeddingStore
 
     index_params = {}
-    if args.kind in ("ivf", "ivfpq"):
+    if args.kind == "ivf":
         index_params = {"n_lists": args.lists, "nprobe": args.nprobe,
                         "seed": args.seed}
 

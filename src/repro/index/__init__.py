@@ -2,24 +2,22 @@
 
 The serving layer's dense path scores every request against the *entire*
 catalogue — exact, but O(catalogue) per query.  This package provides the
-classic IVF / product-quantization index family (Jégou et al., 2011) behind
-one :class:`ItemIndex` API, so retrieval cost scales with the *scanned*
-fraction instead:
+classic inverted-file index (Jégou et al., 2011) behind one
+:class:`ItemIndex` API, so retrieval cost scales with the *scanned* fraction
+instead:
 
 * :mod:`repro.index.kmeans` — minibatch Lloyd's k-means (k-means++ seeding,
   empty-cluster re-seeding), the quantizer everything else trains with;
 * :class:`FlatIndex`   — exact brute force, the reference implementation;
 * :class:`IVFFlatIndex` — inverted lists + per-list exact scoring
-  (``nprobe`` controls the recall/latency trade-off);
-* :class:`IVFPQIndex`  — inverted lists + one-byte-per-subspace PQ codes
-  scored through ADC lookup tables, with optional exact re-ranking.
+  (``nprobe`` controls the recall/latency trade-off).
 
 The paper's whitened embedding spaces (Sec. IV-E) are isotropic and
-well-conditioned — the geometry in which k-means partitions stay balanced
-and PQ subspaces stay near-independent — which is what lets these indexes
-retain high recall at small scan fractions.  Indexes persist to single
-``.npz`` files (same conventions as ``experiments.persistence`` checkpoints)
-and are constructible by name through :func:`build_index`.
+well-conditioned — the geometry in which k-means partitions stay balanced —
+which is what lets the IVF index retain high recall at small scan fractions.
+Indexes persist to single ``.npz`` files (same conventions as
+``experiments.persistence`` checkpoints) and are constructible by name
+through :func:`build_index`.
 """
 
 from .base import (
@@ -39,15 +37,12 @@ from .kmeans import (
     minibatch_kmeans,
     pairwise_sq_distances,
 )
-from .pq import IVFPQIndex, ProductQuantizer
 
 __all__ = [
     "FlatIndex",
     "IVFFlatIndex",
-    "IVFPQIndex",
     "ItemIndex",
     "KMeansResult",
-    "ProductQuantizer",
     "assign_clusters",
     "available_indexes",
     "build_index",

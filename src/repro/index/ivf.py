@@ -34,7 +34,7 @@ def default_n_lists(num_vectors: int) -> int:
 
 
 class _CoarseQuantizer:
-    """Shared coarse-quantizer plumbing for the IVF-family indexes."""
+    """Coarse-quantizer plumbing of :class:`IVFFlatIndex`."""
 
     def __init__(self, n_lists: Optional[int], nprobe: Optional[int],
                  seed: int, kmeans_iters: int, kmeans_batch: int):

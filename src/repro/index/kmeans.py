@@ -1,8 +1,8 @@
 """Minibatch Lloyd's k-means with k-means++ seeding and empty-cluster re-seeding.
 
-This is the coarse quantizer used by the IVF indexes (and, per subspace, by
-product quantization).  It follows the web-scale minibatch scheme of Sculley
-("Web-scale k-means clustering", WWW 2010): each iteration samples a batch,
+This is the coarse quantizer used by the IVF index.  It follows the
+web-scale minibatch scheme of Sculley ("Web-scale k-means clustering", WWW
+2010): each iteration samples a batch,
 assigns it to the nearest centroids, and moves every touched centroid towards
 its batch mean with a per-centre learning rate that decays as the centre
 accumulates points.

@@ -4,14 +4,13 @@ Training needs the autodiff substrate; serving does not.  This package
 compiles a trained :class:`~repro.models.base.SequentialRecommender` into a
 pure-numpy forward plan — weights snapshotted as contiguous arrays,
 intermediates written into a preallocated shape-bucketed buffer arena — and
-wraps it in an :class:`InferenceEngine` with an optional LRU session cache
-for incremental re-encoding of returning users.
+wraps it in an :class:`InferenceEngine`.
 
 The compiled plan is **bit-identical** (ids and scores) to the
 ``nn.no_grad`` graph path at equal dtype for every registered model family;
-``repro.serving.Recommender`` routes warm-request encoding through it by
-default (``ServingConfig.engine == "compiled"``), keeping ``engine="graph"``
-as the bit-exactness reference.
+``repro.serving.Recommender`` routes warm-request encoding through it, and
+falls back to the graph path only for model classes no plan matches
+(:class:`UnsupportedModelError`).
 """
 
 from .arena import BufferArena
@@ -25,7 +24,6 @@ from .plans import (
     UnsupportedModelError,
     compile_plan,
 )
-from .session import SessionCache, SessionEntry
 
 __all__ = [
     "BufferArena",
@@ -34,8 +32,6 @@ __all__ = [
     "InferenceEngine",
     "InferencePlan",
     "MeanPoolPlan",
-    "SessionCache",
-    "SessionEntry",
     "TransformerPlan",
     "UnsupportedModelError",
     "compile_plan",

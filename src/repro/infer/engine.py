@@ -1,24 +1,12 @@
-"""The graph-free inference engine: compiled plan + session cache + stats.
+"""The graph-free inference engine: compiled plan + stats.
 
 :class:`InferenceEngine` is what the serving layer holds instead of calling
 ``model.encode_sequences`` directly.  Its :meth:`encode_sequences` mirrors
 that method's signature (padded ids + lengths + item matrix in, user matrix
 out) so it drops into
 :func:`repro.training.evaluation.inference_catalogue_scores` as the
-``encoder=`` argument.
-
-Two operating modes:
-
-* **plain** (``session_cache_size=0``, the default): every call runs the
-  compiled plan on the full batch — bit-identical to the ``no_grad`` graph
-  path at equal dtype, the mode the serving layer uses by default;
-* **session-cached** (``session_cache_size > 0``): rows whose history window
-  was seen before are answered from the :class:`SessionCache`; rows that
-  appended exactly one item re-encode only the suffix when the model family
-  supports exact incremental state (GRU, mean pooling).  Because cached rows
-  drop out of the re-encode batch, GEMM row counts differ from an uncached
-  run, so results match the graph path to top-k/~1ulp rather than bitwise
-  (exactly bitwise for pure single-row traffic) — which is why it is opt-in.
+``encoder=`` argument.  Every call runs the compiled plan on the full batch —
+bit-identical to the ``no_grad`` graph path at equal dtype.
 
 The engine serialises encodes with a lock: compiled programs write into
 shared arena buffers, and the serving layer calls from batcher workers and
@@ -34,7 +22,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from .plans import InferencePlan, UnsupportedModelError, compile_plan
-from .session import SessionCache, SessionEntry
 
 
 class InferenceEngine:
@@ -46,23 +33,12 @@ class InferenceEngine:
         A trained :class:`repro.models.base.SequentialRecommender`; compiled
         immediately (raises :class:`UnsupportedModelError` when no plan
         matches its encode path).
-    session_cache_size:
-        Max entries of the incremental session cache; ``0`` disables it.
     max_programs:
         LRU bound on shape-specialised programs kept per plan.
-    weight_storage:
-        ``"fp32"`` (default) keeps the bit-identity contract; ``"fp16"``
-        stores the plan's weight snapshot in half precision and casts it
-        back to fp32 arena buffers for compute — results are rank-parity
-        rather than bitwise, so it is opt-in like the session cache.
     """
 
-    def __init__(self, model, session_cache_size: int = 0,
-                 max_programs: int = 8, weight_storage: str = "fp32"):
-        self.plan: InferencePlan = compile_plan(
-            model, max_programs=max_programs, weight_storage=weight_storage)
-        self.session_cache: Optional[SessionCache] = (
-            SessionCache(session_cache_size) if session_cache_size > 0 else None)
+    def __init__(self, model, max_programs: int = 8):
+        self.plan: InferencePlan = compile_plan(model, max_programs=max_programs)
         self._lock = threading.Lock()
         self.encode_calls = 0
         self.encoded_rows = 0
@@ -78,11 +54,11 @@ class InferenceEngine:
     # ------------------------------------------------------------------ #
     def encode_sequences(self, item_ids: np.ndarray, lengths: np.ndarray,
                          item_matrix: Optional[np.ndarray] = None) -> np.ndarray:
-        """Drop-in replacement for ``model.encode_sequences``.
+        """Drop-in replacement for ``model.encode_sequences``, bit-identical
+        to the graph path.
 
         ``item_matrix`` is required (the engine has no item encoder; the
-        serving layer always passes its cached matrix).  With the session
-        cache disabled this is bit-identical to the graph path.
+        serving layer always passes its cached matrix).
         """
         if item_matrix is None:
             raise ValueError(
@@ -93,85 +69,23 @@ class InferenceEngine:
         lengths = np.asarray(lengths, dtype=np.int64)
         started = time.perf_counter()
         with self._lock:
-            if self.session_cache is None:
-                users = self.plan.encode(item_ids, lengths, item_matrix)
-            else:
-                users = self._encode_cached(item_ids, lengths, item_matrix)
+            users = self.plan.encode(item_ids, lengths, item_matrix)
             self.encode_calls += 1
             self.encoded_rows += int(item_ids.shape[0])
             self.last_encode_ms = (time.perf_counter() - started) * 1000.0
             self.total_encode_ms += self.last_encode_ms
         return users
 
-    def _encode_cached(self, item_ids: np.ndarray, lengths: np.ndarray,
-                       item_matrix: np.ndarray) -> np.ndarray:
-        """Route rows through the session cache, batching the leftovers."""
-        cache = self.session_cache
-        batch, seq = item_ids.shape
-        users = np.empty((batch, self.plan.hidden_dim), dtype=self.plan.dtype)
-        keys = []
-        for row in range(batch):
-            length = int(lengths[row])
-            keys.append(tuple(int(i) for i in item_ids[row, seq - length:seq]))
-
-        append_rows, append_states, append_items = [], [], []
-        miss_rows = []
-        for row, key in enumerate(keys):
-            entry = cache.lookup(key)
-            if entry is not None:
-                users[row] = entry.user
-                continue
-            if self.plan.supports_incremental:
-                prefix_entry = cache.lookup_prefix(key)
-                if prefix_entry is not None:
-                    append_rows.append(row)
-                    append_states.append(prefix_entry.state)
-                    append_items.append(key[-1])
-                    continue
-            cache.miss()
-            miss_rows.append(row)
-
-        if append_rows:
-            fresh_users, fresh_states = self.plan.append(
-                append_states, np.asarray(append_items, dtype=np.int64),
-                item_matrix)
-            for position, row in enumerate(append_rows):
-                users[row] = fresh_users[position]
-                cache.store(keys[row], SessionEntry(
-                    fresh_users[position].copy(), fresh_states[position]))
-
-        if miss_rows:
-            rows = np.asarray(miss_rows, dtype=np.int64)
-            sub_users, sub_states = self.plan.encode_with_state(
-                item_ids[rows], lengths[rows], item_matrix)
-            for position, row in enumerate(miss_rows):
-                users[row] = sub_users[position]
-                state = sub_states[position] if sub_states is not None else None
-                cache.store(keys[row], SessionEntry(
-                    sub_users[position].copy(), state))
-        return users
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
-        """JSON-serialisable counters (plan, arena, cache, timings)."""
+        """JSON-serialisable counters (plan, arena, timings)."""
         with self._lock:
-            payload: Dict[str, object] = {
+            return {
                 "engine": "compiled",
                 "encode_calls": self.encode_calls,
                 "encoded_rows": self.encoded_rows,
                 "total_encode_ms": round(self.total_encode_ms, 3),
                 "plan": self.plan.describe(),
             }
-            payload["session_cache"] = (
-                self.session_cache.stats() if self.session_cache is not None
-                else {"enabled": False})
-            if self.session_cache is not None:
-                payload["session_cache"]["enabled"] = True
-            return payload
-
-    def clear_session_cache(self) -> None:
-        with self._lock:
-            if self.session_cache is not None:
-                self.session_cache.clear()

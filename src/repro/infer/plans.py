@@ -26,16 +26,14 @@ Families
   S3-Rec, FDSA excluded, UniSRec, VQRec, WhitenRec, WhitenRec+).
 * :class:`FDSAPlan` — FDSA's two-stream encoder; the projected text-feature
   table is constant at inference time and snapshotted at compile time.
-* :class:`GRUPlan` — GRU4Rec's unrolled recurrence; additionally supports
-  exact single-step *appends* from a cached hidden state.
-* :class:`MeanPoolPlan` — the order-free mean-pooling encoders (GRCN, BM3);
-  supports incremental appends from a cached (sum, length) state.
+* :class:`GRUPlan` — GRU4Rec's unrolled recurrence.
+* :class:`MeanPoolPlan` — the order-free mean-pooling encoders (GRCN, BM3).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -379,58 +377,17 @@ class InferencePlan:
     """
 
     family = "base"
-    #: whether :meth:`append` supports exact suffix updates from cached state
-    supports_incremental = False
-    #: attribute names holding the family's weight snapshot (demoted to fp16
-    #: when ``weight_storage="fp16"``, rematerialised to fp32 arena buffers
-    #: before any program references them)
-    _snapshot_attrs: Tuple[str, ...] = ()
 
     def __init__(self, model, max_programs: int = 8,
-                 arena: Optional[BufferArena] = None,
-                 weight_storage: str = "fp32"):
-        if weight_storage not in ("fp32", "fp16"):
-            raise ValueError(
-                f"weight_storage must be 'fp32' or 'fp16', got "
-                f"{weight_storage!r}")
+                 arena: Optional[BufferArena] = None):
         self.dtype = np.dtype(model.dtype)
-        if weight_storage == "fp16" and self.dtype != np.float32:
-            raise ValueError(
-                f"fp16 weight storage requires a float32 model, got "
-                f"{self.dtype.name}")
-        self.weight_storage = weight_storage
         self.hidden_dim = int(model.hidden_dim)
         self.max_seq_length = int(model.max_seq_length)
         self.model_name = getattr(model, "model_name", type(model).__name__)
         self.arena = arena if arena is not None else BufferArena()
         self.max_programs = max(1, int(max_programs))
         self._programs: "OrderedDict[Tuple[int, int], Callable]" = OrderedDict()
-        self._materialised: Dict[str, object] = {}
         self._snapshot(model)
-        if weight_storage == "fp16":
-            from ..quant.weights import demote_weights
-
-            for name in self._snapshot_attrs:
-                setattr(self, name, demote_weights(getattr(self, name)))
-
-    def _weights(self, name: str):
-        """The fp32 compute view of one snapshot attribute.
-
-        fp32 storage returns the snapshot itself; fp16 storage casts the
-        demoted tree into arena buffers once (shared by every shape bucket —
-        weights are bucket-independent) and memoises the fp32 view.
-        """
-        if self.weight_storage == "fp32":
-            return getattr(self, name)
-        view = self._materialised.get(name)
-        if view is None:
-            from ..quant.weights import materialise_weights
-
-            view = materialise_weights(
-                self.arena, f"{self.family}/weights/{name}",
-                getattr(self, name))
-            self._materialised[name] = view
-        return view
 
     # -- compilation ---------------------------------------------------- #
     def _snapshot(self, model) -> None:
@@ -488,34 +445,13 @@ class InferencePlan:
         program = self._program(*item_ids.shape)
         return program(item_ids, lengths, matrix).copy()
 
-    def encode_with_state(self, item_ids: np.ndarray, lengths: np.ndarray,
-                          item_matrix: np.ndarray
-                          ) -> Tuple[np.ndarray, Optional[List[object]]]:
-        """:meth:`encode` plus per-row incremental state (``None`` for
-        families without exact suffix updates)."""
-        return self.encode(item_ids, lengths, item_matrix), None
-
-    def append(self, states: Sequence[object], new_items: np.ndarray,
-               item_matrix: np.ndarray
-               ) -> Tuple[np.ndarray, List[object]]:
-        """Advance cached per-row states by one appended item.
-
-        Only meaningful when :attr:`supports_incremental`; the base plan
-        refuses so callers fall back to a full re-encode.
-        """
-        raise UnsupportedModelError(
-            f"{self.family} plans do not support incremental appends"
-        )
-
     def describe(self) -> Dict[str, object]:
         """JSON-serialisable summary for stats endpoints."""
         return {
             "family": self.family,
             "model": self.model_name,
             "dtype": self.dtype.name,
-            "weight_storage": self.weight_storage,
             "programs": self.num_programs,
-            "incremental": self.supports_incremental,
             "arena": self.arena.stats(),
         }
 
@@ -527,7 +463,6 @@ class TransformerPlan(InferencePlan):
     """Compiled form of ``SequentialRecommender.encode_sequence``."""
 
     family = "transformer"
-    _snapshot_attrs = ("_stack",)
 
     def _snapshot(self, model) -> None:
         self._stack = _snap_encoder_stack(model, model.encoder,
@@ -535,7 +470,7 @@ class TransformerPlan(InferencePlan):
 
     def _build_program(self, batch: int, seq: int) -> Callable:
         tag = self._bucket_tag(batch, seq)
-        stack = self._weights("_stack")
+        stack = self._stack
         fill_mask, mask = _make_mask_fill(self.arena, tag, batch, seq,
                                           stack["causal"])
         run_stack, last_hidden = _build_stack_program(
@@ -562,8 +497,6 @@ class FDSAPlan(InferencePlan):
     """
 
     family = "fdsa"
-    _snapshot_attrs = ("_item_stack", "_feature_stack",
-                       "_projected_features", "_fusion")
 
     def _snapshot(self, model) -> None:
         from .. import nn
@@ -584,8 +517,7 @@ class FDSAPlan(InferencePlan):
     def _build_program(self, batch: int, seq: int) -> Callable:
         tag = self._bucket_tag(batch, seq)
         dtype, hidden_dim = self.dtype, self.hidden_dim
-        item_stack = self._weights("_item_stack")
-        feature_stack = self._weights("_feature_stack")
+        item_stack, feature_stack = self._item_stack, self._feature_stack
         fill_mask, mask = _make_mask_fill(self.arena, tag, batch, seq,
                                           item_stack["causal"])
         run_item, item_last = _build_stack_program(
@@ -595,8 +527,8 @@ class FDSAPlan(InferencePlan):
             feature_stack, mask)
         concat = self.arena.get(f"{tag}/concat", (batch, 2 * hidden_dim), dtype)
         fused = self.arena.get(f"{tag}/fused", (batch, hidden_dim), dtype)
-        weight, bias = self._weights("_fusion")
-        projected = self._weights("_projected_features")
+        weight, bias = self._fusion
+        projected = self._projected_features
 
         def run(item_ids, lengths, matrix, fill_mask=fill_mask,
                 run_item=run_item, run_feature=run_feature,
@@ -616,21 +548,16 @@ class FDSAPlan(InferencePlan):
 
 
 # --------------------------------------------------------------------- #
-# GRU4Rec: unrolled recurrence with exact incremental appends
+# GRU4Rec: unrolled recurrence
 # --------------------------------------------------------------------- #
 class GRUPlan(InferencePlan):
     """Compiled GRU4Rec forward.
 
     The hidden state after the last step *is* the user representation
-    (output dropout is a no-op in eval mode), which doubles as the cached
-    incremental state: :meth:`append` advances it by one item with exactly
-    the per-step operations of the full unroll, so single-row incremental
-    traffic is bit-identical to a single-row full re-encode.
+    (output dropout is a no-op in eval mode).
     """
 
     family = "gru"
-    supports_incremental = True
-    _snapshot_attrs = ("_reset", "_update", "_candidate")
 
     def _snapshot(self, model) -> None:
         cell = model.cell
@@ -638,8 +565,10 @@ class GRUPlan(InferencePlan):
         self._update = _snap_linear(cell.update_gate)
         self._candidate = _snap_linear(cell.candidate)
 
-    def _build_step(self, tag: str, rows: int) -> Dict[str, object]:
-        """Buffers + closure for one GRU step over ``rows`` concurrent rows."""
+    def _build_step(self, tag: str, rows: int
+                    ) -> Tuple[Callable, np.ndarray]:
+        """``(step, hidden)``: the closure for one GRU step over ``rows``
+        concurrent rows and the hidden-state buffer it advances."""
         dtype, hidden_dim = self.dtype, self.hidden_dim
         arena = self.arena
         combined = arena.get(f"{tag}/combined", (rows, 2 * hidden_dim), dtype)
@@ -653,9 +582,8 @@ class GRUPlan(InferencePlan):
         real = arena.get(f"{tag}/real", (rows, 1), dtype)
         real_inv = arena.get(f"{tag}/real_inv", (rows, 1), dtype)
         hidden = arena.get(f"{tag}/hidden", (rows, hidden_dim), dtype)
-        (wr, br), (wu, bu), (wc, bc) = (self._weights("_reset"),
-                                        self._weights("_update"),
-                                        self._weights("_candidate"))
+        (wr, br), (wu, bu), (wc, bc) = (self._reset, self._update,
+                                        self._candidate)
 
         def sigmoid(buf):
             # Tensor.sigmoid: 1.0 / (1.0 + exp(-x)), op for op.
@@ -699,15 +627,14 @@ class GRUPlan(InferencePlan):
             scratch += blended
             np.copyto(hidden, scratch)
 
-        return {"step": step, "hidden": hidden}
+        return step, hidden
 
     def _build_program(self, batch: int, seq: int) -> Callable:
         tag = self._bucket_tag(batch, seq)
         dtype, hidden_dim = self.dtype, self.hidden_dim
         item_emb = self.arena.get(f"{tag}/item_emb", (batch, seq, hidden_dim), dtype)
         emb_steps = [item_emb[:, position, :] for position in range(seq)]
-        machinery = self._build_step(tag, batch)
-        step, hidden = machinery["step"], machinery["hidden"]
+        step, hidden = self._build_step(tag, batch)
 
         def run(item_ids, lengths, matrix):
             np.take(matrix, item_ids, axis=0, out=item_emb)
@@ -718,57 +645,14 @@ class GRUPlan(InferencePlan):
 
         return run
 
-    def encode_with_state(self, item_ids, lengths, item_matrix):
-        users = self.encode(item_ids, lengths, item_matrix)
-        # The final hidden state is the user representation; cached states are
-        # copies so later mutation of the result cannot corrupt the cache.
-        return users, [users[row].copy() for row in range(users.shape[0])]
-
-    def _append_machinery(self, rows: int) -> Dict[str, object]:
-        cache = getattr(self, "_append_cache", None)
-        if cache is None:
-            cache = self._append_cache = {}
-        machinery = cache.get(rows)
-        if machinery is None:
-            tag = f"{self.family}/append{rows}"
-            machinery = self._build_step(tag, rows)
-            machinery["item_emb"] = self.arena.get(
-                f"{tag}/item_emb", (rows, self.hidden_dim), self.dtype)
-            cache[rows] = machinery
-        return machinery
-
-    def append(self, states, new_items, item_matrix):
-        rows = len(states)
-        new_items = np.asarray(new_items, dtype=np.int64)
-        matrix = np.asarray(item_matrix)
-        if matrix.dtype != self.dtype:
-            matrix = matrix.astype(self.dtype)
-        machinery = self._append_machinery(rows)
-        step, hidden = machinery["step"], machinery["hidden"]
-        emb = machinery["item_emb"]
-        np.take(matrix, new_items, axis=0, out=emb)
-        for row, state in enumerate(states):
-            hidden[row] = state
-        step(emb, new_items)
-        users = hidden.copy()
-        return users, [users[row].copy() for row in range(rows)]
-
 
 # --------------------------------------------------------------------- #
-# Mean pooling (GRCN / BM3): order-free, incremental by running sum
+# Mean pooling (GRCN / BM3): order-free
 # --------------------------------------------------------------------- #
 class MeanPoolPlan(InferencePlan):
-    """Compiled ``_MeanPoolingRecommender.encode_sequence``.
-
-    State per row is ``(sum of item embeddings, true length)``; appends add
-    one embedding row and rescale.  The incremental sum accumulates in a
-    different order than the padded-window reduction, so appended results
-    agree with a full re-encode to floating-point accumulation order (same
-    top-k, scores equal to ~1 ulp) rather than bitwise.
-    """
+    """Compiled ``_MeanPoolingRecommender.encode_sequence``."""
 
     family = "meanpool"
-    supports_incremental = True
 
     def _snapshot(self, model) -> None:
         pass  # pooling has no weights; items come from the provided matrix
@@ -801,40 +685,12 @@ class MeanPoolPlan(InferencePlan):
 
         return run
 
-    def encode_with_state(self, item_ids, lengths, item_matrix):
-        prepared_ids, prepared_lengths, matrix = self._prepare(
-            item_ids, lengths, item_matrix)
-        program = self._program(*prepared_ids.shape)
-        users = program(prepared_ids, prepared_lengths, matrix).copy()
-        summed = self.arena.get(
-            f"{self._bucket_tag(*prepared_ids.shape)}/summed",
-            (prepared_ids.shape[0], self.hidden_dim), self.dtype)
-        states = [(summed[row].copy(), int(prepared_lengths[row]))
-                  for row in range(prepared_ids.shape[0])]
-        return users, states
-
-    def append(self, states, new_items, item_matrix):
-        new_items = np.asarray(new_items, dtype=np.int64)
-        matrix = np.asarray(item_matrix)
-        if matrix.dtype != self.dtype:
-            matrix = matrix.astype(self.dtype)
-        users = np.empty((len(states), self.hidden_dim), dtype=self.dtype)
-        fresh_states = []
-        for row, ((summed, length), item) in enumerate(zip(states, new_items)):
-            new_sum = summed + matrix[item]
-            new_length = length + 1
-            scale = self.dtype.type(1.0) / self.dtype.type(max(new_length, 1))
-            users[row] = new_sum * scale
-            fresh_states.append((new_sum, new_length))
-        return users, fresh_states
-
 
 # --------------------------------------------------------------------- #
 # Dispatch
 # --------------------------------------------------------------------- #
 def compile_plan(model, max_programs: int = 8,
-                 arena: Optional[BufferArena] = None,
-                 weight_storage: str = "fp32") -> InferencePlan:
+                 arena: Optional[BufferArena] = None) -> InferencePlan:
     """Compile a trained model into the graph-free plan for its family.
 
     Dispatch is by encode implementation, not by name: a subclass that
@@ -848,8 +704,7 @@ def compile_plan(model, max_programs: int = 8,
     from ..models.gru4rec import GRU4Rec
 
     encode = type(model).encode_sequence
-    kwargs = dict(max_programs=max_programs, arena=arena,
-                  weight_storage=weight_storage)
+    kwargs = dict(max_programs=max_programs, arena=arena)
     if isinstance(model, GRU4Rec):
         if encode is not GRU4Rec.encode_sequence:
             raise UnsupportedModelError(

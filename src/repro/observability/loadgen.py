@@ -23,9 +23,7 @@ Three pieces:
   with the offered load.
 
 Request streams come from :func:`session_requests`: a population of users
-that *re-visit* — each visit appends one item to that user's history — so a
-deployment's SessionCache sees the realistic prefix-hit patterns the
-incremental encode path was built for.
+that *re-visit* — each visit appends one item to that user's history.
 """
 
 from __future__ import annotations
@@ -107,9 +105,8 @@ def session_requests(count: int, catalogue: int, num_users: int = 64,
 
     Each request belongs to a user; a re-visit (probability ``revisit``)
     extends that user's history by one item and asks again, so successive
-    requests from one user are strict prefix extensions — exactly the
-    pattern an incremental SessionCache turns into prefix hits.  Histories
-    are capped at ``history`` items (a sliding window, like real sessions).
+    requests from one user are strict prefix extensions.  Histories are
+    capped at ``history`` items (a sliding window, like real sessions).
 
     ``follow_log`` optionally couples the population to live ingestion: an
     :class:`~repro.stream.InteractionLog` (or a path to one) is drained as

@@ -1,14 +1,9 @@
-"""Memory-lean catalogue and weight representations.
+"""Memory-lean catalogue representation.
 
-Two independent codecs, both wired through the serving stack:
-
-* :mod:`repro.quant.codec` / :mod:`repro.quant.scorer` — per-item symmetric
-  int8 quantization of the catalogue matrix plus a shortlist-then-exact-
-  re-rank top-K scorer whose returned ids *and* scores are bit-identical to
-  the dense fp32 path (``ServingConfig.catalogue_codec="int8"``).
-* :mod:`repro.quant.weights` — fp16-storage / fp32-compute encoder weights
-  for the compiled inference plans (``ServingConfig.weight_storage="fp16"``,
-  rank-parity gated rather than bit-identical).
+:mod:`repro.quant.codec` / :mod:`repro.quant.scorer` — per-item symmetric
+int8 quantization of the catalogue matrix plus a shortlist-then-exact-re-rank
+top-K scorer whose returned ids *and* scores are bit-identical to the dense
+fp32 path (``ServingConfig.catalogue_codec="int8"``).
 """
 
 from .codec import (
@@ -22,7 +17,6 @@ from .scorer import (
     SCAN_CHUNK_ROWS,
     quantized_topk,
 )
-from .weights import demote_weights, materialise_weights
 
 __all__ = [
     "INT8_LEVELS",
@@ -32,6 +26,4 @@ __all__ = [
     "DEFAULT_REFINE_FACTOR",
     "SCAN_CHUNK_ROWS",
     "quantized_topk",
-    "demote_weights",
-    "materialise_weights",
 ]

@@ -103,17 +103,16 @@ class ResilientShardClient(ShardClient):
     # ------------------------------------------------------------------ #
     def search(self, queries: np.ndarray, k: int, *,
                exclude: Optional[Sequence[Sequence[int]]] = None,
-               backend: str = "exact", overfetch: int = 0,
+               backend: str = "exact",
                timeout: Optional[float] = None
                ) -> Tuple[np.ndarray, np.ndarray]:
         ids, scores, _ = self.search_ex(queries, k, exclude=exclude,
-                                        backend=backend, overfetch=overfetch,
-                                        timeout=timeout)
+                                        backend=backend, timeout=timeout)
         return ids, scores
 
     def search_ex(self, queries: np.ndarray, k: int, *,
                   exclude: Optional[Sequence[Sequence[int]]] = None,
-                  backend: str = "exact", overfetch: int = 0,
+                  backend: str = "exact",
                   timeout: Optional[float] = None
                   ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
         """Like ``search``, plus a per-call info dict: whether this call was
@@ -126,7 +125,7 @@ class ResilientShardClient(ShardClient):
                 try:
                     ids, scores = self._primary.search(
                         queries, k, exclude=exclude, backend=backend,
-                        overfetch=overfetch, timeout=timeout)
+                        timeout=timeout)
                 except WorkerCrashed as error:
                     self.breaker.record_failure()
                     with self._guard_lock:
@@ -142,7 +141,7 @@ class ResilientShardClient(ShardClient):
                             self._retries += 1
                         continue
                     return self._degrade(error, queries, k, exclude=exclude,
-                                         backend=backend, overfetch=overfetch,
+                                         backend=backend,
                                          retries=retries_this_call)
                 except (ShardTimeout, ShardError) as error:
                     # not retried: a timeout may be the caller's own budget
@@ -155,11 +154,10 @@ class ResilientShardClient(ShardClient):
                     self.breaker.record_success()
                     return ids, scores, self._info(False, retries_this_call)
         return self._degrade(None, queries, k, exclude=exclude,
-                             backend=backend, overfetch=overfetch,
-                             retries=retries_this_call)
+                             backend=backend, retries=retries_this_call)
 
     def _degrade(self, error: Optional[BaseException], queries, k, *,
-                 exclude, backend, overfetch, retries: int
+                 exclude, backend, retries: int
                  ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
         fallback = self._ensure_fallback()
         if fallback is None:
@@ -169,7 +167,7 @@ class ResilientShardClient(ShardClient):
                 "shard-pool circuit breaker is open and no degradation "
                 "fallback is configured")
         ids, scores = fallback.search(queries, k, exclude=exclude,
-                                      backend=backend, overfetch=overfetch)
+                                      backend=backend)
         with self._guard_lock:
             self._degraded += 1
         return ids, scores, self._info(True, retries)

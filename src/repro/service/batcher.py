@@ -428,19 +428,17 @@ class DynamicBatcher:
             else:
                 live.append(pending)
 
-        groups: Dict[Tuple[str, bool, int], List[_Pending]] = {}
+        groups: Dict[Tuple[str, bool], List[_Pending]] = {}
         for pending in live:
-            key = (pending.config.backend, pending.config.exclude_seen,
-                   pending.config.overfetch_margin)
+            key = (pending.config.backend, pending.config.exclude_seen)
             groups.setdefault(key, []).append(pending)
 
         scoring_calls = 0
         failed = 0
-        for (backend, exclude_seen, margin), members in groups.items():
+        for (backend, exclude_seen), members in groups.items():
             k_max = max(pending.config.k for pending in members)
             call_config = self.config.with_overrides(
                 k=k_max, backend=backend, exclude_seen=exclude_seen,
-                overfetch_margin=margin,
             )
             # The group's scoring runs under the *loosest* member deadline:
             # a tight-deadline member must not cut short a batch-mate's

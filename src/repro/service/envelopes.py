@@ -20,8 +20,8 @@ class RequestError(ValueError):
 
 
 #: JSON keys accepted by :meth:`RecommendRequest.from_dict`
-_REQUEST_FIELDS = ("history", "k", "deployment", "backend", "score_dtype",
-                   "exclude_seen", "request_id", "deadline_ms")
+_REQUEST_FIELDS = ("history", "k", "deployment", "backend", "exclude_seen",
+                   "request_id", "deadline_ms")
 
 
 @dataclass
@@ -39,13 +39,7 @@ class RecommendRequest:
     deployment:
         Optional deployment name; ``None`` uses the registry default.
     backend:
-        Optional retrieval-backend override (``"exact"`` / ``"ivf"`` /
-        ``"ivfpq"``).
-    score_dtype:
-        Optional scoring-precision override (e.g. ``"float64"`` for a
-        full-precision audit of one request).  Overridden requests bypass the
-        micro-batcher: they score through a dtype-specific sibling
-        recommender.
+        Optional retrieval-backend override (``"exact"`` / ``"ivf"``).
     exclude_seen:
         Optional override of the deployment's seen-item masking.
     request_id:
@@ -63,7 +57,6 @@ class RecommendRequest:
     k: Optional[int] = None
     deployment: Optional[str] = None
     backend: Optional[str] = None
-    score_dtype: Optional[str] = None
     exclude_seen: Optional[bool] = None
     request_id: Optional[str] = None
     deadline_ms: Optional[float] = None
@@ -85,7 +78,7 @@ class RecommendRequest:
         if self.k is not None:
             if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
                 raise RequestError(f"k must be a positive integer, got {self.k!r}")
-        for name in ("deployment", "backend", "score_dtype", "request_id"):
+        for name in ("deployment", "backend", "request_id"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise RequestError(f"{name} must be a string, got {value!r}")
@@ -128,8 +121,8 @@ class RecommendRequest:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable form (omits unset optional fields)."""
         payload: Dict[str, Any] = {"history": list(self.history)}
-        for name in ("k", "deployment", "backend", "score_dtype",
-                     "exclude_seen", "request_id", "deadline_ms"):
+        for name in ("k", "deployment", "backend", "exclude_seen",
+                     "request_id", "deadline_ms"):
             value = getattr(self, name)
             if value is not None:
                 payload[name] = value
@@ -144,7 +137,7 @@ class RecommendResponse:
     request was served: which deployment (and deployment version, so a client
     can observe a hot-swap), which retrieval backend and path (warm sequence
     encoder vs cold fallback), which sequence-encoding ``engine`` ran the
-    warm rows (``"compiled"`` graph-free plan or the ``"graph"`` reference)
+    warm rows (``"compiled"`` graph-free plan or the ``"graph"`` fallback)
     and its ``encode_ms`` cost, how long the request waited for its batch
     (``queue_ms``), how long the scoring took (``compute_ms``), and how many
     requests shared that scoring call (``batch_size``).

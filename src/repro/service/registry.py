@@ -20,7 +20,8 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..experiments.persistence import PathLike, load_checkpoint, load_model
-from ..serving import EmbeddingStore, Recommender, ServingConfig
+from ..serving import (STRUCTURAL_FIELDS, EmbeddingStore, Recommender,
+                       ServingConfig)
 
 
 @dataclass
@@ -43,8 +44,15 @@ class Deployment:
         if not self.name or not isinstance(self.name, str):
             raise ValueError(f"deployment name must be a non-empty string, "
                              f"got {self.name!r}")
-        self._dtype_variants: Dict[str, Recommender] = {}
-        self._variant_lock = threading.Lock()
+        for name in STRUCTURAL_FIELDS:
+            built = getattr(self.recommender.config, name)
+            asked = getattr(self.config, name)
+            if asked != built:
+                raise ValueError(
+                    f"deployment {self.name!r}: config asks for "
+                    f"{name}={asked!r} but its recommender was built with "
+                    f"{name}={built!r}; structural fields are fixed when the "
+                    f"Recommender is constructed")
 
     @property
     def model_name(self) -> str:
@@ -54,59 +62,21 @@ class Deployment:
     def num_items(self) -> int:
         return self.recommender.num_items
 
-    def recommender_for(self, score_dtype: Optional[str] = None) -> Recommender:
-        """The deployment's recommender, optionally at an overridden dtype.
-
-        ``None`` resolves to the deployment config's ``score_dtype``.  The
-        default-precision recommender is shared with the micro-batcher;
-        per-dtype siblings (for requests carrying a ``score_dtype`` override,
-        or a wrapped recommender whose structural dtype disagrees with the
-        deployment policy) share the model, store, popularity prior, the
-        generation-stamped item-matrix cache (so alternating-dtype traffic
-        casts the catalogue once per dtype, not per switch) and the compiled
-        inference engine (encoding runs in model precision either way).
-        Built lazily, cached per dtype.
-        """
-        canonical = np.dtype(score_dtype if score_dtype is not None
-                             else self.config.score_dtype).name
-        if canonical == self.recommender.config.score_dtype:
-            return self.recommender
-        with self._variant_lock:
-            if canonical not in self._dtype_variants:
-                base = self.recommender
-                variant = Recommender(
-                    base.model, store=base.store, cold_items=base.cold_items,
-                    fallback_method=base.fallback_method,
-                    fallback_groups=base.fallback_groups,
-                    index_params=base.index_params,
-                    config=self.config.with_overrides(score_dtype=canonical),
-                )
-                # The popularity prior comes from the training sequences,
-                # which the variant has no access to — share the fitted one.
-                variant._popularity = base._popularity
-                variant.share_serving_caches(base)
-                self._dtype_variants[canonical] = variant
-            return self._dtype_variants[canonical]
-
     def close(self) -> None:
-        """Release worker pools held by this deployment's recommenders.
+        """Release the worker pool held by this deployment's recommender.
 
-        Covers the primary recommender and every lazily built dtype sibling;
-        idempotent, and the deployment stays servable (a later sharded
+        Idempotent, and the deployment stays servable (a later sharded
         request rebuilds its pool).  Called by
         :meth:`ModelRegistry.close_all` and the CLI's graceful shutdown.
         """
-        with self._variant_lock:
-            variants = list(self._dtype_variants.values())
-        for recommender in [self.recommender, *variants]:
-            recommender.close()
+        self.recommender.close()
 
     def describe(self) -> Dict[str, Any]:
         """JSON-serialisable summary for listings and the stats endpoint.
 
         Includes the sequence-encoding engine actually in use and, when the
-        compiled engine is active, its diagnostics (session-cache hit rate,
-        arena footprint, encode counters).
+        compiled engine is active, its diagnostics (arena footprint, encode
+        counters).
         """
         summary: Dict[str, Any] = {
             "name": self.name,

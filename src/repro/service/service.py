@@ -137,10 +137,6 @@ class RecommenderService:
         self._g_version = registry.gauge(
             "repro_deployment_version", "Current version of each deployment "
             "(bumps on hot-swap reload).", labelnames=("deployment",))
-        self._g_cache_hit = registry.gauge(
-            "repro_session_cache_hit_rate", "SessionCache hit rate of the "
-            "deployment's compiled engine (exact + prefix hits over "
-            "lookups).", labelnames=("deployment",))
         self._g_shard_restarts = registry.gauge(
             "repro_shard_restarts", "Shard-pool worker restarts since the "
             "pool was built.", labelnames=("deployment",))
@@ -231,7 +227,7 @@ class RecommenderService:
                 return None
             if key not in self._batchers:
                 self._batchers[key] = DynamicBatcher(
-                    deployment.recommender_for(), config=deployment.config,
+                    deployment.recommender, config=deployment.config,
                     max_batch_size=self.max_batch_size,
                     max_wait_ms=self.max_wait_ms,
                     start=self.autostart_batchers,
@@ -330,7 +326,7 @@ class RecommenderService:
             try:
                 deployment.config.with_overrides(
                     k=request.k, exclude_seen=request.exclude_seen,
-                    backend=request.backend, score_dtype=request.score_dtype)
+                    backend=request.backend)
             except (ValueError, TypeError) as error:
                 self._count_error(deployment.name)
                 raise RequestError(str(error)) from None
@@ -343,17 +339,14 @@ class RecommenderService:
                     for request, deployment, trace, deadline in resolved]
         submitted = []
         for request, deployment, trace, deadline in resolved:
-            future = None
-            if request.score_dtype is None:
-                try:
-                    future = self._submit(request, deployment,
-                                          deadline=deadline)
-                except OverloadError:
-                    self._count_shed(request.deployment)
-                    raise
-                except DeadlineExceeded:
-                    self._count_deadline(request.deployment)
-                    raise
+            try:
+                future = self._submit(request, deployment, deadline=deadline)
+            except OverloadError:
+                self._count_shed(request.deployment)
+                raise
+            except DeadlineExceeded:
+                self._count_deadline(request.deployment)
+                raise
             submitted.append((request, deployment, trace, deadline, future))
         responses = []
         for request, deployment, trace, deadline, future in submitted:
@@ -429,9 +422,7 @@ class RecommenderService:
                         trace: Optional[RequestTrace] = None, *,
                         deadline: Optional[float] = None
                         ) -> RecommendResponse:
-        if not self.batching or request.score_dtype is not None:
-            # dtype-overridden requests score through a per-dtype sibling
-            # recommender; they cannot share the default-dtype batch.
+        if not self.batching:
             return self._serve_direct(request, deployment, trace,
                                       deadline=deadline)
         future = self._submit(request, deployment, deadline=deadline)
@@ -455,15 +446,12 @@ class RecommenderService:
                       ) -> RecommendResponse:
         """Unbatched path: one topk call for this request alone."""
         try:
-            recommender = deployment.recommender_for(request.score_dtype)
             config = deployment.config.with_overrides(
                 k=request.k, exclude_seen=request.exclude_seen,
-                backend=request.backend,
-                score_dtype=recommender.config.score_dtype,
-            )
+                backend=request.backend)
             started = time.perf_counter()
-            result = recommender.topk([request.history], config=config,
-                                      deadline=deadline)
+            result = deployment.recommender.topk(
+                [request.history], config=config, deadline=deadline)
         except (ValueError, TypeError) as error:
             self._count_error(deployment.name)
             raise RequestError(str(error)) from None
@@ -571,18 +559,17 @@ class RecommenderService:
 
         Event metrics (request counters, latency histograms) update on the
         request path; everything whose truth lives elsewhere — uptime,
-        deployment versions, session-cache hit rates, shard-pool health,
-        batcher counters — is *collected* here, at scrape time.  Each gauge
-        family is cleared and rebuilt, so retired deployments and drained
-        batchers drop out of the exposition automatically.  Reads only
-        never-building accessors (``engine_stats`` / ``shard_stats``), so a
-        scrape can never trigger a compile or spawn a worker pool.
+        deployment versions, shard-pool health, batcher counters — is
+        *collected* here, at scrape time.  Each gauge family is cleared and
+        rebuilt, so retired deployments and drained batchers drop out of the
+        exposition automatically.  Reads only the never-building
+        ``shard_stats`` accessor, so a scrape can never spawn a worker pool.
         """
         if self.metrics is None:
             return
         self._g_uptime.set(self.uptime_s)
         self._g_deployments.set(len(self.registry))
-        for family in (self._g_version, self._g_cache_hit,
+        for family in (self._g_version,
                        self._g_shard_restarts, self._g_shard_timeouts,
                        self._g_batcher, self._g_queue_depth, self._g_breaker,
                        self._g_shard_retries, self._g_degraded):
@@ -590,11 +577,6 @@ class RecommenderService:
         for deployment in self.registry.list():
             name = deployment.name
             self._g_version.labels(deployment=name).set(deployment.version)
-            engine_stats = deployment.recommender.engine_stats()
-            cache = engine_stats.get("session_cache")
-            if isinstance(cache, dict) and cache.get("enabled"):
-                self._g_cache_hit.labels(deployment=name).set(
-                    float(cache.get("hit_rate", 0.0)))
             shard = deployment.recommender.shard_stats()
             if isinstance(shard, dict):
                 self._g_shard_restarts.labels(deployment=name).set(

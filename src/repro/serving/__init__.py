@@ -11,14 +11,13 @@ into a cache-backed top-K service:
   extracts the top K, seen items are masked, and histories the sequence
   encoder cannot use fall back to whitened-text content scoring.  A
   ``backend`` knob swaps the dense scan for ANN retrieval through
-  :mod:`repro.index` (``"ivf"`` / ``"ivfpq"``) with the masking preserved;
+  :mod:`repro.index` (``"ivf"``) with the masking preserved;
 * :mod:`repro.serving.throughput` — sequences/second measurement used by the
   ``repro serve`` CLI and the serving micro-benchmark.
 """
 
-from .config import (CATALOGUE_CODECS, SERVING_BACKENDS, SERVING_ENGINES,
-                     SHARD_BACKENDS, STRUCTURAL_FIELDS, WEIGHT_STORAGES,
-                     ServingConfig)
+from .config import (CATALOGUE_CODECS, SERVING_BACKENDS, SHARD_BACKENDS,
+                     STRUCTURAL_FIELDS, ServingConfig)
 from .generations import (GenerationClock, GenerationFollower,
                           GenerationalCache)
 from .recommender import Recommender, TopKResult, full_sort_topk
@@ -33,11 +32,9 @@ __all__ = [
     "GenerationalCache",
     "Recommender",
     "SERVING_BACKENDS",
-    "SERVING_ENGINES",
     "SHARD_BACKENDS",
     "STRUCTURAL_FIELDS",
     "ServingConfig",
-    "WEIGHT_STORAGES",
     "ThroughputReport",
     "TopKResult",
     "full_sort_topk",

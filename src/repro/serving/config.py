@@ -17,12 +17,7 @@ from typing import Any, Dict
 import numpy as np
 
 #: retrieval backends accepted by the serving stack
-SERVING_BACKENDS = ("exact", "ivf", "ivfpq")
-
-#: sequence-encoding engines accepted by the serving stack: the ``nn.no_grad``
-#: autodiff graph (the bit-exactness reference) or the graph-free compiled
-#: plan of :mod:`repro.infer` (the default — bit-identical and faster)
-SERVING_ENGINES = ("graph", "compiled")
+SERVING_BACKENDS = ("exact", "ivf")
 
 #: shard execution backends: ``"local"`` scores shards sequentially in the
 #: serving process, ``"process"`` scatters to a multi-process worker pool
@@ -37,19 +32,13 @@ SHARD_BACKENDS = ("local", "process")
 #: (:mod:`repro.quant`).
 CATALOGUE_CODECS = ("fp32", "int8")
 
-#: weight storage for the compiled inference plans: ``"fp32"`` keeps the
-#: bit-identity contract; ``"fp16"`` halves the snapshot's resident bytes
-#: and casts back to fp32 for compute (rank-parity gated, opt-in).
-WEIGHT_STORAGES = ("fp32", "fp16")
-
 #: fields that decide what a :class:`~repro.serving.Recommender` *builds*
-#: (the cast item matrix and every index over it, the compiled engine and
-#: its session cache, int8 codes, the shard layout / worker pool) — fixed at
-#: construction, rejected as per-call overrides.  The rest (``k``,
-#: ``backend``, ``exclude_seen``, ``overfetch_margin``, ``engine``) only
-#: steer one ``topk`` call.
-STRUCTURAL_FIELDS = ("score_dtype", "session_cache", "shards",
-                     "shard_backend", "catalogue_codec", "weight_storage")
+#: (the cast item matrix and every index over it, int8 codes, the shard
+#: layout / worker pool) — fixed at construction, rejected as per-call
+#: overrides.  The rest (``k``, ``backend``, ``exclude_seen``) only steer one
+#: ``topk`` call.
+STRUCTURAL_FIELDS = ("score_dtype", "shards", "shard_backend",
+                     "catalogue_codec")
 
 
 @dataclass(frozen=True)
@@ -61,32 +50,16 @@ class ServingConfig:
     k:
         Top-K cut-off (items returned per request).
     backend:
-        Retrieval backend: ``"exact"`` (dense full-catalogue matmul) or an
-        ANN index (``"ivf"`` / ``"ivfpq"``) from :mod:`repro.index`.
+        Retrieval backend: ``"exact"`` (dense full-catalogue matmul) or the
+        ``"ivf"`` ANN index from :mod:`repro.index`.
     score_dtype:
         Numpy dtype name for the scoring matmul (``"float32"`` halves the
         memory traffic of the float64 training substrate; ``"float64"``
-        restores full precision).  Stored as a string so configs stay
-        JSON-serialisable; use :attr:`np_dtype` for the numpy type.
+        is the reference precision the evaluation loop scores at).  Stored
+        as a string so configs stay JSON-serialisable; use :attr:`np_dtype`
+        for the numpy type.
     exclude_seen:
         Mask every history item out of the recommendations.
-    overfetch_margin:
-        Extra candidates fetched per row on the ANN path beyond the
-        ``k + len(history)`` minimum, trading a slightly wider scan for fewer
-        exact-path fallbacks when filtering leaves a row short.
-    engine:
-        Sequence-encoding engine for warm requests: ``"compiled"`` (default)
-        runs the graph-free plan of :mod:`repro.infer` — bit-identical to the
-        graph at equal dtype, without Tensor wrappers or per-op allocation —
-        while ``"graph"`` keeps the ``nn.no_grad`` autodiff path as the
-        bit-exactness reference.
-    session_cache:
-        Max entries of the compiled engine's incremental session cache
-        (``0``, the default, disables it).  With the cache on, repeated and
-        one-item-appended histories skip or shorten re-encoding; results
-        match the graph to top-k (bitwise for pure single-row traffic) but
-        cached rows change GEMM batch compositions, so scores are no longer
-        guaranteed bit-identical under arbitrary batching — hence opt-in.
     shards:
         Number of contiguous item-matrix partitions retrieval fans out over
         (``1``, the default, keeps the historical single-scorer paths).  Any
@@ -104,24 +77,15 @@ class ServingConfig:
         bit-identical ids and scores at roughly 0.28x the catalogue bytes
         per item.  Requires ``score_dtype="float32"`` (the re-rank parity
         argument is a float32 contract).
-    weight_storage:
-        Weight snapshot precision for the compiled engine: ``"fp32"``
-        (default, bit-identical) or ``"fp16"`` (half the resident weight
-        bytes, fp32 compute, rank-parity rather than bitwise — opt-in like
-        ``session_cache``).
     """
 
     k: int = 10
     backend: str = "exact"
     score_dtype: str = "float32"
     exclude_seen: bool = True
-    overfetch_margin: int = 0
-    engine: str = "compiled"
-    session_cache: int = 0
     shards: int = 1
     shard_backend: str = "process"
     catalogue_codec: str = "fp32"
-    weight_storage: str = "fp32"
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
@@ -137,22 +101,6 @@ class ServingConfig:
                 f"score_dtype must name a numpy dtype, got {self.score_dtype!r}"
             ) from error
         object.__setattr__(self, "score_dtype", canonical)
-        if not isinstance(self.overfetch_margin, int) or self.overfetch_margin < 0:
-            raise ValueError(
-                f"overfetch_margin must be a non-negative integer, "
-                f"got {self.overfetch_margin!r}"
-            )
-        if self.engine not in SERVING_ENGINES:
-            raise ValueError(
-                f"engine must be one of {SERVING_ENGINES}, got {self.engine!r}"
-            )
-        if (isinstance(self.session_cache, bool)
-                or not isinstance(self.session_cache, int)
-                or self.session_cache < 0):
-            raise ValueError(
-                f"session_cache must be a non-negative integer, "
-                f"got {self.session_cache!r}"
-            )
         if (isinstance(self.shards, bool) or not isinstance(self.shards, int)
                 or self.shards < 1):
             raise ValueError(
@@ -172,11 +120,6 @@ class ServingConfig:
             raise ValueError(
                 f"catalogue_codec='int8' requires score_dtype='float32' "
                 f"(got {canonical!r}); use the fp32 codec for float64 scoring"
-            )
-        if self.weight_storage not in WEIGHT_STORAGES:
-            raise ValueError(
-                f"weight_storage must be one of {WEIGHT_STORAGES}, "
-                f"got {self.weight_storage!r}"
             )
 
     @property

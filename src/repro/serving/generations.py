@@ -1,9 +1,9 @@
 """The single generation-stamp mechanism behind every serving-side cache.
 
 Serving keeps several layers of state *derived* from a deployment's model
-and catalogue: the inference item matrix and its dtype casts
-(``_ItemMatrixCache``), the compiled inference plan and its session cache
-(``_EngineSlot``), per-backend ANN indexes, whitened fallback tables, the
+and catalogue: the inference item matrix and its scoring cast
+(``_ItemMatrixCache``), the compiled inference plan (``_EngineSlot``),
+per-backend ANN indexes, whitened fallback tables, the
 popularity cast, the shard pool layout, and the
 :class:`~repro.serving.store.EmbeddingStore`'s whitened tables and index
 memos.  Historically each of those carried its own invalidation scheme — an
@@ -27,9 +27,9 @@ This module replaces them with one primitive:
 
 The contract, relied on by :meth:`repro.stream.publish.Publisher`:
 advancing a deployment's clock invalidates, on next use, every cache
-derived from that deployment's model — item-matrix casts, compiled plan,
-session cache, ANN indexes, fallback tables, shard layout — with no
-per-cache calls and no ordering hazards.
+derived from that deployment's model — item-matrix cast, compiled plan,
+ANN indexes, fallback tables, shard layout — with no per-cache calls and no
+ordering hazards.
 """
 
 from __future__ import annotations
@@ -79,10 +79,7 @@ class GenerationFollower:
 
     ``catch_up()`` returns ``True`` exactly once per clock advance (per
     follower), which is the consumer's cue to drop whatever derived state it
-    owns.  Multiple followers of one clock reconcile independently — e.g.
-    every per-dtype sibling recommender follows the deployment clock and
-    clears its own ANN indexes and fallback casts no matter which sibling
-    triggered the refresh.
+    owns.  Multiple followers of one clock reconcile independently.
     """
 
     __slots__ = ("clock", "_seen", "_lock")

@@ -12,10 +12,9 @@ The serving fast path exploits two structural facts from the paper:
 The scoring runs outside the autodiff graph (:class:`repro.nn.no_grad`) in
 float32 by default, which halves memory traffic relative to the float64
 training substrate.  Warm-request *sequence encoding* additionally routes
-through the graph-free compiled engine of :mod:`repro.infer` by default
-(``ServingConfig.engine == "compiled"``) — bit-identical to the graph path
-at equal dtype, without Tensor wrappers or per-op allocation;
-``engine="graph"`` keeps the autodiff path as the bit-exactness reference.
+through the graph-free compiled engine of :mod:`repro.infer` — bit-identical
+to the graph path at equal dtype, without Tensor wrappers or per-op
+allocation; model classes no plan matches fall back to the autodiff path.
 
 Requests whose history contains no item the sequence encoder can use (empty
 histories, ids outside the model's catalogue, or only items from an explicit
@@ -96,14 +95,11 @@ class TopKResult:
 
 
 class _ItemMatrixCache:
-    """Clock-stamped memo of the candidate matrix and its dtype casts.
+    """Clock-stamped memo of the candidate matrix and its scoring cast.
 
-    One cache serves a model and *all* of its per-dtype sibling recommenders
-    (see :meth:`repro.service.Deployment.recommender_for`): the float64
-    inference matrix is derived from the model once per generation, and each
-    requested scoring dtype is cast exactly once — alternating float32 /
-    float64 traffic no longer re-casts (or re-derives) the catalogue on every
-    switch.  :attr:`cast_count` counts real casts for regression tests.
+    The model-precision inference matrix is derived from the model once per
+    generation and cast to the scoring ``dtype`` exactly once.
+    :attr:`cast_count` counts real casts for regression tests.
 
     The cache *owns* the deployment's :class:`GenerationClock`: every other
     derived cache (engine slot, ANN indexes, fallback tables, shard layout)
@@ -111,8 +107,10 @@ class _ItemMatrixCache:
     invalidates all of them coherently.
     """
 
-    def __init__(self, model, clock: Optional[GenerationClock] = None):
+    def __init__(self, model, dtype,
+                 clock: Optional[GenerationClock] = None):
         self.model = model
+        self.dtype = np.dtype(dtype)
         self.clock = clock if clock is not None else GenerationClock()
         #: number of dtype casts actually performed (not cache hits)
         self.cast_count = 0
@@ -121,7 +119,7 @@ class _ItemMatrixCache:
         #: number of int8 quantizations actually performed (not cache hits)
         self.quantize_count = 0
         self._native: Optional[np.ndarray] = None
-        self._casts: Dict[str, np.ndarray] = {}
+        self._cast: Optional[np.ndarray] = None
         self._quantized = None
         self._built_generation = self.clock.value
         self._lock = threading.Lock()
@@ -136,7 +134,7 @@ class _ItemMatrixCache:
         if self._built_generation != current:
             self._built_generation = current
             self._native = None
-            self._casts.clear()
+            self._cast = None
             # Codes and scales lapse with the matrix they were derived from:
             # one clock advance invalidates both coherently, so a refreshed
             # catalogue can never be scanned with stale int8 codes.
@@ -151,26 +149,25 @@ class _ItemMatrixCache:
                 self.derive_count += 1
             return self._native
 
-    def cast(self, dtype) -> np.ndarray:
-        """The candidate matrix in ``dtype`` (cast once per generation)."""
-        canonical = np.dtype(dtype).name
+    def cast(self) -> np.ndarray:
+        """The candidate matrix in scoring precision (cast once per
+        generation)."""
         native = self.native()
         with self._lock:
             self._reconcile_locked()
-            cached = self._casts.get(canonical)
-            if cached is None:
-                if native.dtype == np.dtype(dtype):
-                    cached = native
+            if self._cast is None:
+                if native.dtype == self.dtype:
+                    self._cast = native
                 else:
-                    cached = native.astype(dtype)
+                    self._cast = native.astype(self.dtype)
                     self.cast_count += 1
-                self._casts[canonical] = cached
-            return cached
+            return self._cast
 
     def quantized(self):
-        """Int8 codes + scales over the float32 cast (built once per
-        generation, see :func:`repro.quant.codec.quantize_matrix`)."""
-        matrix = self.cast(np.float32)
+        """Int8 codes + scales over the scoring cast — float32 whenever the
+        int8 codec is configured (built once per generation, see
+        :func:`repro.quant.codec.quantize_matrix`)."""
+        matrix = self.cast()
         with self._lock:
             self._reconcile_locked()
             if self._quantized is None:
@@ -187,13 +184,11 @@ class _ItemMatrixCache:
 
 
 class _EngineSlot:
-    """Shared lazy-build slot for one model's compiled engine.
+    """Lazy-build slot for one model's compiled engine.
 
-    Dtype-sibling recommenders hold the same slot, so whichever sibling
-    encodes first compiles the plan for all of them.  The slot follows the
-    deployment's :class:`GenerationClock`: a catalogue refresh drops the
-    compiled plan (its weight snapshot is stale) *and* its session cache on
-    the next access, with no explicit reset call.
+    The slot follows the deployment's :class:`GenerationClock`: a catalogue
+    refresh drops the compiled plan (its weight snapshot is stale) on the
+    next access, with no explicit reset call.
     """
 
     def __init__(self, clock: GenerationClock):
@@ -274,9 +269,9 @@ class Recommender:
         ID-based models).
     config:
         A :class:`~repro.serving.config.ServingConfig` bundling the serving
-        defaults (k, backend, scoring dtype, seen-item masking, ANN
-        over-fetch margin) and the structural choices (scoring dtype,
-        catalogue codec, shard layout) the caches are built for.
+        defaults (k, backend, seen-item masking) and the structural choices
+        (scoring dtype, catalogue codec, shard layout) the caches are built
+        for.
     fallback_method / fallback_groups:
         Whitening specification used for the content-based fallback space.
     index_params:
@@ -307,7 +302,7 @@ class Recommender:
                 f"{self.num_items}; the cold-start fallback needs an embedding "
                 f"for every catalogue item"
             )
-        self._matrix_cache = _ItemMatrixCache(model)
+        self._matrix_cache = _ItemMatrixCache(model, self.dtype)
         self._follower = GenerationFollower(self._matrix_cache.clock)
         self._fallback_tables: Dict[Tuple[str, str, str], np.ndarray] = {}
         self._popularity_cast: Optional[np.ndarray] = None
@@ -330,33 +325,27 @@ class Recommender:
     def item_matrix(self) -> np.ndarray:
         """The frozen candidate matrix ``V`` in scoring precision.
 
-        Derivations and dtype casts are memoised per
-        :meth:`refresh_item_matrix` generation in a cache shared with the
-        per-dtype sibling recommenders of a deployment, so alternating
-        ``score_dtype`` traffic never re-casts the catalogue.
+        The derivation and the cast are memoised per
+        :meth:`refresh_item_matrix` generation.
         """
         self._sync_generation()
-        return self._matrix_cache.cast(self.dtype)
+        return self._matrix_cache.cast()
 
     @property
     def generation_clock(self) -> GenerationClock:
         """The deployment-wide clock every derived cache follows.
 
         Advancing it (equivalently, :meth:`refresh_item_matrix`) invalidates
-        the item matrix and its casts, the compiled plan and session cache,
-        the ANN indexes, fallback tables and shard layout — across this
-        recommender *and* every dtype sibling sharing its caches.
+        the item matrix and its cast, the compiled plan, the ANN indexes,
+        fallback tables and shard layout.
         """
         return self._matrix_cache.clock
 
     def _sync_generation(self) -> None:
-        """Drop per-recommender derived caches when a *sibling* refreshed.
-
-        The matrix cache and engine slot are shared across dtype siblings,
-        but each recommender keeps its own ANN indexes and fallback casts;
-        following the shared clock here keeps those consistent no matter
-        which sibling called :meth:`refresh_item_matrix`.
-        """
+        """Drop the derived caches that do not follow the clock themselves
+        (ANN indexes, fallback casts, shard client) once it has advanced —
+        through :meth:`refresh_item_matrix` or a direct
+        :attr:`generation_clock` advance."""
         if self._follower.catch_up():
             self._indexes.clear()
             self._fallback_tables.clear()
@@ -372,37 +361,23 @@ class Recommender:
     def refresh_item_matrix(self) -> None:
         """Drop the cached ``V``, every index built on it, and the compiled
         engine (its weight snapshot is stale) — call after fine-tuning the
-        model.  One clock advance: dtype siblings sharing this recommender's
-        caches pick the new generation up on their next call."""
+        model.  One clock advance."""
         self._matrix_cache.refresh()
         self._sync_generation()
 
-    def engine(self, requested: Optional[str] = None) -> Optional[InferenceEngine]:
+    def engine(self) -> Optional[InferenceEngine]:
         """The compiled graph-free engine, or ``None`` on the graph path.
 
-        ``requested`` is a per-call engine choice (``"graph"`` /
-        ``"compiled"``); ``None`` follows the configured default.  Built
-        lazily on first use — including when a per-call override asks for
-        the compiled engine on a graph-configured recommender; model classes
-        without a compiled plan fall back to the graph path once and for
-        all.  Dtype siblings share one engine (encoding runs in model
-        precision regardless of the scoring dtype) via
-        :meth:`share_serving_caches`.
+        Built lazily on first use; model classes without a compiled plan
+        fall back to the graph path once and for all.
         """
-        kind = requested if requested is not None else self.config.engine
-        if kind != "compiled":
-            return None
         slot = self._engine_slot
         slot.reconcile()
         if slot.engine is None and not slot.unsupported:
             with slot.lock:
                 if slot.engine is None and not slot.unsupported:
                     try:
-                        slot.engine = InferenceEngine(
-                            self.model,
-                            session_cache_size=self.config.session_cache,
-                            weight_storage=self.config.weight_storage,
-                        )
+                        slot.engine = InferenceEngine(self.model)
                     except UnsupportedModelError:
                         slot.unsupported = True
         return slot.engine
@@ -413,14 +388,12 @@ class Recommender:
         return "compiled" if self.engine() is not None else "graph"
 
     def engine_stats(self) -> Dict[str, object]:
-        """JSON-serialisable engine diagnostics (session-cache hit rate,
-        arena size, encode counters); minimal on the graph path.
+        """JSON-serialisable engine diagnostics (arena size, encode
+        counters); minimal on the graph path.
 
         Never triggers compilation: a deployment listing reports
         ``compiled: False`` until the first warm request builds the plan.
         """
-        if self.config.engine != "compiled":
-            return {"engine": "graph"}
         slot = self._engine_slot
         slot.reconcile()
         if slot.unsupported:
@@ -430,26 +403,6 @@ class Recommender:
         stats = slot.engine.stats()
         stats["compiled"] = True
         return stats
-
-    def share_serving_caches(self, other: "Recommender") -> None:
-        """Adopt ``other``'s item-matrix cache and compiled engine.
-
-        Used by :meth:`repro.service.Deployment.recommender_for` when
-        building per-dtype siblings: the underlying model is the same object,
-        so the float64 matrix, its dtype casts, and the compiled plan can all
-        be shared instead of re-derived per sibling.
-        """
-        if other.model is not self.model:
-            raise ValueError("serving caches can only be shared between "
-                             "recommenders wrapping the same model object")
-        self._matrix_cache = other._matrix_cache
-        self._engine_slot = other._engine_slot
-        # Follow the adopted clock: anything this recommender derived before
-        # the adoption belongs to a different stamp lineage, so drop it.
-        self._follower = GenerationFollower(self._matrix_cache.clock)
-        self._indexes.clear()
-        self._fallback_tables.clear()
-        self._popularity_cast = None
 
     def shard_client(self):
         """The :class:`repro.shard.ShardClient` behind every retrieval cell
@@ -567,20 +520,19 @@ class Recommender:
         return histories, servable, cold
 
     def _encode_warm(self, servable: Sequence[List[int]],
-                     warm_rows: np.ndarray,
-                     engine_kind: Optional[str] = None) -> np.ndarray:
+                     warm_rows: np.ndarray) -> np.ndarray:
         """User representations of the warm rows, in scoring precision.
 
         Histories are truncated and padded to the model's full window:
         position embeddings depend on the padded width, so serving must use
         the same width as training and evaluation for the representations to
-        match.  ``engine_kind`` picks the compiled plan or the autodiff graph
-        (see :meth:`engine`); both encode in model precision.
+        match.  The compiled plan and the autodiff-graph fallback (see
+        :meth:`engine`) both encode in model precision.
         """
         window = self.model.max_seq_length
         item_ids, lengths = pad_sequences(
             [servable[row][-window:] for row in warm_rows], window)
-        engine = self.engine(engine_kind)
+        engine = self.engine()
         encode = (engine.encode_sequences if engine is not None
                   else self.model.encode_sequences)
         users = encode(item_ids, lengths,
@@ -598,17 +550,14 @@ class Recommender:
     # Scoring
     # ------------------------------------------------------------------ #
     def score(self, sequences: Sequence[Sequence[int]],
-              exclude_seen: bool = True,
-              engine: Optional[str] = None) -> Tuple[np.ndarray, np.ndarray]:
+              exclude_seen: bool = True) -> Tuple[np.ndarray, np.ndarray]:
         """Full-catalogue scores for a batch of request histories.
 
         Returns ``(scores, cold)`` where ``scores`` has shape
         ``(batch, num_items + 1)`` with the padding item (and, when
         ``exclude_seen``, every history item) masked to ``-inf``, and ``cold``
-        flags the rows that used the fallback path.  ``engine`` overrides the
-        configured sequence-encoding engine for this call (``"graph"`` /
-        ``"compiled"``).  This is the reference every exact :meth:`topk`
-        cell must reproduce bit for bit.
+        flags the rows that used the fallback path.  This is the reference
+        every exact :meth:`topk` cell must reproduce bit for bit.
         """
         histories, servable, cold = self._classify(sequences)
         scores = np.empty((len(histories), self.num_items + 1),
@@ -619,7 +568,7 @@ class Recommender:
             # scores never depend on batch composition (the contract the
             # dynamic micro-batcher's bit-identity guarantee rests on).
             scores[warm_rows] = padded_catalogue_scores(
-                self._encode_warm(servable, warm_rows, engine),
+                self._encode_warm(servable, warm_rows),
                 self.item_matrix(), self.dtype)
         cold_rows = np.flatnonzero(cold)
         if cold_rows.size:
@@ -663,7 +612,7 @@ class Recommender:
     # Top-K retrieval: one pipeline
     # ------------------------------------------------------------------ #
     def _candidates(self, backend: str, users: np.ndarray, k: int,
-                    exclude: Sequence[Sequence[int]], overfetch: int = 0,
+                    exclude: Sequence[Sequence[int]],
                     deadline: Optional[float] = None
                     ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
         """Ask the candidate source for ``(ids, scores, info)`` blocks.
@@ -683,7 +632,7 @@ class Recommender:
         """
         if self.config.shards == 1 and backend != "exact":
             ids, scores = ann_shard_topk(self.item_index(backend), users, k,
-                                         exclude, overfetch)
+                                         exclude)
             return ids, scores, {}
         if self.config.shards == 1 and self.config.catalogue_codec == "fp32":
             scores = padded_catalogue_scores(users, self.item_matrix(),
@@ -691,7 +640,7 @@ class Recommender:
             _mask(scores, exclude)
             return _all_ids(scores), scores, {}
         return self.shard_client().search_ex(
-            users, k, exclude=exclude, backend=backend, overfetch=overfetch,
+            users, k, exclude=exclude, backend=backend,
             timeout=remaining_s(deadline))
 
     def topk(self, sequences: Sequence[Sequence[int]], k: Optional[int] = None,
@@ -713,8 +662,8 @@ class Recommender:
         3. ask the **candidate source** (:meth:`_candidates`) for the warm
            rows' candidates — exact sources mask the padding item and (under
            ``exclude_seen``) the history to ``-inf`` but keep them as
-           candidates, ANN sources over-fetch by the history length plus
-           ``config.overfetch_margin`` and drop them;
+           candidates, ANN sources over-fetch by the history length and
+           drop them;
         4. **re-run** the ANN rows whose filtered candidates came up short
            of ``k`` through the exact source, reusing the vectors encoded in
            step 2;
@@ -746,8 +695,8 @@ class Recommender:
                 raise ValueError(
                     f"per-call {name} overrides are not supported: this "
                     f"recommender was built with {name}={built!r}, the "
-                    f"config asks for {asked!r}; build a sibling Recommender "
-                    f"(e.g. repro.service.Deployment.recommender_for) instead")
+                    f"config asks for {asked!r}; build another Recommender "
+                    f"instead")
 
         clock = _StageClock()
         histories, servable, cold = self._classify(sequences)
@@ -767,7 +716,7 @@ class Recommender:
         warm_rows = np.flatnonzero(~cold)
         if warm_rows.size:
             clock.lap("score")
-            users = self._encode_warm(servable, warm_rows, config.engine)
+            users = self._encode_warm(servable, warm_rows)
             clock.lap("encode")
             if expired(deadline):
                 raise DeadlineExceeded(
@@ -775,8 +724,7 @@ class Recommender:
             exclude = self._exclude_lists(histories, warm_rows,
                                           config.exclude_seen)
             found_ids, found_scores, info = self._candidates(
-                config.backend, users, k, exclude, config.overfetch_margin,
-                deadline)
+                config.backend, users, k, exclude, deadline)
             infos.append(info)
             place(warm_rows, found_ids, found_scores)
             # Only filtering (ANN) sources can leave a row short of k: masked
@@ -800,8 +748,7 @@ class Recommender:
 
         return TopKResult(
             items=items, scores=scores, cold=cold,
-            engine=("compiled" if self.engine(config.engine) is not None
-                    else "graph"),
+            engine=self.engine_name,
             encode_ms=round(clock.ms["encode"], 3),
             score_ms=round(clock.ms["score"], 3),
             merge_ms=round(clock.ms["merge"], 3),

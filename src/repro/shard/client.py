@@ -29,7 +29,7 @@ from .scoring import (ann_shard_topk, exact_shard_topk, searchable_rows,
 def single_shard_search(matrix: np.ndarray, lo: int, hi: int,
                         queries: np.ndarray, k: int,
                         exclude: Optional[Sequence[Sequence[int]]],
-                        backend: str, overfetch: int, block_rows: int,
+                        backend: str, block_rows: int,
                         index_params: Optional[Dict],
                         index_cache: Dict[str, ItemIndex],
                         quantized=None
@@ -71,7 +71,7 @@ def single_shard_search(matrix: np.ndarray, lo: int, hi: int,
         return (np.empty((queries.shape[0], 0), dtype=np.int64),
                 np.empty((queries.shape[0], 0), dtype=matrix.dtype))
     return ann_shard_topk(index, queries.astype(matrix.dtype, copy=False),
-                          k, exclude, overfetch)
+                          k, exclude)
 
 
 class ShardClient:
@@ -83,10 +83,10 @@ class ShardClient:
       ids keep their slot but score ``-inf`` (masking).  The result is
       bit-identical (ids and scores) for every shard count of the same
       layout; see :mod:`repro.shard.scoring` for why.
-    * ``backend="ivf"`` / ``"ivfpq"`` — candidates come from per-shard ANN
-      indexes over rows ``1..num_rows-1`` (row 0, the padding item, is never
-      indexed); excluded ids are dropped, and rows the over-fetch cannot
-      fill carry ``-1`` / ``-inf`` padding for the caller to fall back on.
+    * ``backend="ivf"`` — candidates come from per-shard ANN indexes over
+      rows ``1..num_rows-1`` (row 0, the padding item, is never indexed);
+      excluded ids are dropped, and rows the over-fetch cannot fill carry
+      ``-1`` / ``-inf`` padding for the caller to fall back on.
     """
 
     #: (lo, hi) row ranges, one per shard
@@ -106,7 +106,7 @@ class ShardClient:
 
     def search(self, queries: np.ndarray, k: int, *,
                exclude: Optional[Sequence[Sequence[int]]] = None,
-               backend: str = "exact", overfetch: int = 0,
+               backend: str = "exact",
                timeout: Optional[float] = None
                ) -> Tuple[np.ndarray, np.ndarray]:
         """``timeout`` (seconds) is the caller's remaining deadline budget;
@@ -116,14 +116,13 @@ class ShardClient:
 
     def search_ex(self, queries: np.ndarray, k: int, *,
                   exclude: Optional[Sequence[Sequence[int]]] = None,
-                  backend: str = "exact", overfetch: int = 0,
+                  backend: str = "exact",
                   timeout: Optional[float] = None
                   ) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
         """:meth:`search` plus a per-call info dict.  Empty here: only the
         resilience layer has a degraded mode or retries to report."""
         ids, scores = self.search(queries, k, exclude=exclude,
-                                  backend=backend, overfetch=overfetch,
-                                  timeout=timeout)
+                                  backend=backend, timeout=timeout)
         return ids, scores, {}
 
     def close(self) -> None:  # pragma: no cover - trivial default
@@ -190,14 +189,14 @@ class LocalShardClient(ShardClient):
 
     def search(self, queries: np.ndarray, k: int, *,
                exclude: Optional[Sequence[Sequence[int]]] = None,
-               backend: str = "exact", overfetch: int = 0,
+               backend: str = "exact",
                timeout: Optional[float] = None
                ) -> Tuple[np.ndarray, np.ndarray]:
         queries = np.asarray(queries)
         exclude = split_exclude(exclude, queries.shape[0])
         parts = [
             single_shard_search(self._matrix, lo, hi, queries, k, exclude,
-                                backend, overfetch, self.block_rows,
+                                backend, self.block_rows,
                                 self.index_params, self._index_caches[shard],
                                 self._quantized)
             for shard, (lo, hi) in enumerate(self.ranges)

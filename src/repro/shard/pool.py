@@ -216,7 +216,6 @@ class ShardPool(ShardClient):
     def search(self, queries: np.ndarray, k: int, *,
                exclude: Optional[Sequence[Sequence[int]]] = None,
                backend: str = "exact",
-               overfetch: int = 0,
                timeout: Optional[float] = None
                ) -> Tuple[np.ndarray, np.ndarray]:
         """Scatter-gather one search.  ``timeout`` (seconds) tightens the
@@ -227,7 +226,7 @@ class ShardPool(ShardClient):
         queries = np.ascontiguousarray(queries)
         exclude = split_exclude(exclude, queries.shape[0])
         payload = {"queries": queries, "k": int(k), "exclude": exclude,
-                   "backend": str(backend), "overfetch": int(overfetch)}
+                   "backend": str(backend)}
         self._ensure_workers()
         budget = self.timeout if timeout is None else min(
             self.timeout, max(0.0, float(timeout)))

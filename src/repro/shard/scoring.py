@@ -117,8 +117,8 @@ def exact_shard_topk(queries: np.ndarray, matrix: np.ndarray,
 
 
 def ann_shard_topk(index: ItemIndex, queries: np.ndarray, k: int,
-                   exclude: Optional[Sequence[Sequence[int]]] = None,
-                   overfetch: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+                   exclude: Optional[Sequence[Sequence[int]]] = None
+                   ) -> Tuple[np.ndarray, np.ndarray]:
     """Approximate per-shard top-K through a pre-built per-shard ANN index.
 
     Excluded ids are *filtered* (dropped from the candidates, matching the
@@ -134,7 +134,7 @@ def ann_shard_topk(index: ItemIndex, queries: np.ndarray, k: int,
     if len(index) == 0 or batch == 0 or k == 0:
         return ids, scores
     longest = max((len(row) for row in exclude), default=0) if exclude else 0
-    fetch = min(len(index), k + int(overfetch) + longest)
+    fetch = min(len(index), k + longest)
     candidate_ids, candidate_scores = index.search(queries, fetch)
     scores = scores.astype(candidate_scores.dtype, copy=False)
     for row in range(batch):

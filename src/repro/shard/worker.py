@@ -50,8 +50,8 @@ def worker_main(conn, directory: str, lo: int, hi: int,
                     result: Tuple[np.ndarray, np.ndarray] = single_shard_search(
                         matrix, lo, hi,
                         payload["queries"], payload["k"], payload["exclude"],
-                        payload["backend"], payload["overfetch"],
-                        block_rows, index_params, index_cache, quantized)
+                        payload["backend"], block_rows, index_params,
+                        index_cache, quantized)
                     conn.send(("ok", seq, result))
                 elif op == "ping":
                     conn.send(("ok", seq, os.getpid()))

@@ -9,8 +9,8 @@ requests finish on the old deployment and new ones resolve to the new.
 
 Cache coherence rides on the single generation-stamp mechanism of
 :mod:`repro.serving.generations`: a freshly built deployment starts a new
-clock lineage (item matrix, compiled plan, session cache, ANN indexes and
-shard layout all build against the new model), and the in-place variant
+clock lineage (item matrix, compiled plan, ANN indexes and shard layout all
+build against the new model), and the in-place variant
 (:meth:`Publisher.refresh`) is exactly one clock advance — every derived
 cache of the deployment lapses together, with no per-cache invalidation
 calls and no ordering hazards.  After the swap the publisher *warms* the
@@ -201,9 +201,9 @@ class Publisher:
     @staticmethod
     def warm_deployment(deployment) -> None:
         """Pay the cold path before traffic does: derive the scoring-dtype
-        item matrix, compile the inference plan (when the engine is
-        configured and the model supports one) and spin up the shard layout
-        for the new catalogue generation."""
+        item matrix, compile the inference plan (when the model supports
+        one) and spin up the shard layout for the new catalogue
+        generation."""
         recommender = deployment.recommender
         recommender.item_matrix()
         recommender.engine()
@@ -214,10 +214,10 @@ class Publisher:
         """In-place invalidation for a deployment fine-tuned without a swap.
 
         One :class:`~repro.serving.generations.GenerationClock` advance:
-        the item matrix and its dtype casts, the compiled plan (and its
-        session cache), every ANN index, fallback table and the shard
-        layout of the named deployment — across all dtype siblings — lapse
-        together and rebuild lazily.  Returns the new generation stamp.
+        the item matrix and its scoring cast, the compiled plan, every ANN
+        index, fallback table and the shard layout of the named deployment
+        lapse together and rebuild lazily.  Returns the new generation
+        stamp.
         """
         deployment = self.registry.get(name)
         deployment.recommender.refresh_item_matrix()

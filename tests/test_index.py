@@ -2,9 +2,9 @@
 
 Covers: minibatch k-means edge cases (k > n, duplicate points, empty-cluster
 re-seeding determinism), exactness of the flat reference, IVF full-probe
-equivalence and partial-probe pruning, PQ encode/decode and ADC scoring,
-`.npz` persistence round trips, incremental `add`, the serving backends
-(`Recommender.topk(backend=...)`) and the `EmbeddingStore` index cache.
+equivalence and partial-probe pruning, `.npz` persistence round trips,
+incremental `add`, the serving backends (`Recommender.topk(backend=...)`)
+and the `EmbeddingStore` index cache.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from repro.data.splits import leave_one_out_split
 from repro.index import (
     FlatIndex,
     IVFFlatIndex,
-    IVFPQIndex,
     ItemIndex,
-    ProductQuantizer,
     available_indexes,
     build_index,
     default_n_lists,
@@ -207,80 +205,10 @@ class TestIVFFlatIndex:
             IVFFlatIndex(metric="cosine")
 
 
-class TestProductQuantizer:
-    def test_reconstruction_beats_mean_baseline(self, clustered_vectors):
-        vectors, _ = clustered_vectors
-        quantizer = ProductQuantizer(n_subspaces=4, n_centroids=32, seed=0)
-        quantizer.fit(vectors)
-        codes = quantizer.encode(vectors)
-        assert codes.shape == (600, 4)
-        assert codes.dtype == np.uint8
-        reconstruction_error = np.mean((quantizer.decode(codes) - vectors) ** 2)
-        baseline_error = np.mean((vectors - vectors.mean(axis=0)) ** 2)
-        assert reconstruction_error < 0.25 * baseline_error
-
-    def test_adc_matches_decoded_inner_product(self, clustered_vectors):
-        vectors, queries = clustered_vectors
-        quantizer = ProductQuantizer(n_subspaces=4, n_centroids=16, seed=0)
-        quantizer.fit(vectors)
-        codes = quantizer.encode(vectors[:50])
-        tables = quantizer.lookup_tables(queries, metric="ip")
-        adc = quantizer.adc_scores(tables, codes)
-        exact_on_decoded = queries.astype(np.float64) @ quantizer.decode(codes).T
-        assert np.allclose(adc, exact_on_decoded, atol=1e-8)
-
-    def test_uneven_dimension_split(self):
-        rng = np.random.default_rng(0)
-        vectors = rng.standard_normal((100, 10))
-        quantizer = ProductQuantizer(n_subspaces=4, n_centroids=8, seed=0)
-        quantizer.fit(vectors)
-        assert quantizer.num_subspaces == 4
-        assert quantizer.decode(quantizer.encode(vectors)).shape == (100, 10)
-
-    def test_rejects_invalid_config(self):
-        with pytest.raises(ValueError):
-            ProductQuantizer(n_subspaces=0)
-        with pytest.raises(ValueError):
-            ProductQuantizer(n_centroids=1000)
-
-
-class TestIVFPQIndex:
-    def test_refined_search_tracks_exact(self, clustered_vectors):
-        vectors, queries = clustered_vectors
-        flat = FlatIndex().build(vectors)
-        index = IVFPQIndex(n_lists=12, n_subspaces=8, n_centroids=32,
-                           refine_factor=4, seed=0).build(vectors)
-        flat_ids, _ = flat.search(queries, 5)
-        ids, _ = index.search(queries, 5, nprobe=12)
-        recall = np.mean([len(set(a) & set(b)) / 5
-                          for a, b in zip(ids.tolist(), flat_ids.tolist())])
-        assert recall >= 0.9
-
-    def test_codes_only_mode_drops_vectors(self, clustered_vectors):
-        vectors, queries = clustered_vectors
-        index = IVFPQIndex(n_lists=6, n_subspaces=8, n_centroids=32,
-                           keep_vectors=False, seed=0).build(vectors)
-        assert index._vectors is None
-        ids, scores = index.search(queries, 5, nprobe=6)
-        assert ids.shape == (20, 5)
-        assert np.all(np.isfinite(scores))
-
-    def test_add_extends_index(self, clustered_vectors):
-        vectors, _ = clustered_vectors
-        index = IVFPQIndex(n_lists=6, n_subspaces=4, n_centroids=16,
-                           seed=0).build(vectors, ids=np.arange(1, 601))
-        new = vectors[:3] * 100.0
-        index.add(new, ids=np.array([700, 701, 702]))
-        assert len(index) == 603
-        ids, _ = index.search(new, 1, nprobe=6)
-        assert set(ids.ravel().tolist()) <= {700, 701, 702}
-
-
 class TestPersistence:
     @pytest.mark.parametrize("kind,params", [
         ("flat", {}),
         ("ivf", {"n_lists": 8, "seed": 0}),
-        ("ivfpq", {"n_lists": 8, "n_subspaces": 4, "n_centroids": 16, "seed": 0}),
     ])
     def test_round_trip_preserves_search(self, tmp_path, clustered_vectors,
                                          kind, params):
@@ -309,7 +237,7 @@ class TestPersistence:
             load_index(foreign)
 
     def test_registry(self):
-        assert set(available_indexes()) >= {"flat", "ivf", "ivfpq"}
+        assert set(available_indexes()) == {"flat", "ivf"}
         with pytest.raises(KeyError):
             build_index("annoy")
         assert isinstance(ItemIndex.load, object)
@@ -339,16 +267,6 @@ class TestServingBackends:
         assert np.array_equal(exact.items, approx.items)
         assert np.allclose(exact.scores, approx.scores)
         assert np.array_equal(exact.cold, approx.cold)
-
-    def test_ivfpq_backend_returns_valid_items(self, serving_setup):
-        dataset, split, _, _ = serving_setup
-        recommender = self._recommender(
-            serving_setup, index_params={"n_lists": 8, "nprobe": 8})
-        histories = [case.history for case in split.test[:12]]
-        result = recommender.topk(histories, config=self._config(k=5, backend="ivfpq"))
-        assert result.items.shape == (12, 5)
-        assert np.all(result.items >= 1)
-        assert np.all(result.items <= dataset.num_items)
 
     def test_seen_items_never_recommended(self, serving_setup):
         _, split, _, _ = serving_setup

@@ -2,10 +2,8 @@
 
 Covers: plan compilation + **bit-identity** against the ``nn.no_grad`` graph
 path for every registered model family at float32 and float64, buffer-arena
-reuse (zero growth across repeated calls), program LRU eviction, SessionCache
-hit / miss / eviction semantics, suffix-append parity vs full re-encode per
-incremental family, and the serving-layer integration (engine routing,
-per-response diagnostics, dtype-sibling cache sharing, CLI error paths).
+reuse (zero growth across repeated calls), program LRU eviction, and the
+serving-layer integration (engine routing, per-response diagnostics).
 """
 
 from __future__ import annotations
@@ -18,9 +16,6 @@ from repro.cli import main as cli_main
 from repro.data.dataloader import SequenceBatch, pad_sequences
 from repro.infer import (
     BufferArena,
-    InferenceEngine,
-    SessionCache,
-    SessionEntry,
     UnsupportedModelError,
     compile_plan,
 )
@@ -29,6 +24,7 @@ from repro.models.base import SequentialRecommender
 from repro.nn.functional import catalogue_scores
 from repro.serving import Recommender, ServingConfig
 from repro.serving.recommender import full_sort_topk
+from repro.training.evaluation import padded_catalogue_scores
 
 NUM_ITEMS = 70
 MAX_SEQ = 10
@@ -67,6 +63,21 @@ def _build(name, features, train_sequences, dtype="float64", seed=0,
 
 def _padded(histories):
     return pad_sequences([history[-MAX_SEQ:] for history in histories], MAX_SEQ)
+
+
+def _graph_reference_topk(recommender, histories, k):
+    """``full_sort_topk`` over the ``no_grad`` graph encoder and the shared
+    scoring kernel: the reference a compiled ``topk`` must match bit for bit
+    (``histories`` all warm, seen items masked)."""
+    model = recommender.model
+    item_ids, lengths = _padded(histories)
+    users = model.encode_sequences(item_ids, lengths,
+                                   item_matrix=model.inference_item_matrix())
+    scores = padded_catalogue_scores(users, recommender.item_matrix(),
+                                     recommender.dtype)
+    for row, history in enumerate(histories):
+        scores[row, [0] + history] = -np.inf
+    return full_sort_topk(scores, k)
 
 
 # --------------------------------------------------------------------- #
@@ -315,129 +326,6 @@ class TestLastPositionProgram:
 
 
 # --------------------------------------------------------------------- #
-# SessionCache semantics
-# --------------------------------------------------------------------- #
-class TestSessionCache:
-    def test_hit_miss_and_lru_eviction(self):
-        cache = SessionCache(max_entries=2)
-        assert cache.lookup((1, 2)) is None
-        cache.miss()
-        cache.store((1, 2), SessionEntry(user="a"))
-        cache.store((3, 4), SessionEntry(user="b"))
-        assert cache.lookup((1, 2)).user == "a"  # refreshes (1, 2)
-        cache.store((5, 6), SessionEntry(user="c"))  # evicts (3, 4)
-        assert (3, 4) not in cache
-        assert (1, 2) in cache and (5, 6) in cache
-        assert cache.evictions == 1
-        assert cache.hits == 1 and cache.misses == 1
-        stats = cache.stats()
-        assert stats["entries"] == 2 and stats["max_entries"] == 2
-
-    def test_prefix_lookup_requires_state(self):
-        cache = SessionCache(max_entries=4)
-        cache.store((1, 2), SessionEntry(user="u", state=None))
-        assert cache.lookup_prefix((1, 2, 3)) is None  # no incremental state
-        cache.store((1, 2), SessionEntry(user="u", state="s"))
-        entry = cache.lookup_prefix((1, 2, 3))
-        assert entry is not None and entry.state == "s"
-        assert cache.prefix_hits == 1
-        assert cache.lookup_prefix((9,)) is None  # too short
-
-    def test_hit_rate(self):
-        cache = SessionCache(max_entries=4)
-        assert cache.hit_rate == 0.0
-        cache.store((1,), SessionEntry(user="u"))
-        cache.lookup((1,))
-        cache.miss()
-        assert cache.hit_rate == pytest.approx(0.5)
-
-    def test_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            SessionCache(max_entries=0)
-
-
-# --------------------------------------------------------------------- #
-# Engine-level caching & incremental encoding
-# --------------------------------------------------------------------- #
-class TestEngineSessionCaching:
-    def test_exact_hit_is_bitwise_and_counts(self, infer_setup):
-        features, train_sequences, histories = infer_setup
-        model = _build("sasrec_id", features, train_sequences)
-        matrix = model.inference_item_matrix()
-        engine = InferenceEngine(model, session_cache_size=8)
-        item_ids, lengths = _padded(histories[:2])
-        first = engine.encode_sequences(item_ids, lengths, matrix)
-        second = engine.encode_sequences(item_ids, lengths, matrix)
-        assert np.array_equal(first, second)
-        stats = engine.stats()["session_cache"]
-        assert stats["hits"] == 2 and stats["misses"] == 2
-
-    @pytest.mark.parametrize("name", ["gru4rec", "grcn"])
-    def test_suffix_append_parity_vs_full_reencode(self, name, infer_setup):
-        """Prefix hits re-encode only the appended item; results must agree
-        with a full re-encode: identical top-k ids, scores to float
-        accumulation accuracy (bitwise for the GRU single-row case)."""
-        features, train_sequences, _ = infer_setup
-        model = _build(name, features, train_sequences)
-        matrix = model.inference_item_matrix()
-        engine = InferenceEngine(model, session_cache_size=16)
-
-        history = [3, 8, 1, 5]
-        item_ids, lengths = _padded([history])
-        engine.encode_sequences(item_ids, lengths, matrix)
-        extended_ids, extended_lengths = _padded([history + [9]])
-        incremental = engine.encode_sequences(extended_ids, extended_lengths, matrix)
-        assert engine.stats()["session_cache"]["prefix_hits"] == 1
-
-        full = compile_plan(model).encode(extended_ids, extended_lengths, matrix)
-        if name == "gru4rec":
-            # Single-row GRU appends replay the exact per-step operations of
-            # the full unroll at the same GEMM shape: bitwise equal.
-            assert np.array_equal(incremental, full)
-        else:
-            assert np.allclose(incremental, full, rtol=1e-12, atol=1e-12)
-        # Either way the served ranking cannot change.
-        scoring = matrix.astype(np.float32, copy=False)
-        ids_incremental, _ = full_sort_topk(catalogue_scores(incremental, scoring), 10)
-        ids_full, _ = full_sort_topk(catalogue_scores(full, scoring), 10)
-        assert np.array_equal(ids_incremental, ids_full)
-
-    def test_transformer_prefix_falls_back_to_full_reencode(self, infer_setup):
-        """Left-padded absolute positions shift on append, so transformer
-        plans never reuse per-layer state — the appended window is a fresh
-        full encode (still cached for next time)."""
-        features, train_sequences, _ = infer_setup
-        model = _build("sasrec_id", features, train_sequences)
-        matrix = model.inference_item_matrix()
-        engine = InferenceEngine(model, session_cache_size=8)
-        history = [3, 8, 1]
-        engine.encode_sequences(*_padded([history]), item_matrix=matrix)
-        extended = engine.encode_sequences(*_padded([history + [9]]),
-                                           item_matrix=matrix)
-        stats = engine.stats()["session_cache"]
-        assert stats["prefix_hits"] == 0 and stats["misses"] == 2
-        reference = compile_plan(model).encode(*_padded([history + [9]]),
-                                               item_matrix=matrix)
-        assert np.array_equal(extended, reference)
-
-    def test_slid_window_uses_full_reencode(self, infer_setup):
-        """Once the window is full, an append drops the oldest item — the
-        prefix key no longer matches and the row re-encodes fully."""
-        features, train_sequences, _ = infer_setup
-        model = _build("gru4rec", features, train_sequences)
-        matrix = model.inference_item_matrix()
-        engine = InferenceEngine(model, session_cache_size=8)
-        history = [int(i % NUM_ITEMS) + 1 for i in range(MAX_SEQ)]  # full window
-        engine.encode_sequences(*_padded([history]), item_matrix=matrix)
-        extended = engine.encode_sequences(*_padded([history + [7]]),
-                                           item_matrix=matrix)
-        assert engine.stats()["session_cache"]["prefix_hits"] == 0
-        reference = compile_plan(model).encode(*_padded([history + [7]]),
-                                               item_matrix=matrix)
-        assert np.array_equal(extended, reference)
-
-
-# --------------------------------------------------------------------- #
 # Serving integration
 # --------------------------------------------------------------------- #
 class TestServingIntegration:
@@ -447,13 +335,12 @@ class TestServingIntegration:
         features, train_sequences, histories = infer_setup
         model = _build(name, features, train_sequences, dtype=dtype)
         recommender = Recommender(model, train_sequences=train_sequences)
-        compiled = recommender.topk(
-            histories, config=ServingConfig(k=10, engine="compiled"))
-        graph = recommender.topk(
-            histories, config=ServingConfig(k=10, engine="graph"))
-        assert compiled.engine == "compiled" and graph.engine == "graph"
-        assert np.array_equal(compiled.items, graph.items)
-        assert np.array_equal(compiled.scores, graph.scores)
+        compiled = recommender.topk(histories, k=10)
+        graph_items, graph_scores = _graph_reference_topk(
+            recommender, histories, 10)
+        assert compiled.engine == "compiled"
+        assert np.array_equal(compiled.items, graph_items)
+        assert np.array_equal(compiled.scores, graph_scores)
 
     def test_topk_reports_engine_and_encode_ms(self, infer_setup):
         features, train_sequences, histories = infer_setup
@@ -470,53 +357,9 @@ class TestServingIntegration:
         features, train_sequences, _ = infer_setup
         model = _build("whitenrec", features, train_sequences)
         recommender = Recommender(model)
-        assert recommender.config.engine == "compiled"
+        assert recommender.engine_name == "compiled"
         recommender.topk([[1, 2, 3]], k=5)
         assert recommender.engine_stats()["compiled"] is True
-
-    def test_per_call_compiled_override_on_graph_config(self, infer_setup):
-        """A graph-configured recommender honours a per-call
-        engine="compiled" override (building the plan lazily) instead of
-        silently serving the graph path."""
-        features, train_sequences, histories = infer_setup
-        model = _build("sasrec_id", features, train_sequences)
-        recommender = Recommender(model, config=ServingConfig(engine="graph"))
-        default = recommender.topk(histories[:2], k=5)
-        assert default.engine == "graph"
-        compiled = recommender.topk(
-            histories[:2], config=ServingConfig(k=5, engine="compiled"))
-        assert compiled.engine == "compiled"
-        assert np.array_equal(default.items, compiled.items)
-        assert np.array_equal(default.scores, compiled.scores)
-
-    def test_sibling_ann_index_invalidated_by_shared_refresh(self, infer_setup):
-        """Regression: a dtype sibling's ANN index must not outlive a
-        refresh performed on the base recommender (shared generation)."""
-        from repro.service import Deployment
-
-        features, train_sequences, histories = infer_setup
-        model = _build("whitenrec", features, train_sequences)
-        deployment = Deployment(name="main", recommender=Recommender(
-            model, index_params={"n_lists": 4, "nprobe": 4, "seed": 0}))
-        base = deployment.recommender_for()
-        sibling = deployment.recommender_for("float64")
-        sibling.item_index("ivf")
-        stale = sibling._indexes["ivf"]
-        model.projection.net.layers[0].weight.data += 0.1  # fine-tune
-        base.refresh_item_matrix()
-        ann = sibling.topk(histories, config=ServingConfig(
-            k=5, backend="ivf", overfetch_margin=16, score_dtype="float64"))
-        assert sibling._indexes["ivf"] is not stale
-        exact = sibling.topk(histories, config=ServingConfig(
-            k=5, backend="exact", score_dtype="float64"))
-        assert np.array_equal(ann.items, exact.items)
-
-    def test_session_cache_override_is_structural(self, infer_setup):
-        features, train_sequences, _ = infer_setup
-        model = _build("sasrec_id", features, train_sequences)
-        recommender = Recommender(model)
-        with pytest.raises(ValueError, match="session_cache"):
-            recommender.topk([[1, 2]], config=ServingConfig(session_cache=4))
 
     def test_refresh_item_matrix_recompiles_engine(self, infer_setup):
         features, train_sequences, histories = infer_setup
@@ -530,12 +373,11 @@ class TestServingIntegration:
         recommender.refresh_item_matrix()
         fresh_engine = recommender.engine()
         assert fresh_engine is not stale_engine
-        compiled = recommender.topk(
-            histories, config=ServingConfig(k=10, engine="compiled"))
-        graph = recommender.topk(
-            histories, config=ServingConfig(k=10, engine="graph"))
-        assert np.array_equal(compiled.items, graph.items)
-        assert np.array_equal(compiled.scores, graph.scores)
+        compiled = recommender.topk(histories, k=10)
+        graph_items, graph_scores = _graph_reference_topk(
+            recommender, histories, 10)
+        assert np.array_equal(compiled.items, graph_items)
+        assert np.array_equal(compiled.scores, graph_scores)
 
     def test_ann_backend_uses_compiled_encoder(self, infer_setup):
         features, train_sequences, histories = infer_setup
@@ -544,23 +386,22 @@ class TestServingIntegration:
             model, train_sequences=train_sequences,
             index_params={"n_lists": 4, "nprobe": 4, "seed": 0})
         exact = recommender.topk(histories, config=ServingConfig(
-            k=5, backend="exact", engine="compiled"))
+            k=5, backend="exact"))
         ann = recommender.topk(histories, config=ServingConfig(
-            k=5, backend="ivf", engine="compiled", overfetch_margin=16))
+            k=5, backend="ivf"))
         assert ann.engine == "compiled"
         assert np.array_equal(exact.items, ann.items)
 
+
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="engine"):
-            ServingConfig(engine="warp")
-        with pytest.raises(ValueError, match="session_cache"):
-            ServingConfig(session_cache=-1)
-        payload = ServingConfig(engine="graph", session_cache=8).to_dict()
-        assert payload["engine"] == "graph"
-        assert payload["session_cache"] == 8
-        round_trip = ServingConfig.from_dict(payload)
-        assert round_trip.engine == "graph"
-        assert round_trip.session_cache == 8
+        """The engine is not a serving knob: the removed fields are rejected
+        at construction and over the JSON protocol alike."""
+        for removed in ({"engine": "graph"}, {"session_cache": 8}):
+            with pytest.raises(TypeError):
+                ServingConfig(**removed)
+            with pytest.raises(ValueError, match="unknown ServingConfig"):
+                ServingConfig.from_dict(removed)
+        assert "engine" not in ServingConfig().to_dict()
 
 
 # --------------------------------------------------------------------- #
@@ -587,47 +428,27 @@ class TestServiceAndCli:
 
         features, train_sequences, histories = infer_setup
         model = _build("sasrec_id", features, train_sequences)
-        deployment = Deployment(name="main", recommender=Recommender(
-            model, config=ServingConfig(session_cache=8)),
-            config=ServingConfig(session_cache=8))
+        deployment = Deployment(name="main", recommender=Recommender(model))
         assert deployment.describe()["engine"]["compiled"] is False  # lazy
         deployment.recommender.topk([histories[0]], k=5)
         described = deployment.describe()["engine"]
         assert described["compiled"] is True
-        assert described["session_cache"]["enabled"] is True
-        assert "hit_rate" in described["session_cache"]
+        assert described["encode_calls"] == 1
         import json
         json.dumps(deployment.describe())  # stats endpoint serialisability
 
-    def test_dtype_siblings_share_engine_and_matrix_cache(self, infer_setup):
-        from repro.service import Deployment
-
-        features, train_sequences, histories = infer_setup
-        model = _build("sasrec_id", features, train_sequences)
-        deployment = Deployment(name="main", recommender=Recommender(model))
-        base = deployment.recommender_for()
-        sibling = deployment.recommender_for("float64")
-        assert sibling is not base
-        assert sibling._matrix_cache is base._matrix_cache
-        base.topk([histories[0]], k=5)
-        assert sibling.engine() is base.engine()
-
     def test_cli_rejects_unknown_engine(self, capsys):
-        exit_code = cli_main(["serve", "--engine", "warp"])
-        assert exit_code == 2
-        assert "unknown engine" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["serve", "arts", "--engine=warp"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_cli_rejects_negative_session_cache(self, capsys):
-        exit_code = cli_main(["serve", "--session-cache", "-3"])
-        assert exit_code == 2
-        assert "session-cache" in capsys.readouterr().err
-
-    def test_cli_help_documents_engine(self, capsys):
-        with pytest.raises(SystemExit):
-            cli_main(["serve", "--help"])
-        help_text = capsys.readouterr().out
-        assert "--engine" in help_text
-        assert "--session-cache" in help_text
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["serve", "arts", "--session-cache=-3"])
+        assert excinfo.value.code == 2
+        assert ("unrecognized arguments: --session-cache"
+                in capsys.readouterr().err)
 
 
 # --------------------------------------------------------------------- #

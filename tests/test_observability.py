@@ -500,14 +500,11 @@ class TestServiceObservability:
         # Serialisation rounds; the in-memory trace stays raw.
         assert payload["stages_ms"]["total"] == round(stages["total"], 3)
 
-    def test_unbatched_and_dtype_paths_share_the_schema(self, deployment):
+    def test_unbatched_path_shares_the_schema(self, deployment):
         with RecommenderService(batching=False) as service:
             service.deploy(deployment)
             plain = service.recommend({"history": [1, 2]})
-            dtyped = service.recommend({"history": [1, 2],
-                                        "score_dtype": "float64"})
         assert set(plain.stages_ms) == set(STAGES) | {"total"}
-        assert set(dtyped.stages_ms) == set(STAGES) | {"total"}
 
     def test_metrics_false_disables_instrumentation(self, deployment):
         with RecommenderService(metrics=False) as service:

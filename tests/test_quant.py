@@ -3,9 +3,9 @@
 Covers: the int8 codec round trip and its error bound, exact-parity of the
 shortlist-then-re-rank scorer against the dense shard scorer (including
 ties, sub-ranges, zero rows and degenerate shapes), the shard client / layout
-sidecar wiring, fp16-storage weights for compiled plans, the serving-config
-validation surface, Recommender parity and re-quantization coherence under
-the generation clock, and the tree-checkpoint catalogue layout.
+sidecar wiring, the serving-config validation surface, Recommender parity
+and re-quantization coherence under the generation clock, and the
+tree-checkpoint catalogue layout.
 """
 
 from __future__ import annotations
@@ -19,13 +19,10 @@ from repro.experiments.persistence import (
     checkpoint_item_matrix_layout,
     save_checkpoint_tree,
 )
-from repro.infer import InferenceEngine
 from repro.models import ModelConfig, build_model
 from repro.quant import (
     QuantizedMatrix,
     dequantize,
-    demote_weights,
-    materialise_weights,
     quantize_matrix,
     quantized_topk,
 )
@@ -34,7 +31,6 @@ from repro.serving import (
     EmbeddingStore,
     Recommender,
     ServingConfig,
-    WEIGHT_STORAGES,
 )
 from repro.shard import ItemMatrixLayout, LocalShardClient
 from repro.shard.scoring import exact_shard_topk
@@ -254,78 +250,11 @@ class TestShardCodec:
         assert np.array_equal(ref[1], got[1])
 
 
-class TestFp16Weights:
-    def test_demote_halves_float32_leaves_only(self):
-        snapshot = {
-            "w": np.ones((4, 4), dtype=np.float32),
-            "mask": np.ones(4, dtype=bool),
-            "ids": np.arange(4),
-            "nested": [np.zeros(3, dtype=np.float32), None, 7],
-        }
-        demoted = demote_weights(snapshot)
-        assert demoted["w"].dtype == np.float16
-        assert demoted["mask"].dtype == bool
-        assert demoted["ids"].dtype == snapshot["ids"].dtype
-        assert demoted["nested"][0].dtype == np.float16
-        assert demoted["nested"][1] is None and demoted["nested"][2] == 7
-
-    def test_demote_rejects_float64_leaves(self):
-        with pytest.raises(ValueError, match="float32 model"):
-            demote_weights({"w": np.zeros(2, dtype=np.float64)})
-
-    def test_materialise_restores_fp32_half_ulp(self):
-        from repro.infer.arena import BufferArena
-
-        rng = np.random.default_rng(0)
-        weights = rng.standard_normal((8, 8)).astype(np.float32)
-        demoted = demote_weights({"w": weights})
-        arena = BufferArena()
-        restored = materialise_weights(arena, "t", demoted)["w"]
-        assert restored.dtype == np.float32
-        assert np.array_equal(restored, weights.astype(np.float16)
-                              .astype(np.float32))
-
-    def test_engine_fp16_rank_parity(self, serving_setup):
-        from repro.nn import autocast
-
-        dataset, split, features, _ = serving_setup
-        config = ModelConfig(hidden_dim=16, num_layers=1, num_heads=2,
-                             dropout=0.1, max_seq_length=12, seed=0)
-        with autocast("float32"):
-            model = build_model("sasrec_id", dataset.num_items, config=config)
-        model.eval()
-        matrix = model.inference_item_matrix()
-        item_ids = np.asarray([[1, 2, 3, 0], [4, 5, 0, 0]], dtype=np.int64)
-        lengths = np.asarray([3, 2], dtype=np.int64)
-
-        exact = InferenceEngine(model).encode_sequences(
-            item_ids, lengths, item_matrix=matrix)
-        halved = InferenceEngine(model, weight_storage="fp16")
-        assert halved.plan.describe()["weight_storage"] == "fp16"
-        approx = halved.encode_sequences(item_ids, lengths,
-                                         item_matrix=matrix)
-        # Not bit-identical (weights were rounded), but the served ranking
-        # must agree at top-k.
-        assert not np.array_equal(exact, approx)
-        exact_rank = np.argsort(-(exact @ matrix.T), axis=1)[:, :K]
-        approx_rank = np.argsort(-(approx @ matrix.T), axis=1)[:, :K]
-        assert np.array_equal(exact_rank, approx_rank)
-
-    def test_engine_rejects_float64_model(self, serving_setup):
-        _, _, _, model = serving_setup
-        assert np.dtype(model.dtype) == np.float64
-        with pytest.raises(ValueError, match="float32 model"):
-            InferenceEngine(model, weight_storage="fp16")
-
-
 class TestServingConfigSurface:
     def test_codec_and_storage_enumerations(self):
         assert CATALOGUE_CODECS == ("fp32", "int8")
-        assert WEIGHT_STORAGES == ("fp32", "fp16")
         with pytest.raises(ValueError, match="catalogue_codec"):
             ServingConfig(catalogue_codec="int4")
-        with pytest.raises(ValueError, match="weight_storage"):
-            ServingConfig(weight_storage="fp8")
 
     def test_int8_requires_float32_scoring(self):
         with pytest.raises(ValueError, match="score_dtype"):
@@ -334,8 +263,7 @@ class TestServingConfigSurface:
         assert config.score_dtype == "float32"
 
     def test_round_trips_through_dict(self):
-        config = ServingConfig(catalogue_codec="int8",
-                               weight_storage="fp16")
+        config = ServingConfig(catalogue_codec="int8")
         assert ServingConfig.from_dict(config.to_dict()) == config
 
 
@@ -367,9 +295,6 @@ class TestRecommenderCodec:
         with pytest.raises(ValueError, match="catalogue_codec"):
             quant.topk(histories[:2],
                        config=ServingConfig(k=K, catalogue_codec="fp32"))
-        with pytest.raises(ValueError, match="weight_storage"):
-            dense.topk(histories[:2],
-                       config=ServingConfig(k=K, weight_storage="fp16"))
 
     def test_quantization_memoised_per_generation(self, serving_setup):
         dense, quant, histories = self._pair(serving_setup)

@@ -455,7 +455,7 @@ class _ScriptedClient:
         self.closed = False
 
     def search(self, queries, k, *, exclude=None, backend="exact",
-               overfetch=0, timeout=None):
+               timeout=None):
         self.calls += 1
         outcome = (self.outcomes.pop(0) if self.outcomes else "ok")
         if outcome == "crash":

@@ -11,8 +11,10 @@ access log), and the `repro serve` CLI error paths.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import multiprocessing
 import threading
 import time
 import urllib.request
@@ -205,15 +207,21 @@ class TestRegistry:
         assert sorted(fresh.version for fresh in results) == [2, 3, 4, 5]
         assert registry.get("m").version == 5
 
-    def test_recommender_for_dtype_variants(self, deployment):
-        base = deployment.recommender_for()
-        assert base is deployment.recommender
-        assert deployment.recommender_for("float32") is base
-        variant = deployment.recommender_for("float64")
-        assert variant is not base
-        assert variant.dtype == np.dtype("float64")
-        assert deployment.recommender_for(np.float64) is variant  # cached
-        assert variant._popularity is base._popularity
+    def test_config_must_match_the_recommender_structurally(self,
+                                                            service_setup):
+        """A deployment whose config disagrees with what its recommender was
+        built for fails at construction, naming the field — not later, as a
+        client-side ``RequestError`` on every request."""
+        _, split, features, make_model = service_setup
+        recommender = _recommender(split, features, make_model(0))
+        with pytest.raises(ValueError, match="shards=2"):
+            Deployment("arts", recommender, config=ServingConfig(shards=2))
+        with pytest.raises(ValueError, match="score_dtype"):
+            Deployment("arts", recommender,
+                       config=ServingConfig(score_dtype="float64"))
+        # non-structural fields are the deployment's to choose
+        Deployment("arts", recommender,
+                   config=ServingConfig(k=3, backend="ivf", exclude_seen=False))
 
 
 class TestDynamicBatcher:
@@ -433,18 +441,6 @@ class TestRecommenderService:
         for row, response in enumerate(responses):
             assert response.items == [int(i) for i in direct.items[row]]
 
-    def test_score_dtype_override_bypasses_batcher(self, service_setup,
-                                                   deployment):
-        _, split, _, _ = service_setup
-        history = split.test[0].history
-        with RecommenderService() as service:
-            service.deploy(deployment)
-            response = service.recommend(
-                {"history": list(history), "score_dtype": "float64"})
-        assert response.batch_size == 1
-        direct = deployment.recommender_for("float64").topk([history], k=5)
-        assert response.scores == [float(s) for s in direct.scores[0]]
-
     def test_multiple_deployments_route_by_name(self, service_setup):
         _, split, features, make_model = service_setup
         history = split.test[0].history
@@ -545,8 +541,7 @@ class TestRecommenderService:
         _, split, _, _ = service_setup
         valid = {"history": list(split.test[0].history)}
         for bad in ({"history": [1], "deployment": "nope"},
-                    {"history": [1], "backend": "faiss"},
-                    {"history": [1], "score_dtype": "not-a-dtype"}):
+                    {"history": [1], "backend": "faiss"}):
             with RecommenderService(autostart_batchers=False) as service:
                 service.deploy(deployment)
                 with pytest.raises(RequestError):
@@ -659,18 +654,26 @@ class TestJSONLServer:
 
 
 class TestHTTPServer:
-    @pytest.fixture()
-    def http_server(self, deployment):
+    @staticmethod
+    @contextlib.contextmanager
+    def _serving(deployment):
         service = RecommenderService()
         service.deploy(deployment)
         server = ServiceHTTPServer(service, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
-        yield server
-        server.shutdown()
-        server.server_close()
-        service.close()
-        thread.join(timeout=5)
+        try:
+            yield server
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+            thread.join(timeout=5)
+
+    @pytest.fixture()
+    def http_server(self, deployment):
+        with self._serving(deployment) as server:
+            yield server
 
     def _post(self, server, path, payload):
         request = urllib.request.Request(
@@ -715,6 +718,40 @@ class TestHTTPServer:
         assert status == 200 and payload["deployments"][0]["name"] == "arts"
         status, payload = self._get(http_server, "/healthz")
         assert status == 200 and payload["ok"] is True
+
+    @pytest.mark.timeout(120)
+    def test_score_dtype_field_is_a_400_that_builds_nothing(self,
+                                                            service_setup):
+        """Regression: a per-request ``score_dtype`` used to build a dtype
+        sibling of the deployment's recommender — on a 2-shard process
+        deployment one request took the server from 2 to 4 worker processes
+        and pinned a second catalogue copy for the deployment's lifetime.
+        The field is gone: a 400 naming it, and nothing gets built."""
+        _, split, features, make_model = service_setup
+        config = ServingConfig(k=5, shards=2, shard_backend="process")
+        recommender = _recommender(split, features, make_model(0),
+                                   config=config)
+        history = list(split.test[0].history)
+        idle = len(multiprocessing.active_children())
+        try:
+            with self._serving(Deployment("arts", recommender,
+                                          config=config)) as server:
+                status, _ = self._post(server, "/recommend",
+                                       {"history": history})
+                assert status == 200
+                workers = len(multiprocessing.active_children())
+                casts = recommender._matrix_cache.cast_count
+                assert workers == idle + 2 and casts == 1
+
+                status, payload = self._post(
+                    server, "/recommend",
+                    {"history": history, "score_dtype": "float64"})
+                assert status == 400
+                assert "unknown request field(s): score_dtype" in payload["error"]
+                assert len(multiprocessing.active_children()) == workers
+                assert recommender._matrix_cache.cast_count == casts
+        finally:
+            recommender.close()
 
     def test_healthz_reports_versions_and_uptime(self, http_server):
         """The PR-4 contract keys (`ok`, `deployments`) survive; uptime and
@@ -764,7 +801,7 @@ class TestServeCLIErrorPaths:
         captured = capsys.readouterr()
         assert code == 2
         assert "unknown backend 'faiss'" in captured.err
-        assert "exact, ivf, ivfpq" in captured.err
+        assert "exact, ivf" in captured.err
         assert "Traceback" not in captured.err
 
     def test_missing_checkpoint_exits_2_with_message(self, capsys):

@@ -252,7 +252,7 @@ class TestLocalShardClient:
         client = LocalShardClient(shard_matrix, 2,
                                   index_params={"n_lists": 8, "nprobe": 8})
         ids, scores = client.search(shard_queries, 10, backend="ivf",
-                                    exclude=EXCLUDES, overfetch=8)
+                                    exclude=EXCLUDES)
         assert ids.shape[0] == 5
         valid = ids >= 0
         assert valid.any(axis=1).all()

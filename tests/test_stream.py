@@ -174,20 +174,6 @@ class TestGenerations:
         if engine is not None:
             assert recommender.engine() is not engine
 
-    def test_dtype_siblings_share_one_clock(self, stream_setup):
-        _, split, features, make_model = stream_setup
-        recommender = Recommender(make_model(0),
-                                  store=EmbeddingStore(features),
-                                  train_sequences=split.train_sequences,
-                                  config=ServingConfig(k=5))
-        deployment = Deployment("arts", recommender,
-                                config=ServingConfig(k=5))
-        sibling = deployment.recommender_for("float64")
-        assert sibling.generation_clock is recommender.generation_clock
-        stamp = sibling.generation_clock.value
-        recommender.refresh_item_matrix()
-        assert sibling.generation_clock.value == stamp + 1
-
 
 # --------------------------------------------------------------------- #
 # Interaction log
@@ -591,8 +577,7 @@ class TestHotSwapUnderTraffic:
     @pytest.mark.parametrize("config", [
         ServingConfig(k=5),
         ServingConfig(k=5, shards=2, shard_backend="local"),
-        ServingConfig(k=5, session_cache=64),
-    ], ids=["batched", "sharded", "session-cached"])
+    ], ids=["batched", "sharded"])
     def test_concurrent_requests_see_old_or_new_never_torn(
             self, stream_setup, tmp_path, config):
         _, split, features, make_model = stream_setup

@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Bench regression gate: fail CI when tracked benchmarks regress.
 
-The committed ``BENCH_*.json`` at the repository root are the baselines — a
-per-commit trajectory of training throughput (``BENCH_train.json``), serving
-latency (``BENCH_serve_latency.json``), cold-path encode latency
-(``BENCH_encode.json``) and so on.  The benchmark suite never writes there:
+The committed ``BENCH_*.json`` at the repository root are the baselines of
+the three engineering benches ``e2e_bench`` does not cover — the 1M-item
+shard scan (``BENCH_shard.json``), fault-injection goodput and recovery
+(``BENCH_resilience.json``) and the metrics-registry overhead ratio
+(``BENCH_metrics_overhead.json``).  The benchmark suite never writes there:
 fresh results land in the git-ignored ``benchmarks/out/`` (see
 ``write_bench_result`` in ``conftest.py``), so running the benches leaves
 the working tree clean, and refreshing a baseline is an explicit
@@ -12,7 +13,7 @@ the working tree clean, and refreshing a baseline is an explicit
 the benchmarks, this script compares the fresh files against the committed
 baselines and exits non-zero when
 
-* any **relative** throughput metric (``speedup`` / ``min_speedup`` /
+* any **relative** throughput metric (``scan_speedup`` /
   ``goodput_speedup_raw`` — a ratio of two measurements from the *same*
   run, largely hardware-independent) dropped by more than ``--tolerance``
   (default 20%),
@@ -43,10 +44,10 @@ not to gate on); parity flags can never be skipped.
 
 **Repeated-samples mode.**  A benchmark that runs its headline measurement
 several times may record the per-round values in a top-level ``samples``
-map of flattened key -> list (e.g. ``{"sustainable_rps": [190, 205, 198]}``,
-written by the open-loop SLO bench).  When both the baseline and the fresh
-file carry >= 3 samples for a tracked throughput metric, the gate replaces
-the threshold test with a one-sided Mann-Whitney U test (pure-python normal
+map of flattened key -> list (e.g. ``{"goodput_speedup_raw": [6.4, 8.5,
+6.5]}``, written by the resilience bench).  When both the baseline and the
+fresh file carry >= 3 samples for a tracked throughput metric, the gate
+replaces the threshold test with a one-sided Mann-Whitney U test (pure-python normal
 approximation with tie and continuity corrections): the metric fails only
 when the fresh samples are *statistically significantly* lower than the
 baseline's at ``--alpha`` (default 0.05).  This is sharper than a fixed
@@ -82,13 +83,9 @@ FRESH_DIR = Path(__file__).resolve().parent / "out"
 
 #: the tracked benchmark files, in bench-suite order
 TRACKED_FILES = (
-    "BENCH_train.json",
-    "BENCH_serve_latency.json",
-    "BENCH_encode.json",
     "BENCH_shard.json",
-    "BENCH_serve_slo.json",
     "BENCH_resilience.json",
-    "BENCH_online.json",
+    "BENCH_metrics_overhead.json",
 )
 
 #: fewest per-round samples (each side) for the Mann-Whitney test to run

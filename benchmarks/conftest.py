@@ -1,15 +1,23 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper by calling the
-corresponding runner in :mod:`repro.experiments.runners` exactly once
-(``rounds=1``) and printing the rows/series the paper reports.  Absolute
-numbers differ from the paper (the substrate is a scaled-down synthetic
-simulation; see DESIGN.md), but the qualitative shape is asserted where it is
-stable at benchmark scale.
+This directory holds what neither ``e2e_bench/`` (the one place a
+performance number is recorded, under the fixed names of
+``BENCHMARK.json``) nor ``tests/`` (the one place bit-identity is asserted)
+covers:
+
+* the paper-shape benches — each regenerates one table or figure of the
+  paper by calling its runner in :mod:`repro.experiments.runners` exactly
+  once (``rounds=1``) and printing the rows/series the paper reports.
+  Absolute numbers differ from the paper (the substrate is a scaled-down
+  synthetic simulation), but the qualitative shape is asserted where it is
+  stable at benchmark scale;
+* three engineering benches whose fresh ``BENCH_*.json`` are gated by
+  ``check_regression.py``: the 1M-item shard scan, fault-injection
+  goodput/recovery, and the metrics-registry on/off overhead ratio.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/
 
 Environment knobs:
 
@@ -61,51 +69,3 @@ def write_bench_result(name: str, payload: dict) -> Path:
                     encoding="utf-8")
     print(f"wrote {path}")
     return path
-
-
-def reset_rss_peak() -> bool:
-    """Reset this process's peak-RSS high-water mark to its *current* RSS.
-
-    Writes ``5`` to ``/proc/self/clear_refs`` (Linux), which zeroes the
-    kernel's ``VmHWM`` so the next :func:`rss_peak_mb` reads the peak of
-    the section that follows, not of the whole process lifetime.  Without
-    this, a bench section's "peak RSS" inherits whatever earlier suite
-    sections happened to fault in — the number then depends on test
-    ordering, not on the section being measured.  Returns ``False`` where
-    unsupported (macOS, restricted /proc), in which case
-    :func:`rss_peak_mb` keeps reporting the process-lifetime peak.
-    """
-    try:
-        with open("/proc/self/clear_refs", "w", encoding="ascii") as handle:
-            handle.write("5")
-        return True
-    except OSError:
-        return False
-
-
-def rss_peak_mb() -> float:
-    """This process's peak resident set size, in MiB, since the last
-    successful :func:`reset_rss_peak` (or process start).
-
-    Prefers ``VmHWM`` from ``/proc/self/status`` because it is resettable
-    per section; falls back to ``resource.getrusage`` where /proc is
-    unavailable — ``ru_maxrss`` is kilobytes on Linux and bytes on macOS,
-    and is a process-lifetime high-water mark.  Lets memory-lean claims
-    (the int8 catalogue scan keeping the fp32 rows untouched on disk) be
-    recorded next to the throughput numbers: call ``reset_rss_peak()`` at
-    the start of the measured section and this at its end.
-    """
-    import resource
-    import sys
-
-    try:
-        with open("/proc/self/status", encoding="ascii") as handle:
-            for line in handle:
-                if line.startswith("VmHWM:"):
-                    return float(line.split()[1]) / 1024.0  # kB -> MiB
-    except OSError:
-        pass
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":
-        return peak / (1024.0 * 1024.0)
-    return peak / 1024.0

@@ -14,9 +14,10 @@ Two halves, one JSON:
   never materialised in this process), served by :class:`ShardPool`
   with 1 and 4 workers attached via zero-copy memmap, and scanned by a
   stream of batched exact searches.  Reported: items-scanned/s, per-request
-  p50/p95 latency, peak RSS, and the 4-vs-1 worker speedup — written to
-  ``benchmarks/out/BENCH_shard.json`` (uploaded as a CI artifact; gated by
-  ``check_regression.py`` against the baseline at the repository root).
+  p50/p95 latency, the workers' summed peak RSS, and the 4-vs-1 worker
+  speedup — written to ``benchmarks/out/BENCH_shard.json`` (uploaded as a
+  CI artifact; gated by ``check_regression.py`` against the baseline at the
+  repository root).
 
 The int8 catalogue codec (:mod:`repro.quant`) rides both halves: the parity
 gate asserts the quantized path bit-identical to the dense scorer at small
@@ -44,8 +45,7 @@ import tempfile
 import time
 
 import numpy as np
-from conftest import (reset_rss_peak, rss_peak_mb, run_once,
-                      write_bench_result)
+from conftest import run_once, write_bench_result
 
 from repro.data.synthetic import synthetic_item_matrix_layout
 from repro.shard import LocalShardClient, ShardPool
@@ -141,20 +141,31 @@ def _scan_stream(pool, queries, num_requests):
     return latencies_ms, time.perf_counter() - started
 
 
+def _workers_rss_peak_mb(pids) -> float | None:
+    """Summed lifetime peak RSS (``VmHWM``) of the given processes, in MiB;
+    ``None`` where ``/proc`` is unreadable.  The scans run in ``ShardPool``
+    workers, so this — not the parent's peak — is the scan's footprint, and
+    a worker spawned for one scan has faulted in nothing else."""
+    total_kb = 0.0
+    for pid in pids:
+        try:
+            with open(f"/proc/{pid}/status", encoding="ascii") as handle:
+                total_kb += next(float(line.split()[1]) for line in handle
+                                 if line.startswith("VmHWM:"))
+        except (OSError, StopIteration):
+            return None
+    return total_kb / 1024.0
+
+
 def _bench_workers(layout, num_workers, num_requests,
                    codec: str = "fp32") -> dict:
     rng = np.random.default_rng(num_workers)
     queries = rng.standard_normal((BATCH, layout.dim)).astype(np.float32)
-    # Peak RSS is measured per section: without the reset, the kernel's
-    # high-water mark inherits whatever earlier suite sections faulted in
-    # and the recorded "scan footprint" depends on test ordering — so where
-    # the reset is refused the entry carries no ``rss_peak_mb`` at all (see
-    # :func:`_rss_skips`), never the process-lifetime peak as a number.
-    rss_is_sectional = reset_rss_peak()
     with ShardPool.from_layout(layout, num_workers,
                                timeout=POOL_TIMEOUT, codec=codec) as pool:
         _scan_stream(pool, queries, 2)  # warm-up: page in the memmaps
         latencies, seconds = _scan_stream(pool, queries, num_requests)
+        workers_rss = _workers_rss_peak_mb(pool.stats()["pids"])
     items_scanned = layout.num_rows * BATCH * num_requests
     entry = {
         "workers": num_workers,
@@ -165,20 +176,9 @@ def _bench_workers(layout, num_workers, num_requests,
         "scan_p50_ms": _percentile(latencies, 50),
         "scan_p95_ms": _percentile(latencies, 95),
     }
-    if rss_is_sectional:
-        entry["rss_peak_mb"] = round(rss_peak_mb(), 1)
+    if workers_rss is not None:
+        entry["workers_rss_peak_mb"] = round(workers_rss, 1)
     return entry
-
-
-def _rss_skips(scans: dict) -> dict:
-    """``skipped_metrics`` entries for every scan whose peak-RSS reset was
-    refused (restricted ``/proc``, macOS)."""
-    return {
-        f"scans.{name}.rss_peak_mb": (
-            "reset_rss_peak() returned False (/proc/self/clear_refs not "
-            "writable): only the process-lifetime peak is readable, which "
-            "is not this scan's footprint")
-        for name, entry in scans.items() if "rss_peak_mb" not in entry}
 
 
 def _speedup_fields(single_rate: float, fanned_rate: float,
@@ -239,9 +239,11 @@ def run_shard_bench(scale: str = "bench") -> dict:
             scans["workers_1_int8"]["items_scanned_per_s"] / single),
     }
     result.update(_speedup_fields(single, fanned, os.cpu_count()))
-    rss_skips = _rss_skips(scans)
-    if rss_skips:
-        result.setdefault("skipped_metrics", {}).update(rss_skips)
+    for name, entry in scans.items():
+        if "workers_rss_peak_mb" not in entry:
+            result.setdefault("skipped_metrics", {})[
+                f"scans.{name}.workers_rss_peak_mb"] = (
+                "/proc/<pid>/status of the pool's workers is not readable")
     return result
 
 

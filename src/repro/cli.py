@@ -404,10 +404,78 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _command_serve(args) -> int:
+class _UsageError(Exception):
+    """Raised by the helpers the commands share; ``main`` reports it through
+    :func:`_fail`."""
+
+
+def _deploy_checkpoints(specs, registry, serving_config, log=None) -> None:
+    """Register one deployment per ``--deployment NAME=CHECKPOINT`` spec,
+    announcing each on ``log`` when one is given."""
+    from .models import display_label
+    from .service import Deployment
+
+    for spec in specs or []:
+        name, separator, checkpoint_path = spec.partition("=")
+        if not separator or not name or not checkpoint_path:
+            raise _UsageError(
+                f"--deployment expects NAME=CHECKPOINT, got {spec!r}")
+        if name in registry:
+            raise _UsageError(f"duplicate deployment name {name!r}")
+        try:
+            deployment = Deployment.from_checkpoint(name, checkpoint_path,
+                                                    config=serving_config)
+        except FileNotFoundError:
+            raise _UsageError(
+                f"checkpoint not found: {checkpoint_path}") from None
+        except (ValueError, KeyError, OSError) as error:
+            raise _UsageError(f"cannot load deployment {name!r} from "
+                              f"{checkpoint_path}: {error}") from error
+        registry.register(deployment)
+        if log is not None:
+            print(f"deployed {name!r}: "
+                  f"{display_label(deployment.model_name)} "
+                  f"({deployment.num_items} items) from {checkpoint_path}",
+                  file=log)
+
+
+def _dataset_model(args, dropout: float = 0.1, checkpoint=None):
+    """``args.dataset`` → leave-one-out split → text features → model, loaded
+    from ``checkpoint`` when given and otherwise built untrained at the
+    CLI's one model shape.  Returns ``(dataset, split, features, model)``."""
     from .data.splits import leave_one_out_split
-    from .experiments.persistence import load_checkpoint, load_model, save_checkpoint
-    from .models import ModelConfig, build_model, display_label
+    from .experiments.persistence import load_checkpoint, load_model
+    from .models import ModelConfig, build_model
+
+    dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    split = leave_one_out_split(dataset.interactions)
+    features = encode_items(dataset.items, embedding_dim=args.dim,
+                            seed=args.seed)
+    if checkpoint:
+        try:
+            loaded = load_checkpoint(checkpoint)
+        except FileNotFoundError:
+            raise _UsageError(f"checkpoint not found: {checkpoint}") from None
+        except (ValueError, OSError) as error:
+            raise _UsageError(
+                f"cannot load checkpoint {checkpoint}: {error}") from error
+        if loaded.feature_table is not None:
+            features = loaded.feature_table
+        return dataset, split, features, load_model(loaded,
+                                                    feature_table=features)
+    config = ModelConfig(hidden_dim=32, num_layers=2, num_heads=2,
+                         dropout=dropout, max_seq_length=20, seed=args.seed)
+    try:
+        model = build_model(args.model, dataset.num_items,
+                            feature_table=features, config=config)
+    except (KeyError, ValueError) as error:
+        raise _UsageError(f"unknown model {args.model!r}: {error}") from error
+    return dataset, split, features, model
+
+
+def _command_serve(args) -> int:
+    from .experiments.persistence import save_checkpoint
+    from .models import display_label
     from .serving import (CATALOGUE_CODECS, SERVING_BACKENDS, SHARD_BACKENDS,
                           EmbeddingStore, Recommender, ServingConfig,
                           measure_throughput)
@@ -442,24 +510,7 @@ def _command_serve(args) -> int:
     log = sys.stderr if args.loop else sys.stdout
 
     # Named deployments from checkpoints (the multi-model path).
-    for spec in args.deployment or []:
-        name, separator, checkpoint_path = spec.partition("=")
-        if not separator or not name or not checkpoint_path:
-            return _fail(f"--deployment expects NAME=CHECKPOINT, got {spec!r}")
-        if name in registry:
-            return _fail(f"duplicate deployment name {name!r}")
-        try:
-            deployment = Deployment.from_checkpoint(name, checkpoint_path,
-                                                    config=serving_config)
-        except FileNotFoundError:
-            return _fail(f"checkpoint not found: {checkpoint_path}")
-        except (ValueError, KeyError, OSError) as error:
-            return _fail(f"cannot load deployment {name!r} from "
-                         f"{checkpoint_path}: {error}")
-        registry.register(deployment)
-        print(f"deployed {name!r}: {display_label(deployment.model_name)} "
-              f"({deployment.num_items} items) from {checkpoint_path}",
-              file=log)
+    _deploy_checkpoints(args.deployment, registry, serving_config, log=log)
 
     # Dataset-backed deployment: load a checkpoint or train one on the spot.
     split = None
@@ -467,30 +518,12 @@ def _command_serve(args) -> int:
         if args.dataset in registry:
             return _fail(f"--deployment name {args.dataset!r} collides with "
                          f"the dataset deployment")
-        dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-        split = leave_one_out_split(dataset.interactions)
-        features = encode_items(dataset.items, embedding_dim=args.dim,
-                                seed=args.seed)
+        _, split, features, model = _dataset_model(
+            args, dropout=0.2, checkpoint=args.checkpoint)
         if args.checkpoint:
-            try:
-                checkpoint = load_checkpoint(args.checkpoint)
-            except FileNotFoundError:
-                return _fail(f"checkpoint not found: {args.checkpoint}")
-            except (ValueError, OSError) as error:
-                return _fail(f"cannot load checkpoint {args.checkpoint}: {error}")
-            if checkpoint.feature_table is not None:
-                features = checkpoint.feature_table
-            model = load_model(checkpoint, feature_table=features)
             print(f"loaded {display_label(model.model_name)} from {args.checkpoint}",
                   file=log)
         else:
-            config = ModelConfig(hidden_dim=32, num_layers=2, num_heads=2,
-                                 dropout=0.2, max_seq_length=20, seed=args.seed)
-            try:
-                model = build_model(args.model, dataset.num_items,
-                                    feature_table=features, config=config)
-            except (KeyError, ValueError) as error:
-                return _fail(f"unknown model {args.model!r}: {error}")
             print(f"training {display_label(args.model)} for {args.epochs} epoch(s) ...",
                   file=log)
             outcome = quick_train(model, split, num_epochs=args.epochs,
@@ -623,8 +656,6 @@ def _command_loadgen(args) -> int:
             url += "/recommend"
         send = http_sender(url)
     else:
-        from .data.splits import leave_one_out_split
-        from .models import ModelConfig, build_model
         from .service import Deployment, ModelRegistry, RecommenderService
         from .serving import EmbeddingStore, Recommender, ServingConfig
 
@@ -633,36 +664,12 @@ def _command_loadgen(args) -> int:
         except ValueError as error:
             return _fail(str(error))
         registry = ModelRegistry()
-        for spec in args.deployment or []:
-            name, separator, checkpoint_path = spec.partition("=")
-            if not separator or not name or not checkpoint_path:
-                return _fail(f"--deployment expects NAME=CHECKPOINT, got {spec!r}")
-            try:
-                deployment = Deployment.from_checkpoint(name, checkpoint_path,
-                                                        config=serving_config)
-            except FileNotFoundError:
-                return _fail(f"checkpoint not found: {checkpoint_path}")
-            except (ValueError, KeyError, OSError) as error:
-                return _fail(f"cannot load deployment {name!r} from "
-                             f"{checkpoint_path}: {error}")
-            registry.register(deployment)
+        _deploy_checkpoints(args.deployment, registry, serving_config)
         if args.dataset:
             # Untrained model on purpose: the load harness measures the
             # serving path (encode/score/merge/batch), not recommendation
             # quality, and skipping training keeps start-up instant.
-            dataset = load_dataset(args.dataset, scale=args.scale,
-                                   seed=args.seed)
-            split = leave_one_out_split(dataset.interactions)
-            features = encode_items(dataset.items, embedding_dim=args.dim,
-                                    seed=args.seed)
-            config = ModelConfig(hidden_dim=32, num_layers=2, num_heads=2,
-                                 dropout=0.1, max_seq_length=20,
-                                 seed=args.seed)
-            try:
-                model = build_model(args.model, dataset.num_items,
-                                    feature_table=features, config=config)
-            except (KeyError, ValueError) as error:
-                return _fail(f"unknown model {args.model!r}: {error}")
+            _, split, features, model = _dataset_model(args)
             recommender = Recommender(model, store=EmbeddingStore(features),
                                       train_sequences=split.train_sequences,
                                       config=serving_config)
@@ -785,25 +792,13 @@ def _command_stream_run(args) -> int:
     import random as random_module
     import tempfile
 
-    from .data.splits import leave_one_out_split
-    from .models import ModelConfig, build_model
     from .service import ModelRegistry, RecommenderService
     from .stream import IncrementalTrainer, InteractionLog, Publisher
 
     if args.cycles < 1:
         return _fail(f"--cycles must be >= 1, got {args.cycles}")
 
-    dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    split = leave_one_out_split(dataset.interactions)
-    features = encode_items(dataset.items, embedding_dim=args.dim,
-                            seed=args.seed)
-    config = ModelConfig(hidden_dim=32, num_layers=2, num_heads=2,
-                         dropout=0.1, max_seq_length=20, seed=args.seed)
-    try:
-        model = build_model(args.model, dataset.num_items,
-                            feature_table=features, config=config)
-    except (KeyError, ValueError) as error:
-        return _fail(f"unknown model {args.model!r}: {error}")
+    dataset, split, features, model = _dataset_model(args)
 
     log_dir = args.log or tempfile.mkdtemp(prefix="repro-stream-")
     checkpoint_dir = args.checkpoints or str(Path(log_dir) / "checkpoints")
@@ -946,12 +941,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _command_stats(args.dataset, args.scale, args.seed)
     if args.command == "anisotropy":
         return _command_anisotropy(args.dataset, args.dim, args.seed)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "loadgen":
-        return _command_loadgen(args)
-    if args.command == "stream":
-        return _command_stream(args)
+    try:
+        if args.command == "serve":
+            return _command_serve(args)
+        if args.command == "loadgen":
+            return _command_loadgen(args)
+        if args.command == "stream":
+            return _command_stream(args)
+    except _UsageError as error:
+        return _fail(str(error))
     if args.command == "index":
         return _command_index_build(args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover

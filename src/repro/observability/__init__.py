@@ -15,7 +15,7 @@ Three pieces, layered bottom-up:
 The :class:`~repro.service.RecommenderService` wires the first two in by
 default (``GET /metrics`` on the HTTP front-end, ``metrics`` in the JSONL
 ``stats`` payload); the load generator drives either front-end from
-``repro loadgen`` or :mod:`benchmarks.test_bench_open_loop`.
+``repro loadgen``.
 """
 
 from .metrics import (BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_MS, MetricFamily,

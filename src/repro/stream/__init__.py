@@ -15,9 +15,9 @@ The closed loop that keeps served recommendations fresh (ROADMAP item 3):
   and cache coherence through the single generation-stamp mechanism of
   :mod:`repro.serving.generations` (publish).
 
-Driven by ``repro stream`` on the CLI and measured by
-``benchmarks/test_bench_online.py`` (event→visible freshness, swap pause,
-serving parity under concurrent traffic).
+Driven by ``repro stream`` on the CLI and measured by the ``swap_bulk``
+workload of ``e2e_bench`` (event→visible freshness, swap pause, serving
+parity beside a concurrent writer).
 """
 
 from .log import InteractionLog, StreamEvent

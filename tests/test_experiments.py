@@ -8,6 +8,8 @@ overrides to keep the suite fast.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,8 @@ from repro.experiments.runners import (
     run_fig4_cosine_cdf,
     run_table2_dataset_statistics,
 )
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestPresets:
@@ -73,6 +77,7 @@ class TestRegistry:
             assert spec.description
             assert callable(spec.runner)
             assert spec.benchmark.startswith("benchmarks/")
+            assert (REPO_ROOT / spec.benchmark).is_file(), spec.benchmark
 
     def test_get_experiment_unknown(self):
         with pytest.raises(KeyError):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.cli import main as cli_main
 from repro.data.dataloader import SequenceBatch, pad_sequences
 from repro.infer import (
     BufferArena,
@@ -437,19 +436,6 @@ class TestServiceAndCli:
         import json
         json.dumps(deployment.describe())  # stats endpoint serialisability
 
-    def test_cli_rejects_unknown_engine(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli_main(["serve", "arts", "--engine=warp"])
-        assert excinfo.value.code == 2
-        assert "unrecognized arguments: --engine" in capsys.readouterr().err
-
-    def test_cli_rejects_negative_session_cache(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli_main(["serve", "arts", "--session-cache=-3"])
-        assert excinfo.value.code == 2
-        assert ("unrecognized arguments: --session-cache"
-                in capsys.readouterr().err)
-
 
 # --------------------------------------------------------------------- #
 # Bench regression gate (benchmarks/check_regression.py)
@@ -557,24 +543,7 @@ class TestBenchRegressionGate:
         """run_shard_bench must omit scan_speedup on single-core machines
         (a 4-vs-1 ratio there is scheduler noise, and committing it would
         make the gate track noise) and declare the skip instead."""
-        import importlib.util
-        import pathlib
-        import sys
-
-        bench_dir = (pathlib.Path(__file__).resolve().parents[1]
-                     / "benchmarks")
-        saved_conftest = sys.modules.pop("conftest", None)
-        sys.path.insert(0, str(bench_dir))
-        try:
-            spec = importlib.util.spec_from_file_location(
-                "bench_shard_module", bench_dir / "test_bench_shard.py")
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-        finally:
-            sys.path.remove(str(bench_dir))
-            sys.modules.pop("conftest", None)
-            if saved_conftest is not None:
-                sys.modules["conftest"] = saved_conftest
+        module = self._load_bench_module("test_bench_shard")
 
         assert module._speedup_fields(10.0, 25.0, 4) == {"scan_speedup": 2.5}
         for cores in (1, None):
@@ -605,29 +574,35 @@ class TestBenchRegressionGate:
         return module
 
     @pytest.mark.timeout(120)
-    def test_shard_bench_never_records_an_unreset_rss_peak(
-            self, gate, tmp_path, monkeypatch):
-        """A refused peak-RSS reset leaves only the process-lifetime peak
-        readable — not the scan's footprint.  The entry must then carry no
-        `rss_peak_mb` at all and declare the skip, which the gate accepts
-        against a baseline that has the number."""
+    def test_shard_bench_reads_worker_rss_not_the_parents(self, tmp_path):
+        """The scans run in ShardPool worker processes, so the recorded
+        footprint must be the workers' peak RSS: one parent-process reading
+        gave the same number for every worker count and codec."""
+        import subprocess
+        import sys
+
         from repro.data.synthetic import synthetic_item_matrix_layout
 
         module = self._load_bench_module("test_bench_shard")
-        layout = synthetic_item_matrix_layout(tmp_path / "layout", 2048, 8,
+        child = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(30)"])
+        try:
+            peak = module._workers_rss_peak_mb([child.pid])
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+        if peak is None:
+            pytest.skip("/proc/<pid>/status unreadable")
+        assert peak > 0.0
+
+        layout = synthetic_item_matrix_layout(tmp_path / "layout", 3000, 8,
                                               seed=0)
-        measured = module._bench_workers(layout, 1, 1)
-        monkeypatch.setattr(module, "reset_rss_peak", lambda: False)
-        refused = module._bench_workers(layout, 1, 1)
-        assert "rss_peak_mb" not in refused
-        assert set(refused) == set(measured) - {"rss_peak_mb"}
-        skips = module._rss_skips({"workers_1": refused,
-                                   "workers_4": {"rss_peak_mb": 80.0}})
-        assert list(skips) == ["scans.workers_1.rss_peak_mb"]
-        assert "reset_rss_peak() returned False" in next(iter(skips.values()))
-        baseline = {"scans": {"workers_1": {"rss_peak_mb": 80.0}}}
-        fresh = {"scans": {"workers_1": {}}, "skipped_metrics": skips}
-        assert self._run(gate, tmp_path, baseline, fresh) == 0
+        layout.ensure_int8_sidecar()
+        peaks = [module._bench_workers(layout, workers, 1, codec=codec)[
+                     "workers_rss_peak_mb"]
+                 for workers, codec in ((1, "fp32"), (4, "fp32"), (1, "int8"))]
+        # Four interpreters against one: equal values mean the parent's.
+        assert peaks[1] > 2.0 * peaks[0], peaks
 
     def test_resilience_bench_declares_single_core_skips(self):
         """On single-core machines the resilience bench must declare its
@@ -643,31 +618,6 @@ class TestBenchRegressionGate:
                                   "healthy_search_ms", "recovery_ms"}
             assert all(f"cpu_count={cores}" in reason
                        for reason in skips.values())
-
-    def test_rss_peak_resets_per_section(self):
-        """reset_rss_peak + rss_peak_mb must measure the *section's* peak:
-        after a large allocation is freed and the high-water mark reset,
-        the reported peak must fall back toward current RSS instead of
-        keeping the process-lifetime maximum (which made the recorded
-        scan footprint depend on whatever ran earlier in the process)."""
-        module = self._load_bench_module("conftest")
-        if not module.reset_rss_peak():
-            pytest.skip("peak-RSS reset unsupported (no /proc/self/clear_refs)")
-        import mmap
-
-        size = 64 * 1024 * 1024
-        floor = module.rss_peak_mb()
-        # Anonymous mmap: unlike a heap allocation (which the allocator may
-        # satisfy from already-resident freed pages, leaving RSS flat),
-        # these pages are new, so faulting them must raise the peak.
-        ballast = mmap.mmap(-1, size)
-        for offset in range(0, size, mmap.PAGESIZE):
-            ballast[offset] = 1
-        inflated = module.rss_peak_mb()
-        assert inflated >= floor + 50.0
-        ballast.close()  # unmapped: RSS provably drops by the ballast size
-        assert module.reset_rss_peak()
-        assert module.rss_peak_mb() <= inflated - 50.0
 
     def test_fails_on_null_tracked_metric(self, gate, tmp_path):
         """A NaN/inf measurement serialises to JSON null; the gate must not
@@ -689,8 +639,8 @@ class TestBenchRegressionGate:
     def test_tracks_shard_bench_file(self, gate):
         assert "BENCH_shard.json" in gate.TRACKED_FILES
 
-    def test_tracks_serve_slo_bench_file(self, gate):
-        assert "BENCH_serve_slo.json" in gate.TRACKED_FILES
+    def test_tracks_metrics_overhead_bench_file(self, gate):
+        assert "BENCH_metrics_overhead.json" in gate.TRACKED_FILES
 
     # -- repeated-samples (Mann-Whitney) mode --------------------------- #
     def test_mann_whitney_pvalue_directionality(self, gate):

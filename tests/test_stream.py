@@ -561,11 +561,21 @@ class TestPublisher:
 
             log.append_many([(user, target, 0.0)] * 40)
             trainer.run_until_caught_up(passes=3)
-            publisher.publish(trainer, "arts")
+            report = publisher.publish(trainer, "arts")
 
             after = service.recommend(payload)
             assert after.deployment_version == 2
             assert target in list(np.asarray(after.items).ravel())
+
+            # What is served after the swap is exactly the published
+            # checkpoint, ids and scores.
+            reference = Deployment.from_checkpoint(
+                "reference", report.checkpoint_path,
+                config=ServingConfig(k=10))
+            expected = reference.recommender.topk([payload["history"]], k=10)
+            np.testing.assert_array_equal(after.items, expected.items[0])
+            np.testing.assert_array_equal(after.scores, expected.scores[0])
+            reference.close()
         service.close()
         registry.close_all()
 

@@ -3,7 +3,10 @@
 Every experiment needs the same ingredients: a synthetic dataset, its
 warm-start (or cold-start) split, the pre-trained text feature table, and
 model / training configurations.  :func:`prepare_experiment` builds all of
-them from a small set of knobs so that the per-table runners stay short.
+them from a small set of knobs and caches the result per
+``(dataset, scale, cold_start, seed)`` for the rest of the process; the
+trained cells of :func:`repro.experiments.runners.train_model` are cached
+beside it, and :func:`clear_setup_cache` drops both.
 
 Two scales are provided:
 
@@ -16,7 +19,7 @@ Two scales are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -78,16 +81,19 @@ class ExperimentSetup:
 
 # A tiny in-process cache: several tables reuse the same dataset + features.
 _SETUP_CACHE: Dict[Tuple, ExperimentSetup] = {}
+# Trained cells keyed by (setup key, model, kwargs, overrides): several tables
+# read the same trained model (filled by runners.train_model).
+_CELL_CACHE: Dict[Tuple, Any] = {}
 
 
 def prepare_experiment(dataset_name: str, scale: str = "bench",
-                       cold_start: bool = False, seed: Optional[int] = None,
-                       use_cache: bool = True) -> ExperimentSetup:
+                       cold_start: bool = False,
+                       seed: Optional[int] = None) -> ExperimentSetup:
     """Generate the dataset, split, features and configs for one experiment."""
     scale_config = get_scale(scale)
     seed = scale_config.seed if seed is None else seed
     cache_key = (dataset_name, scale, cold_start, seed)
-    if use_cache and cache_key in _SETUP_CACHE:
+    if cache_key in _SETUP_CACHE:
         return _SETUP_CACHE[cache_key]
 
     dataset = load_dataset(dataset_name, scale=scale_config.dataset_scale, seed=seed)
@@ -115,6 +121,8 @@ def prepare_experiment(dataset_name: str, scale: str = "bench",
         max_sequence_length=scale_config.max_seq_length,
         early_stopping_patience=scale_config.early_stopping_patience,
         seed=seed,
+        # One small covariance per epoch; lets Fig. 7 read Table III's cells.
+        track_condition_number=True,
     )
     setup = ExperimentSetup(
         dataset=dataset,
@@ -124,11 +132,19 @@ def prepare_experiment(dataset_name: str, scale: str = "bench",
         training_config=training_config,
         scale=scale_config,
     )
-    if use_cache:
-        _SETUP_CACHE[cache_key] = setup
+    _SETUP_CACHE[cache_key] = setup
     return setup
 
 
+def setup_key(setup: ExperimentSetup) -> Tuple:
+    """The ``(dataset, scale, cold_start, seed)`` a cached setup was built for."""
+    for key, cached in _SETUP_CACHE.items():
+        if cached is setup:
+            return key
+    raise ValueError("setup was not built by prepare_experiment (or was cleared)")
+
+
 def clear_setup_cache() -> None:
-    """Drop cached setups (used by tests that need isolation)."""
+    """Drop cached setups and trained cells (used by tests that need isolation)."""
     _SETUP_CACHE.clear()
+    _CELL_CACHE.clear()

@@ -1,8 +1,8 @@
 """Experiment registry: every paper table/figure mapped to its runner.
 
-The registry is the programmatic counterpart of DESIGN.md's experiment index:
-each entry knows which artefact of the paper it reproduces, a one-line
-description, and the runner function that regenerates it.
+Each entry knows which artefact of the paper it reproduces, a one-line
+description, the runner function that regenerates it and the benchmark file
+that calls that runner; ``repro list`` prints them.
 """
 
 from __future__ import annotations

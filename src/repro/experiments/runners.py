@@ -1,9 +1,15 @@
-"""One runner per paper table / figure.
+"""Paper tables and figures as views over one grid of trained cells.
 
-Each ``run_*`` function regenerates the rows or series of the corresponding
-artefact in the paper's evaluation section and returns structured data (plus
-a human-readable ASCII rendering where appropriate).  The benchmark harness
-in ``benchmarks/`` simply calls these runners and prints the result.
+A *cell* is one trained model: the ``(dataset, scale, cold_start, seed)`` of
+a :func:`~repro.experiments.presets.prepare_experiment` setup, the canonical
+model name, its constructor kwargs and its training overrides.
+:func:`train_model` fits each cell once per process, so artefacts that read
+the same model share one training run (Table III's thirteen default cells
+contain Table I's, Fig. 6's and Fig. 7's).  Each ``run_*`` function is a view
+that regenerates the rows or series of one artefact of the paper's evaluation
+section and returns structured data (plus a human-readable ASCII rendering
+where appropriate).  The benchmark harness in ``benchmarks/`` simply calls
+these runners and prints the result.
 
 The runners accept a ``scale`` argument ("bench" | "full") so the same code
 serves both fast regression benchmarks and longer, closer-to-paper runs.
@@ -12,9 +18,9 @@ serves both fast regression benchmarks and longer, closer-to-paper runs.
 from __future__ import annotations
 
 import copy
-import time
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,12 +34,10 @@ from ..analysis.conditioning import ConditioningTrace, trace_from_result
 from ..analysis.reporting import format_metric_table, format_table, relative_improvement
 from ..analysis.tsne import pca_projection, tsne
 from ..data.statistics import dataset_statistics
-from ..models.base import ModelConfig
-from ..models.registry import build_model, display_label
+from ..models.registry import build_model, canonical_name, constructor_defaults, display_label
 from ..text.features import strip_padding_row
-from ..training.config import TrainingConfig
 from ..training.trainer import Trainer, TrainingResult
-from .presets import ExperimentSetup, prepare_experiment
+from .presets import _CELL_CACHE, ExperimentSetup, prepare_experiment, setup_key
 
 #: datasets in the paper's order
 PAPER_DATASETS: Tuple[str, ...] = ("arts", "toys", "tools", "food")
@@ -41,9 +45,12 @@ PAPER_DATASETS: Tuple[str, ...] = ("arts", "toys", "tools", "food")
 #: three Amazon datasets used by Table I and Fig. 5
 AMAZON_DATASETS: Tuple[str, ...] = ("arts", "toys", "tools")
 
+#: ``(label, model name, constructor kwargs)``: one cell of a view
+Variant = Tuple[object, str, Dict]
+
 
 # ---------------------------------------------------------------------- #
-# Shared helpers
+# Cells and the helpers the views share
 # ---------------------------------------------------------------------- #
 @dataclass
 class ModelRunRecord:
@@ -61,44 +68,99 @@ class ModelRunRecord:
 
 def train_model(setup: ExperimentSetup, model_name: str,
                 model_kwargs: Optional[Dict] = None,
-                training_overrides: Optional[Dict] = None,
-                keep_result: bool = False,
-                keep_model: bool = False) -> ModelRunRecord:
-    """Train one model on a prepared experiment setup and evaluate on test."""
-    model_kwargs = dict(model_kwargs or {})
-    model = build_model(
-        model_name,
-        num_items=setup.num_items,
-        feature_table=setup.feature_table,
-        train_sequences=setup.split.train_sequences,
-        config=copy.deepcopy(setup.model_config),
-        **model_kwargs,
-    )
-    training_config = copy.deepcopy(setup.training_config)
-    for key, value in (training_overrides or {}).items():
-        setattr(training_config, key, value)
-    trainer = Trainer(model, setup.split, training_config)
-    result = trainer.fit()
-    return ModelRunRecord(
-        model_name=model_name,
-        dataset=setup.dataset.name,
-        test_metrics=result.test_metrics,
-        validation_metrics=result.best_validation,
-        num_parameters=result.num_parameters,
-        seconds_per_epoch=result.seconds_per_epoch,
-        result=result if keep_result else None,
-        model=model if keep_model else None,
-    )
+                training_overrides: Optional[Dict] = None) -> ModelRunRecord:
+    """The cell ``(setup, model, kwargs, overrides)``, trained and tested.
 
-
-def _metrics_row(record: ModelRunRecord, metrics: Sequence[str]) -> List[float]:
-    return [record.test_metrics.get(metric, float("nan")) for metric in metrics]
-
+    The first call fits the cell; later calls in the same process read it
+    back (:func:`~repro.experiments.presets.clear_setup_cache` drops it).  A
+    kwarg equal to the constructor's default and an override equal to the
+    setup's ``TrainingConfig`` value are dropped before keying, so
+    ``{"num_groups": 1}`` and ``{}`` name the same WhitenRec cell.  The
+    record keeps the final model and the :class:`TrainingResult`; its metric
+    dicts are copies, so no caller can change another's numbers.
+    """
+    name = canonical_name(model_name)
+    defaults = constructor_defaults(name)
+    model_kwargs = {key: value for key, value in (model_kwargs or {}).items()
+                    if key not in defaults or defaults[key] != value}
+    training_overrides = {key: value for key, value in (training_overrides or {}).items()
+                          if getattr(setup.training_config, key) != value}
+    # repr, not the items: a kwarg or override value may be a list
+    key = (setup_key(setup), name, repr(sorted(model_kwargs.items())),
+           repr(sorted(training_overrides.items())))
+    if key not in _CELL_CACHE:
+        model = build_model(
+            name,
+            num_items=setup.num_items,
+            feature_table=setup.feature_table,
+            train_sequences=setup.split.train_sequences,
+            config=copy.deepcopy(setup.model_config),
+            **model_kwargs,
+        )
+        training_config = dataclasses.replace(setup.training_config, **training_overrides)
+        result = Trainer(model, setup.split, training_config).fit()
+        _CELL_CACHE[key] = ModelRunRecord(
+            model_name=name,
+            dataset=setup.dataset.name,
+            test_metrics=result.test_metrics,
+            validation_metrics=result.best_validation,
+            num_parameters=result.num_parameters,
+            seconds_per_epoch=result.seconds_per_epoch,
+            result=result,
+            model=model,
+        )
+    cell = _CELL_CACHE[key]
+    return dataclasses.replace(cell, model_name=model_name,
+                               test_metrics=dict(cell.test_metrics),
+                               validation_metrics=dict(cell.validation_metrics))
 
 
 def _epoch_overrides(epochs):
-    """Optional per-runner epoch override (used by the fast benchmark suite)."""
+    """A view's ``epochs`` argument as training overrides (None: the setup's)."""
     return {} if epochs is None else {"num_epochs": int(epochs)}
+
+
+def _sweep(setup: ExperimentSetup, variants: Iterable[Variant],
+           epochs: Optional[int] = None) -> Dict:
+    """Test metrics of each variant's cell on ``setup``, keyed by label."""
+    overrides = _epoch_overrides(epochs)
+    return {
+        label: train_model(setup, model_name, model_kwargs=kwargs,
+                           training_overrides=overrides).test_metrics
+        for label, model_name, kwargs in variants
+    }
+
+
+def _labelled(models: Sequence[str]) -> List[Variant]:
+    """Each model at its default kwargs, labelled as in the paper's tables."""
+    return [(display_label(model_name), model_name, {}) for model_name in models]
+
+
+def _metric_sweep(dataset: str, scale: str, title: str,
+                  variants: Iterable[Variant], epochs: Optional[int]) -> Dict:
+    """One dataset's R@20 / N@20 table over the variants' cells."""
+    results = _sweep(prepare_experiment(dataset, scale=scale), variants, epochs)
+    table = format_metric_table(results, metric_order=["recall@20", "ndcg@20"],
+                                title=f"{title} ({dataset})")
+    return {"dataset": dataset, "results": results, "table": table}
+
+
+def _per_dataset(datasets: Sequence[str], scale: str, title: str,
+                 variants: Sequence[Variant], metrics: Sequence[str],
+                 epochs: Optional[int] = None, cold_start: bool = False) -> Dict:
+    """One metric table per dataset over the same variants' cells."""
+    results = {
+        dataset: _sweep(prepare_experiment(dataset, scale=scale, cold_start=cold_start),
+                        variants, epochs)
+        for dataset in datasets
+    }
+    tables = {
+        dataset: format_metric_table(per_model, metric_order=list(metrics),
+                                     title=f"{title} ({dataset})")
+        for dataset, per_model in results.items()
+    }
+    return {"results": results, "tables": tables}
+
 
 # ---------------------------------------------------------------------- #
 # Fig. 2 — singular value spectrum of the pre-trained text embeddings
@@ -221,12 +283,8 @@ def run_fig5_group_sweep(dataset: str = "arts", scale: str = "bench",
     """Fig. 5: WhitenRec R@20 / N@20 as the whitening group count G varies."""
     setup = prepare_experiment(dataset, scale=scale)
     feature_dim = setup.feature_table.shape[1]
-    usable_groups = [g for g in groups if g <= feature_dim]
-    series: Dict[int, Dict[str, float]] = {}
-    for group in usable_groups:
-        record = train_model(setup, "whitenrec", model_kwargs={"num_groups": group},
-                             training_overrides=_epoch_overrides(epochs))
-        series[group] = record.test_metrics
+    series = _sweep(setup, [(group, "whitenrec", {"num_groups": group})
+                            for group in groups if group <= feature_dim], epochs)
     rows = [
         [group, metrics["recall@20"], metrics["ndcg@20"]]
         for group, metrics in series.items()
@@ -255,10 +313,10 @@ def run_fig6_alignment_uniformity(datasets: Sequence[str] = ("arts",),
         setup = prepare_experiment(dataset, scale=scale)
         per_model: Dict[str, Dict[str, float]] = {}
         for model_name in models:
-            # keep_model=True: the trainer leaves the best weights loaded in
-            # the model, so the analysis reflects the converged run (the star
-            # markers of Fig. 6).
-            record = train_model(setup, model_name, keep_model=True)
+            # The trainer leaves the best weights loaded in the cell's model,
+            # so the analysis reflects the converged run (the star markers of
+            # Fig. 6).
+            record = train_model(setup, model_name)
             stats = alignment_and_uniformity(
                 record.model, setup.split.validation,
                 max_sequence_length=setup.training_config.max_sequence_length,
@@ -293,10 +351,8 @@ def run_fig7_conditioning(datasets: Sequence[str] = ("arts",),
         setup = prepare_experiment(dataset, scale=scale)
         per_model: Dict[str, ConditioningTrace] = {}
         for model_name in models:
-            record = train_model(
-                setup, model_name, keep_result=True,
-                training_overrides={"track_condition_number": True},
-            )
+            # Every cell tracks the condition number (see prepare_experiment).
+            record = train_model(setup, model_name)
             per_model[display_label(model_name)] = trace_from_result(
                 display_label(model_name), record.result
             )
@@ -354,23 +410,8 @@ def run_table3_warm_start(datasets: Sequence[str] = ("arts",),
                           models: Sequence[str] = TABLE3_MODELS,
                           scale: str = "bench") -> Dict:
     """Table III: warm-start comparison of all methods (R/N @20/@50)."""
-    metrics = ("recall@20", "recall@50", "ndcg@20", "ndcg@50")
-    results: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for dataset in datasets:
-        setup = prepare_experiment(dataset, scale=scale)
-        per_model: Dict[str, Dict[str, float]] = {}
-        for model_name in models:
-            record = train_model(setup, model_name)
-            per_model[display_label(model_name)] = record.test_metrics
-        results[dataset] = per_model
-    tables = {
-        dataset: format_metric_table(
-            per_model, metric_order=list(metrics),
-            title=f"Table III — warm-start comparison ({dataset})",
-        )
-        for dataset, per_model in results.items()
-    }
-    return {"results": results, "tables": tables}
+    return _per_dataset(datasets, scale, "Table III — warm-start comparison",
+                        _labelled(models), ("recall@20", "recall@50", "ndcg@20", "ndcg@50"))
 
 
 # ---------------------------------------------------------------------- #
@@ -389,24 +430,8 @@ def run_table4_cold_start(datasets: Sequence[str] = ("arts",),
                           scale: str = "bench",
                           epochs: Optional[int] = None) -> Dict:
     """Table IV: cold-start comparison of the text-only methods."""
-    metrics = ("recall@20", "ndcg@20")
-    results: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for dataset in datasets:
-        setup = prepare_experiment(dataset, scale=scale, cold_start=True)
-        per_model: Dict[str, Dict[str, float]] = {}
-        for label, model_name, kwargs in TABLE4_MODELS:
-            record = train_model(setup, model_name, model_kwargs=kwargs,
-                                 training_overrides=_epoch_overrides(epochs))
-            per_model[label] = record.test_metrics
-        results[dataset] = per_model
-    tables = {
-        dataset: format_metric_table(
-            per_model, metric_order=list(metrics),
-            title=f"Table IV — cold-start comparison ({dataset})",
-        )
-        for dataset, per_model in results.items()
-    }
-    return {"results": results, "tables": tables}
+    return _per_dataset(datasets, scale, "Table IV — cold-start comparison",
+                        TABLE4_MODELS, ("recall@20", "ndcg@20"), epochs, cold_start=True)
 
 
 # ---------------------------------------------------------------------- #
@@ -418,21 +443,16 @@ def run_fig8_whitenrec_plus_groups(dataset: str = "arts", scale: str = "bench",
     """Fig. 8: WhitenRec+ R@20 as the relaxed branch's G varies (plus WhitenRec)."""
     setup = prepare_experiment(dataset, scale=scale)
     feature_dim = setup.feature_table.shape[1]
-    whitenrec_record = train_model(setup, "whitenrec",
-                                   training_overrides=_epoch_overrides(epochs))
-    series: Dict[str, Dict[str, float]] = {}
-    for group in groups:
-        if group not in ("raw", None) and int(group) > feature_dim:
-            continue
-        label = "Raw" if group in ("raw", None) else str(int(group))
-        record = train_model(
-            setup, "whitenrec_plus", model_kwargs={"relaxed_groups": group},
-            training_overrides=_epoch_overrides(epochs),
-        )
-        series[label] = record.test_metrics
+    reference = train_model(setup, "whitenrec",
+                            training_overrides=_epoch_overrides(epochs)).test_metrics
+    series = _sweep(setup, [
+        ("Raw" if group in ("raw", None) else str(int(group)),
+         "whitenrec_plus", {"relaxed_groups": group})
+        for group in groups
+        if group in ("raw", None) or int(group) <= feature_dim
+    ], epochs)
     rows = [[label, metrics["recall@20"], metrics["ndcg@20"]] for label, metrics in series.items()]
-    rows.append(["WhitenRec (ref)", whitenrec_record.test_metrics["recall@20"],
-                 whitenrec_record.test_metrics["ndcg@20"]])
+    rows.append(["WhitenRec (ref)", reference["recall@20"], reference["ndcg@20"]])
     table = format_table(
         ["relaxed G", "R@20", "N@20"], rows,
         title=f"Fig. 8 — WhitenRec+ relaxed-group sweep ({dataset})",
@@ -440,7 +460,7 @@ def run_fig8_whitenrec_plus_groups(dataset: str = "arts", scale: str = "bench",
     return {
         "dataset": dataset,
         "series": series,
-        "whitenrec_reference": whitenrec_record.test_metrics,
+        "whitenrec_reference": reference,
         "table": table,
     }
 
@@ -455,17 +475,10 @@ def run_table5_projection_head(dataset: str = "arts", scale: str = "bench",
                                heads: Sequence[str] = TABLE5_HEADS,
                                epochs: Optional[int] = None) -> Dict:
     """Table V: WhitenRec+ with Linear / MLP-1 / MLP-2 / MLP-3 / MoE heads."""
-    setup = prepare_experiment(dataset, scale=scale)
-    results: Dict[str, Dict[str, float]] = {}
-    for head in heads:
-        record = train_model(setup, "whitenrec_plus", model_kwargs={"projection": head},
-                             training_overrides=_epoch_overrides(epochs))
-        results[head.upper() if head != "moe" else "MoE"] = record.test_metrics
-    table = format_metric_table(
-        results, metric_order=["recall@20", "ndcg@20"],
-        title=f"Table V — projection head ablation ({dataset})",
-    )
-    return {"dataset": dataset, "results": results, "table": table}
+    return _metric_sweep(dataset, scale, "Table V — projection head ablation", [
+        (head.upper() if head != "moe" else "MoE", "whitenrec_plus", {"projection": head})
+        for head in heads
+    ], epochs)
 
 
 # ---------------------------------------------------------------------- #
@@ -483,19 +496,10 @@ def run_table6_whitening_methods(dataset: str = "arts", scale: str = "bench",
                                  methods: Sequence[str] = TABLE6_METHODS,
                                  epochs: Optional[int] = None) -> Dict:
     """Table VI: WhitenRec+ with different whitening transformations."""
-    setup = prepare_experiment(dataset, scale=scale)
-    results: Dict[str, Dict[str, float]] = {}
-    for method in methods:
-        record = train_model(
-            setup, "whitenrec_plus", model_kwargs={"whitening_method": method},
-            training_overrides=_epoch_overrides(epochs),
-        )
-        results[_METHOD_LABELS.get(method, method)] = record.test_metrics
-    table = format_metric_table(
-        results, metric_order=["recall@20", "ndcg@20"],
-        title=f"Table VI — whitening method ablation ({dataset})",
-    )
-    return {"dataset": dataset, "results": results, "table": table}
+    return _metric_sweep(dataset, scale, "Table VI — whitening method ablation", [
+        (_METHOD_LABELS.get(method, method), "whitenrec_plus", {"whitening_method": method})
+        for method in methods
+    ], epochs)
 
 
 # ---------------------------------------------------------------------- #
@@ -505,17 +509,10 @@ def run_table7_ensemble_methods(dataset: str = "arts", scale: str = "bench",
                                 ensembles: Sequence[str] = ("sum", "concat", "attn"),
                                 epochs: Optional[int] = None) -> Dict:
     """Table VII: Sum vs Concat vs Attn combination of the two whitened branches."""
-    setup = prepare_experiment(dataset, scale=scale)
-    results: Dict[str, Dict[str, float]] = {}
-    for ensemble in ensembles:
-        record = train_model(setup, "whitenrec_plus", model_kwargs={"ensemble": ensemble},
-                             training_overrides=_epoch_overrides(epochs))
-        results[ensemble.capitalize()] = record.test_metrics
-    table = format_metric_table(
-        results, metric_order=["recall@20", "ndcg@20"],
-        title=f"Table VII — ensemble method ablation ({dataset})",
-    )
-    return {"dataset": dataset, "results": results, "table": table}
+    return _metric_sweep(dataset, scale, "Table VII — ensemble method ablation", [
+        (ensemble.capitalize(), "whitenrec_plus", {"ensemble": ensemble})
+        for ensemble in ensembles
+    ], epochs)
 
 
 # ---------------------------------------------------------------------- #
@@ -525,29 +522,9 @@ def run_table8_id_embeddings(datasets: Sequence[str] = ("arts",),
                              scale: str = "bench",
                              epochs: Optional[int] = None) -> Dict:
     """Table VIII: WhitenRec / WhitenRec+ with text-only vs text+ID item encoders."""
-    variants = (
-        ("WhitenRec (T)", "whitenrec", {}),
-        ("WhitenRec (T+ID)", "whitenrec_id", {}),
-        ("WhitenRec+ (T)", "whitenrec_plus", {}),
-        ("WhitenRec+ (T+ID)", "whitenrec_plus_id", {}),
-    )
-    results: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for dataset in datasets:
-        setup = prepare_experiment(dataset, scale=scale)
-        per_variant: Dict[str, Dict[str, float]] = {}
-        for label, model_name, kwargs in variants:
-            record = train_model(setup, model_name, model_kwargs=kwargs,
-                                 training_overrides=_epoch_overrides(epochs))
-            per_variant[label] = record.test_metrics
-        results[dataset] = per_variant
-    tables = {
-        dataset: format_metric_table(
-            per_variant, metric_order=["recall@20", "ndcg@20"],
-            title=f"Table VIII — effect of ID embeddings ({dataset})",
-        )
-        for dataset, per_variant in results.items()
-    }
-    return {"results": results, "tables": tables}
+    variants = _labelled(("whitenrec", "whitenrec_id", "whitenrec_plus", "whitenrec_plus_id"))
+    return _per_dataset(datasets, scale, "Table VIII — effect of ID embeddings",
+                        variants, ("recall@20", "ndcg@20"), epochs)
 
 
 # ---------------------------------------------------------------------- #
@@ -555,14 +532,8 @@ def run_table8_id_embeddings(datasets: Sequence[str] = ("arts",),
 # ---------------------------------------------------------------------- #
 def run_table9_efficiency(dataset: str = "tools", scale: str = "bench") -> Dict:
     """Table IX: parameter counts and seconds/epoch for UniSRec vs WhitenRec(+)."""
-    variants = (
-        ("UniSRec (T)", "unisrec_t", {}),
-        ("UniSRec (T+ID)", "unisrec_t_id", {}),
-        ("WhitenRec (T)", "whitenrec", {}),
-        ("WhitenRec (T+ID)", "whitenrec_id", {}),
-        ("WhitenRec+ (T)", "whitenrec_plus", {}),
-        ("WhitenRec+ (T+ID)", "whitenrec_plus_id", {}),
-    )
+    variants = _labelled(("unisrec_t", "unisrec_t_id", "whitenrec", "whitenrec_id",
+                          "whitenrec_plus", "whitenrec_plus_id"))
     setup = prepare_experiment(dataset, scale=scale)
     rows = []
     results: Dict[str, Dict[str, float]] = {}
@@ -590,14 +561,6 @@ def run_ablation_zca_epsilon(dataset: str = "arts", scale: str = "bench",
                              epsilons: Sequence[float] = (1e-2, 1e-4, 1e-6),
                              epochs: Optional[int] = None) -> Dict:
     """Sensitivity of WhitenRec to the covariance ridge used by ZCA."""
-    setup = prepare_experiment(dataset, scale=scale)
-    results: Dict[str, Dict[str, float]] = {}
-    for eps in epsilons:
-        record = train_model(setup, "whitenrec", model_kwargs={"whitening_eps": eps},
-                             training_overrides=_epoch_overrides(epochs))
-        results[f"eps={eps:g}"] = record.test_metrics
-    table = format_metric_table(
-        results, metric_order=["recall@20", "ndcg@20"],
-        title=f"Ablation — ZCA epsilon sensitivity ({dataset})",
-    )
-    return {"dataset": dataset, "results": results, "table": table}
+    return _metric_sweep(dataset, scale, "Ablation — ZCA epsilon sensitivity", [
+        (f"eps={eps:g}", "whitenrec", {"whitening_eps": eps}) for eps in epsilons
+    ], epochs)

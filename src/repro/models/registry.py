@@ -8,7 +8,8 @@ to build its co-occurrence graph, the ID-only models need neither).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import inspect
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -85,6 +86,30 @@ DISPLAY_LABELS: Dict[str, str] = {
 }
 
 
+#: canonical name -> (constructor, kwargs the name pre-fills).  The *_id
+#: aliases pre-fill use_id_embeddings but let an explicit kwarg win, so
+#: checkpoint-introspected kwargs never collide with the alias.  Text models
+#: take the feature table as their second positional argument.
+_CONSTRUCTORS: Dict[str, Tuple[type, Dict[str, Any]]] = {
+    "sasrec_id": (SASRecID, {}),
+    "cl4srec": (CL4SRec, {}),
+    "gru4rec": (GRU4Rec, {}),
+    "sasrec_t": (SASRecText, {}),
+    "sasrec_t_id": (SASRecTextID, {}),
+    "s3rec": (S3Rec, {}),
+    "fdsa": (FDSA, {}),
+    "unisrec_t": (UniSRec, {"use_id_embeddings": False}),
+    "unisrec_t_id": (UniSRec, {"use_id_embeddings": True}),
+    "vqrec": (VQRec, {}),
+    "grcn": (GRCN, {}),
+    "bm3": (BM3, {}),
+    "whitenrec": (WhitenRec, {}),
+    "whitenrec_id": (WhitenRec, {"use_id_embeddings": True}),
+    "whitenrec_plus": (WhitenRecPlus, {}),
+    "whitenrec_plus_id": (WhitenRecPlus, {"use_id_embeddings": True}),
+}
+
+
 def canonical_name(name: str) -> str:
     """Resolve a model name or alias to its canonical registry key."""
     key = name.strip().lower().replace(" ", "")
@@ -103,6 +128,16 @@ def requires_text_features(name: str) -> bool:
 
 def display_label(name: str) -> str:
     return DISPLAY_LABELS.get(canonical_name(name), name)
+
+
+def constructor_defaults(name: str) -> Dict[str, Any]:
+    """The keyword values :func:`build_model` uses for ``name`` when a kwarg
+    is omitted: the constructor's signature defaults, then the name's
+    pre-filled kwargs."""
+    constructor, prefilled = _CONSTRUCTORS[canonical_name(name)]
+    parameters = inspect.signature(constructor.__init__).parameters.values()
+    defaults = {p.name: p.default for p in parameters if p.default is not p.empty}
+    return {**defaults, **prefilled}
 
 
 def build_model(name: str, num_items: int,
@@ -131,44 +166,10 @@ def build_model(name: str, num_items: int,
     key = canonical_name(name)
     if key in TEXT_MODELS and feature_table is None:
         raise ValueError(f"model {key!r} requires a pre-trained feature table")
-
-    if key == "sasrec_id":
-        return SASRecID(num_items, config=config, **kwargs)
-    if key == "cl4srec":
-        return CL4SRec(num_items, config=config, **kwargs)
-    if key == "gru4rec":
-        return GRU4Rec(num_items, config=config, **kwargs)
-    if key == "sasrec_t":
-        return SASRecText(num_items, feature_table, config=config, **kwargs)
-    if key == "sasrec_t_id":
-        return SASRecTextID(num_items, feature_table, config=config, **kwargs)
-    if key == "s3rec":
-        return S3Rec(num_items, feature_table, config=config, **kwargs)
-    if key == "fdsa":
-        return FDSA(num_items, feature_table, config=config, **kwargs)
-    # The *_id aliases pre-fill use_id_embeddings but let an explicit kwarg
-    # win, so checkpoint-introspected kwargs never collide with the alias.
-    if key == "unisrec_t":
-        kwargs.setdefault("use_id_embeddings", False)
-        return UniSRec(num_items, feature_table, config=config, **kwargs)
-    if key == "unisrec_t_id":
-        kwargs.setdefault("use_id_embeddings", True)
-        return UniSRec(num_items, feature_table, config=config, **kwargs)
-    if key == "vqrec":
-        return VQRec(num_items, feature_table, config=config, **kwargs)
+    constructor, prefilled = _CONSTRUCTORS[key]
+    kwargs = {**prefilled, **kwargs}
     if key == "grcn":
-        return GRCN(num_items, feature_table, train_sequences=train_sequences,
-                    config=config, **kwargs)
-    if key == "bm3":
-        return BM3(num_items, feature_table, config=config, **kwargs)
-    if key == "whitenrec":
-        return WhitenRec(num_items, feature_table, config=config, **kwargs)
-    if key == "whitenrec_id":
-        kwargs.setdefault("use_id_embeddings", True)
-        return WhitenRec(num_items, feature_table, config=config, **kwargs)
-    if key == "whitenrec_plus":
-        return WhitenRecPlus(num_items, feature_table, config=config, **kwargs)
-    if key == "whitenrec_plus_id":
-        kwargs.setdefault("use_id_embeddings", True)
-        return WhitenRecPlus(num_items, feature_table, config=config, **kwargs)
-    raise KeyError(f"unhandled model key {key!r}")
+        kwargs["train_sequences"] = train_sequences
+    if key in TEXT_MODELS:
+        return constructor(num_items, feature_table, config=config, **kwargs)
+    return constructor(num_items, config=config, **kwargs)

@@ -2,8 +2,8 @@
 
 Runners that train models are exercised end-to-end in the benchmark harness;
 here we test the registry completeness, the preset machinery, and the cheap
-(analysis-only) runners, plus one minimal training runner with 1-epoch
-overrides to keep the suite fast.
+(analysis-only) runners, plus the training grid (one fit per cell) with
+1-epoch overrides to keep the suite fast.
 """
 
 from __future__ import annotations
@@ -24,13 +24,18 @@ from repro.experiments import (
 )
 from repro.experiments.registry import ExperimentSpec
 from repro.experiments.runners import (
+    run_ablation_zca_epsilon,
     run_fig2_singular_values,
     run_fig3_tsne,
     run_fig4_cosine_cdf,
+    run_fig5_group_sweep,
+    run_fig8_whitenrec_plus_groups,
     run_table2_dataset_statistics,
 )
+from repro.training.trainer import Trainer
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+ONE_EPOCH = {"num_epochs": 1, "early_stopping_patience": 1}
 
 
 class TestPresets:
@@ -115,22 +120,71 @@ class TestCheapRunners:
 class TestTrainModelHelper:
     def test_train_model_minimal(self):
         setup = prepare_experiment("arts", scale="bench")
-        record = train_model(
-            setup, "sasrec_id",
-            training_overrides={"num_epochs": 1, "early_stopping_patience": 1},
-        )
+        record = train_model(setup, "sasrec_id", training_overrides=ONE_EPOCH)
         assert record.dataset == "arts"
         assert set(record.test_metrics) >= {"recall@20", "ndcg@20"}
         assert record.num_parameters > 0
-        assert record.model is None and record.result is None
 
     def test_train_model_keeps_artifacts_when_asked(self):
         setup = prepare_experiment("arts", scale="bench")
-        record = train_model(
-            setup, "whitenrec",
-            training_overrides={"num_epochs": 1, "early_stopping_patience": 1},
-            keep_result=True, keep_model=True,
-        )
+        record = train_model(setup, "whitenrec", training_overrides=ONE_EPOCH)
         assert record.result is not None and record.result.history
         assert record.model is not None
         assert record.model.item_matrix_numpy().shape[0] == setup.num_items
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Empty the cell cache and record every ``Trainer.fit`` call."""
+    clear_setup_cache()
+    calls = []
+    fit = Trainer.fit
+
+    def counting_fit(self):
+        calls.append(self)
+        return fit(self)
+
+    monkeypatch.setattr(Trainer, "fit", counting_fit)
+    return calls
+
+
+class TestTrainingGrid:
+    def test_views_sharing_a_cell_fit_it_once(self, fit_calls):
+        fig5 = run_fig5_group_sweep(groups=(1,), epochs=1)
+        ablation = run_ablation_zca_epsilon(epsilons=(1e-5,), epochs=1)
+        fig8 = run_fig8_whitenrec_plus_groups(groups=(), epochs=1)
+        assert len(fit_calls) == 1
+        assert fig5["series"][1] == ablation["results"]["eps=1e-05"]
+        assert fig5["series"][1] == fig8["whitenrec_reference"]
+
+    def test_default_kwargs_name_the_same_cell(self, fit_calls):
+        setup = prepare_experiment("arts", scale="bench")
+        explicit = train_model(setup, "whitenrec", {"num_groups": 1}, ONE_EPOCH)
+        explicit.test_metrics["recall@20"] = -1.0
+        implicit = train_model(setup, "whitenrec", {}, ONE_EPOCH)
+        assert len(fit_calls) == 1
+        assert implicit.model is explicit.model
+        assert implicit.test_metrics["recall@20"] >= 0.0  # views get copies
+
+    def test_cell_metrics_do_not_depend_on_training_order(self):
+        def whitenrec_after(*others):
+            clear_setup_cache()
+            setup = prepare_experiment("arts", scale="bench")
+            for other in others:
+                train_model(setup, other, training_overrides=ONE_EPOCH)
+            return train_model(setup, "whitenrec", training_overrides=ONE_EPOCH).test_metrics
+
+        assert whitenrec_after() == whitenrec_after("sasrec_id")
+
+    def test_condition_number_tracking_changes_no_number(self, fit_calls):
+        setup = prepare_experiment("arts", scale="bench")
+        two_epochs = {"num_epochs": 2, "early_stopping_patience": 2}
+        tracked = train_model(setup, "whitenrec", training_overrides=two_epochs)
+        untracked = train_model(setup, "whitenrec", training_overrides={
+            **two_epochs, "track_condition_number": False})
+        assert len(fit_calls) == 2
+        assert tracked.test_metrics == untracked.test_metrics
+        assert ([epoch.train_loss for epoch in tracked.result.history]
+                == [epoch.train_loss for epoch in untracked.result.history])
+        assert all(epoch.condition_number for epoch in tracked.result.history)
+        assert all(epoch.condition_number is None for epoch in untracked.result.history)

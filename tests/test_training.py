@@ -167,6 +167,14 @@ class TestTrainer:
         assert result.seconds_per_epoch > 0
         assert set(result.test_metrics) == {"recall@20", "ndcg@20", "recall@50", "ndcg@50"}
 
+    def test_seconds_per_epoch_is_mean_epoch_time(self, tiny_split, tiny_model_config):
+        model = SASRecID(tiny_split.num_items, tiny_model_config)
+        result = quick_train(model, tiny_split, num_epochs=2, max_sequence_length=12, seed=0)
+        seconds = [record.seconds for record in result.history]
+        assert result.seconds_per_epoch == pytest.approx(sum(seconds) / len(seconds))
+        # the final test pass is not charged to the epochs
+        assert result.seconds_per_epoch <= result.total_seconds / len(result.history)
+
     def test_seconds_per_epoch_empty_history(self):
         from repro.training.trainer import TrainingResult
 

@@ -156,9 +156,11 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--max-batch-size", type=int, default=64,
                               help="dynamic batcher: max coalesced requests "
                                    "per scoring call (default: 64)")
-    serve_parser.add_argument("--max-wait-ms", type=float, default=2.0,
+    serve_parser.add_argument("--max-wait-ms", type=float, default=0.0,
                               help="dynamic batcher: how long the first "
-                                   "request waits for company (default: 2)")
+                                   "request waits for company; 0 dispatches "
+                                   "as soon as the worker is free "
+                                   "(default: 0)")
     serve_parser.add_argument("--no-batching", action="store_true",
                               help="disable dynamic batching (score each "
                                    "request individually)")

@@ -3,10 +3,14 @@
 The serving substrate is fastest on batches (one GEMM for a whole batch of
 users — PR 1's batched scoring over PR 3's fused kernels), but production
 traffic arrives as single-user requests.  The :class:`DynamicBatcher` bridges
-the two, Triton-style: callers submit one history each and block on a future;
-a worker collects whatever arrives within ``max_wait_ms`` of the *first*
-pending request (or until ``max_batch_size``), groups the haul by serving
-policy, and answers each group with a single ``Recommender.topk`` call.
+the two: callers submit one history each and block on a future; a worker
+pops whatever is queued (up to ``max_batch_size``) as soon as it is free,
+groups the haul by serving policy, and answers each group with a single
+``Recommender.topk`` call.  No request waits for company: batches form from
+the requests that arrive while the previous batch is being scored, so an
+idle service answers at once and a busy one coalesces in proportion to its
+load.  A positive ``max_wait_ms`` adds a fixed window after the first
+pending request, for callers that need deterministic batch compositions.
 
 Losslessness: the exact float32 scoring path is batch-composition independent
 (see ``repro.training.evaluation.MIN_SCORING_ROWS`` — tiny batches are padded
@@ -140,9 +144,12 @@ class DynamicBatcher:
     max_batch_size:
         Hard cap on requests per scoring call.
     max_wait_ms:
-        How long the first request of a tick waits for company before the
-        batch is flushed anyway.  ``0`` disables waiting: each tick takes
-        whatever is queued at that instant (still coalescing bursts).
+        ``0`` (the default): each tick takes whatever is queued the moment
+        the worker is free, so coalescing comes from requests that arrived
+        during the previous batch.  A positive value makes the first request
+        of a tick wait up to that long for company; it only serves callers
+        that need deterministic batch compositions, and costs every lone
+        request the whole window.
     start:
         Start the background worker immediately.  ``start=False`` leaves the
         batcher in manual mode — nothing is processed until :meth:`flush` —
@@ -162,7 +169,7 @@ class DynamicBatcher:
 
     def __init__(self, recommender: Recommender,
                  config: Optional[ServingConfig] = None,
-                 max_batch_size: int = 64, max_wait_ms: float = 2.0,
+                 max_batch_size: int = 64, max_wait_ms: float = 0.0,
                  start: bool = True, max_queue: Optional[int] = None,
                  overload_policy: str = "reject"):
         if max_batch_size < 1:

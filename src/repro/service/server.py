@@ -162,12 +162,29 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
                    status: int = 200) -> None:
         self._send_body(text.encode("utf-8"), content_type, status)
 
-    def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
+    def _read_body(self) -> bytes:
+        """Consume the declared request body, so the next request on a
+        keep-alive connection starts where this one ends.  A Content-Length
+        that is not a non-negative integer leaves the framing unknown: the
+        connection is closed after the 400."""
+        declared = self.headers.get("Content-Length", "0")
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise RequestError(f"invalid Content-Length: {declared!r}")
+        return self.rfile.read(length)
+
+    @staticmethod
+    def _parse_json(body: bytes) -> Any:
+        if not body:
             raise RequestError("request body must be a JSON object")
         try:
-            return json.loads(self.rfile.read(length).decode("utf-8"))
+            return json.loads(body.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise RequestError("request body is not valid UTF-8") from None
         except json.JSONDecodeError as error:
             raise RequestError(f"invalid JSON: {error.msg}") from None
 
@@ -221,12 +238,14 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         self._request_started = time.perf_counter()
-        if self.path != "/recommend":
-            self._send_json({"error": f"unknown path {self.path!r}"}, status=404)
-            return
         service = self.server.service
         try:
-            payload = self._read_json()
+            body = self._read_body()
+            if self.path != "/recommend":
+                self._send_json({"error": f"unknown path {self.path!r}"},
+                                status=404)
+                return
+            payload = self._parse_json(body)
             if isinstance(payload, dict) and "requests" in payload:
                 responses = service.recommend_many(payload["requests"])
                 self._send_json(

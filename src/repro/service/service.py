@@ -42,6 +42,8 @@ class RecommenderService:
         per-request baseline the batching benchmark measures against).
     max_batch_size / max_wait_ms:
         Batcher tuning, applied to every per-deployment batcher.
+        ``max_wait_ms=0`` (the default) dispatches as soon as the batcher's
+        worker is free; see :class:`DynamicBatcher`.
     autostart_batchers:
         ``False`` creates batchers in manual mode (no worker thread); tests
         drive them deterministically via :meth:`flush`.
@@ -72,7 +74,7 @@ class RecommenderService:
 
     def __init__(self, registry: Optional[ModelRegistry] = None,
                  batching: bool = True, max_batch_size: int = 64,
-                 max_wait_ms: float = 2.0, autostart_batchers: bool = True,
+                 max_wait_ms: float = 0.0, autostart_batchers: bool = True,
                  metrics: Union[MetricsRegistry, None, bool] = None,
                  max_queue: Optional[int] = None,
                  overload_policy: str = "reject",

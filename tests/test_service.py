@@ -3,18 +3,22 @@
 Covers: typed request/response envelopes, the deployment registry
 (register / get / list / retire / hot-swap reload), the dynamic micro-batcher
 (exact parity with direct `Recommender.topk` under concurrent callers,
-max-wait flush behaviour, manual-mode determinism, in-flight requests
-surviving a hot-swap), the service facade, the JSONL and HTTP front-ends
-(including the enriched /healthz payload and the --verbose structured
-access log), and the `repro serve` CLI error paths.
+max-wait flush behaviour, coalescing without a wait window, manual-mode
+determinism, in-flight requests surviving a hot-swap), the service facade,
+the JSONL and HTTP front-ends (including the enriched /healthz payload, the
+--verbose structured access log and request framing on keep-alive
+connections), and the `repro serve` CLI error paths.
 """
 
 from __future__ import annotations
 
 import contextlib
+import http.client
+import inspect
 import io
 import json
 import multiprocessing
+import socket
 import threading
 import time
 import urllib.request
@@ -22,7 +26,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.cli import main as cli_main
+from repro.cli import _build_parser, main as cli_main
 from repro.data import load_dataset
 from repro.data.splits import leave_one_out_split
 from repro.experiments.persistence import save_checkpoint
@@ -69,6 +73,25 @@ def deployment(service_setup):
     _, split, features, make_model = service_setup
     recommender = _recommender(split, features, make_model(0))
     return Deployment("arts", recommender, config=ServingConfig(k=5))
+
+
+class _GatedRecommender:
+    """Holds the batcher's worker inside its first scoring call until
+    released, so requests submitted meanwhile queue up behind it."""
+
+    def __init__(self, recommender):
+        self.recommender = recommender
+        self.config = recommender.config
+        self.inside = threading.Event()
+        self.release = threading.Event()
+        self.batch_sizes = []
+
+    def topk(self, sequences, **kwargs):
+        self.batch_sizes.append(len(sequences))
+        if len(self.batch_sizes) == 1:
+            self.inside.set()
+            assert self.release.wait(10)
+        return self.recommender.topk(sequences, **kwargs)
 
 
 class TestEnvelopes:
@@ -352,6 +375,35 @@ class TestDynamicBatcher:
             elapsed = time.perf_counter() - started
         assert result.batch_size == 1
         assert elapsed < 5.0  # served by the wait deadline, not the size cap
+
+    def test_default_batcher_coalesces_what_arrives_during_a_batch(
+            self, service_setup):
+        """With no wait window, batches form from the requests that queue
+        while the worker scores the previous batch: N requests submitted
+        while it is held inside its first call are served by one call."""
+        _, split, features, make_model = service_setup
+        recommender = _recommender(split, features, make_model(0))
+        gated = _GatedRecommender(recommender)
+        histories = [case.history for case in split.test[1:8]]
+        with DynamicBatcher(gated) as batcher:
+            first = batcher.submit(split.test[0].history, k=5)
+            assert gated.inside.wait(10)
+            futures = [batcher.submit(history, k=5) for history in histories]
+            gated.release.set()
+            results = [future.result(timeout=10) for future in futures]
+            assert first.result(timeout=10).batch_size == 1
+        assert gated.batch_sizes == [1, len(histories)]
+        for history, result in zip(histories, results):
+            direct = recommender.topk([history], k=5)
+            assert result.batch_size == len(histories)
+            assert np.array_equal(result.items, direct.items[0])
+            assert np.array_equal(result.scores, direct.scores[0])
+
+    def test_wait_window_defaults_to_zero(self):
+        for constructor in (DynamicBatcher, RecommenderService):
+            parameters = inspect.signature(constructor).parameters
+            assert parameters["max_wait_ms"].default == 0.0
+        assert _build_parser().parse_args(["serve"]).max_wait_ms == 0.0
 
     def test_invalid_override_fails_fast_without_poisoning(self, service_setup):
         _, split, features, make_model = service_setup
@@ -691,6 +743,51 @@ class TestHTTPServer:
         with urllib.request.urlopen(
                 f"http://127.0.0.1:{server.port}{path}", timeout=10) as reply:
             return reply.status, json.loads(reply.read().decode("utf-8"))
+
+    @staticmethod
+    def _exchange(connection, raw_request):
+        """Send raw bytes on a keep-alive socket; parse the one response."""
+        connection.sendall(raw_request)
+        reply = http.client.HTTPResponse(connection)
+        reply.begin()
+        return reply.status, json.loads(reply.read().decode("utf-8"))
+
+    @staticmethod
+    def _raw_post(path, body, length=None):
+        length = len(body) if length is None else length
+        return (f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {length}\r\n\r\n").encode("ascii") + body
+
+    LIVEZ = b"GET /livez HTTP/1.1\r\nHost: test\r\n\r\n"
+
+    def test_post_to_unknown_path_consumes_its_body(self, http_server):
+        """Regression: a 404 answered without reading the body left it on
+        the keep-alive connection, to be parsed as the next request line."""
+        with socket.create_connection(("127.0.0.1", http_server.port),
+                                      timeout=10) as client:
+            status, payload = self._exchange(
+                client, self._raw_post("/nope", b'{"history": [1, 2]}'))
+            assert status == 404 and "/nope" in payload["error"]
+            status, payload = self._exchange(client, self.LIVEZ)
+            assert status == 200 and payload["ok"] is True
+
+    def test_malformed_content_length_is_a_400(self, http_server):
+        """Regression: `Content-Length: abc` was a 500 from int()."""
+        with socket.create_connection(("127.0.0.1", http_server.port),
+                                      timeout=10) as client:
+            status, payload = self._exchange(
+                client, self._raw_post("/recommend", b"", length="abc"))
+        assert status == 400 and "Content-Length" in payload["error"]
+
+    def test_non_utf8_body_is_a_400(self, http_server):
+        """Regression: a body that is not UTF-8 was a 500 from decode()."""
+        with socket.create_connection(("127.0.0.1", http_server.port),
+                                      timeout=10) as client:
+            status, payload = self._exchange(
+                client, self._raw_post("/recommend", b'{"history": "\xff"}'))
+            assert status == 400 and "UTF-8" in payload["error"]
+            status, _ = self._exchange(client, self.LIVEZ)
+            assert status == 200
 
     def test_recommend_stats_and_errors(self, http_server, service_setup,
                                         deployment):

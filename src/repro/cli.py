@@ -31,13 +31,6 @@ micro-batching, JSONL-over-stdio or HTTP::
                           --deployment food=runs/food.npz --loop
     python -m repro serve --deployment arts=runs/arts.npz --http 8765 --verbose
 
-Drive a service with the open-loop load generator (in-process, or point it
-at a running HTTP server) and find the max sustainable RPS under a p95 SLO::
-
-    python -m repro loadgen arts --rate 100 --duration 5
-    python -m repro loadgen --url http://127.0.0.1:8765 --catalogue 90 \
-                            --find-max --slo-p95-ms 50
-
 Build an ANN index over the whitened item embeddings (or over a checkpoint's
 candidate item matrix) and save it for a retrieval process::
 
@@ -185,84 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="with --http: structured access log to "
                                    "stderr (one JSON object per request: "
                                    "method, path, status, duration_ms)")
-
-    loadgen_parser = subparsers.add_parser(
-        "loadgen",
-        help="open-loop load generator: drive an in-process service or a "
-             "running HTTP server at a fixed or ramping arrival rate and "
-             "report offered vs achieved RPS and latency quantiles"
-    )
-    loadgen_parser.add_argument("dataset", nargs="?", choices=available_presets(),
-                                help="dataset to build the in-process target "
-                                     "service from (untrained model — the "
-                                     "harness measures serving, not quality); "
-                                     "optional with --url or --deployment")
-    loadgen_parser.add_argument("--scale", default="tiny",
-                                choices=["tiny", "small", "paper"])
-    loadgen_parser.add_argument("--model", default="whitenrec",
-                                help="model alias for the in-process target")
-    loadgen_parser.add_argument("--dim", type=int, default=32,
-                                help="pre-trained text embedding dimension")
-    loadgen_parser.add_argument("--seed", type=int, default=7)
-    loadgen_parser.add_argument("--deployment", action="append", default=None,
-                                metavar="NAME=CHECKPOINT",
-                                help="serve a checkpointed deployment "
-                                     "in-process instead of building one from "
-                                     "the dataset (repeatable)")
-    loadgen_parser.add_argument("--url", default=None, metavar="URL",
-                                help="target a running HTTP server (its "
-                                     "/recommend endpoint) instead of an "
-                                     "in-process service")
-    loadgen_parser.add_argument("--k", type=int, default=10,
-                                help="top-K cut-off for the in-process target")
-    loadgen_parser.add_argument("--rate", type=float, default=50.0,
-                                help="offered arrival rate in requests/second "
-                                     "(poisson profile; the start rate for "
-                                     "ramp)")
-    loadgen_parser.add_argument("--duration", type=float, default=5.0,
-                                help="seconds of offered load")
-    loadgen_parser.add_argument("--profile", default="poisson",
-                                choices=["poisson", "ramp"],
-                                help="arrival process: fixed-rate poisson or "
-                                     "a linear ramp from --rate to --ramp-to")
-    loadgen_parser.add_argument("--ramp-to", type=float, default=None,
-                                help="end rate of the ramp profile "
-                                     "(default: 4x --rate)")
-    loadgen_parser.add_argument("--workers", type=int, default=8,
-                                help="sender threads (bounds concurrency; the "
-                                     "loop stays open: latency is measured "
-                                     "from each request's scheduled arrival)")
-    loadgen_parser.add_argument("--catalogue", type=int, default=None,
-                                help="item-id range for generated histories "
-                                     "(required with --url; defaults to the "
-                                     "in-process deployment's item count)")
-    loadgen_parser.add_argument("--find-max", action="store_true",
-                                help="ramp search: step an ascending rate "
-                                     "ladder and report the max sustainable "
-                                     "RPS under the p95 SLO")
-    loadgen_parser.add_argument("--slo-p95-ms", type=float, default=50.0,
-                                help="p95 latency SLO for --find-max "
-                                     "(default: 50 ms)")
-    loadgen_parser.add_argument("--rates", default=None,
-                                metavar="R1,R2,...",
-                                help="comma-separated ascending rate ladder "
-                                     "for --find-max (default: "
-                                     "25,50,100,200,400)")
-    loadgen_parser.add_argument("--step-duration", type=float, default=2.0,
-                                help="seconds per --find-max ladder step")
-    loadgen_parser.add_argument("--deadline-ms", type=float, default=None,
-                                help="attach this deadline_ms budget to "
-                                     "every generated request; expiries "
-                                     "come back classified as "
-                                     "deadline_expired, not errors")
-    loadgen_parser.add_argument("--follow-log", default=None, metavar="PATH",
-                                help="drain this repro.stream interaction "
-                                     "log while generating sessions, weaving "
-                                     "freshly ingested items into the users' "
-                                     "sliding windows")
-    loadgen_parser.add_argument("--json", action="store_true",
-                                help="emit the report as one JSON object "
-                                     "instead of the human-readable summary")
 
     stream_parser = subparsers.add_parser(
         "stream",
@@ -479,8 +394,7 @@ def _command_serve(args) -> int:
     from .experiments.persistence import save_checkpoint
     from .models import display_label
     from .serving import (CATALOGUE_CODECS, SERVING_BACKENDS, SHARD_BACKENDS,
-                          EmbeddingStore, Recommender, ServingConfig,
-                          measure_throughput)
+                          EmbeddingStore, Recommender, ServingConfig)
     from .service import Deployment, ModelRegistry, RecommenderService, serve_http, serve_jsonl
     from .training import quick_train
 
@@ -614,134 +528,6 @@ def _serve_demo(args, registry, service, split) -> int:
               f"({report.num_sequences} requests x {report.repeats} repeats "
               f"in {report.seconds:.3f}s)")
         print(f"engine: {registry.get(args.dataset).recommender.engine_name}")
-    return 0
-
-
-def _command_loadgen(args) -> int:
-    import json as json_module
-
-    from .observability import (find_max_sustainable_rps, http_sender,
-                                poisson_offsets, ramp_offsets, run_open_loop,
-                                service_sender, session_requests)
-
-    if args.rate <= 0:
-        return _fail(f"--rate must be > 0, got {args.rate}")
-    if args.duration <= 0:
-        return _fail(f"--duration must be > 0, got {args.duration}")
-    if args.workers < 1:
-        return _fail(f"--workers must be >= 1, got {args.workers}")
-    if args.url and (args.dataset or args.deployment):
-        return _fail("--url targets a running server; it cannot be combined "
-                     "with a dataset or --deployment")
-
-    rates = None
-    if args.rates is not None:
-        try:
-            rates = [float(rate) for rate in args.rates.split(",") if rate]
-        except ValueError:
-            return _fail(f"--rates expects comma-separated numbers, "
-                         f"got {args.rates!r}")
-        if not rates:
-            return _fail("--rates expects at least one rate")
-    elif args.find_max:
-        rates = [25.0, 50.0, 100.0, 200.0, 400.0]
-
-    service = None
-    registry = None
-    if args.url:
-        if args.catalogue is None:
-            return _fail("--url needs --catalogue N (the target's item-id "
-                         "range, used to generate request histories)")
-        catalogue = args.catalogue
-        url = args.url.rstrip("/")
-        if not url.endswith("/recommend"):
-            url += "/recommend"
-        send = http_sender(url)
-    else:
-        from .service import Deployment, ModelRegistry, RecommenderService
-        from .serving import EmbeddingStore, Recommender, ServingConfig
-
-        try:
-            serving_config = ServingConfig(k=args.k)
-        except ValueError as error:
-            return _fail(str(error))
-        registry = ModelRegistry()
-        _deploy_checkpoints(args.deployment, registry, serving_config)
-        if args.dataset:
-            # Untrained model on purpose: the load harness measures the
-            # serving path (encode/score/merge/batch), not recommendation
-            # quality, and skipping training keeps start-up instant.
-            _, split, features, model = _dataset_model(args)
-            recommender = Recommender(model, store=EmbeddingStore(features),
-                                      train_sequences=split.train_sequences,
-                                      config=serving_config)
-            registry.register(Deployment(name=args.dataset,
-                                         recommender=recommender,
-                                         config=serving_config))
-        if len(registry) == 0:
-            return _fail("nothing to drive: pass a dataset, --deployment "
-                         "NAME=CHECKPOINT, or --url")
-        catalogue = (args.catalogue if args.catalogue is not None
-                     else registry.list()[0].num_items)
-        service = RecommenderService(registry)
-        send = service_sender(service)
-
-    try:
-        if args.find_max:
-            result = find_max_sustainable_rps(
-                send, catalogue=catalogue, slo_p95_ms=args.slo_p95_ms,
-                rates=rates, step_duration_s=args.step_duration,
-                concurrency=args.workers, seed=args.seed,
-                deadline_ms=args.deadline_ms)
-            if args.json:
-                print(json_module.dumps(result, sort_keys=True))
-            else:
-                rows = [[step["rate"], step["achieved_rps"], step["p95_ms"],
-                         step["errors"], step["shed"],
-                         step["deadline_expired"],
-                         "yes" if step["sustained"] else "no"]
-                        for step in result["steps"]]
-                print(format_table(
-                    ["offered rps", "achieved rps", "p95 ms", "errors",
-                     "shed", "expired", "sustained"],
-                    rows, precision=2,
-                    title=f"SLO ramp search — p95 <= {args.slo_p95_ms:g} ms"))
-                print(f"max sustainable rate: "
-                      f"{result['sustainable_rps']:g} rps")
-        else:
-            if args.profile == "ramp":
-                end_rate = (args.ramp_to if args.ramp_to is not None
-                            else 4.0 * args.rate)
-                offsets = ramp_offsets(args.rate, end_rate, args.duration,
-                                       seed=args.seed)
-            else:
-                offsets = poisson_offsets(args.rate, args.duration,
-                                          seed=args.seed)
-            follow_log = None
-            if args.follow_log:
-                from .stream import InteractionLog
-
-                follow_log = InteractionLog(args.follow_log, durable=False)
-            payloads = session_requests(len(offsets), catalogue,
-                                        seed=args.seed,
-                                        deadline_ms=args.deadline_ms,
-                                        follow_log=follow_log)
-            report = run_open_loop(send, payloads, offsets,
-                                   concurrency=args.workers,
-                                   profile=args.profile,
-                                   slo_ms=args.slo_p95_ms)
-            summary = report.to_dict()
-            if args.json:
-                print(json_module.dumps(summary, sort_keys=True))
-            else:
-                rows = [[key, value] for key, value in summary.items()]
-                print(format_table(["metric", "value"], rows, precision=2,
-                                   title=f"Open-loop load — {args.profile}"))
-    finally:
-        if service is not None:
-            service.close()
-        if registry is not None:
-            registry.close_all()
     return 0
 
 
@@ -946,8 +732,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.command == "serve":
             return _command_serve(args)
-        if args.command == "loadgen":
-            return _command_loadgen(args)
         if args.command == "stream":
             return _command_stream(args)
     except _UsageError as error:

@@ -9,21 +9,19 @@ Three pieces, layered bottom-up:
   per-request stage breakdown (validate -> queue -> encode -> score ->
   merge -> respond) shared by every serving path;
 * :mod:`repro.observability.loadgen` — an open-loop load generator
-  (Poisson / ramp arrival schedules, session-replay request streams) and a
+  (Poisson arrival schedules, session-replay request streams) and a
   max-sustainable-RPS ramp search under a p95 SLO.
 
 The :class:`~repro.service.RecommenderService` wires the first two in by
 default (``GET /metrics`` on the HTTP front-end, ``metrics`` in the JSONL
-``stats`` payload); the load generator drives either front-end from
-``repro loadgen``.
+``stats`` payload).
 """
 
 from .metrics import (BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_MS, MetricFamily,
                       MetricsRegistry, quantile)
 from .tracing import STAGES, RequestTrace
-from .loadgen import (LoadReport, find_max_sustainable_rps, http_sender,
-                      poisson_offsets, ramp_offsets, run_open_loop,
-                      service_sender, session_requests)
+from .loadgen import (LoadReport, find_max_sustainable_rps, poisson_offsets,
+                      run_open_loop, service_sender, session_requests)
 
 __all__ = [
     "BATCH_SIZE_BUCKETS",
@@ -34,10 +32,8 @@ __all__ = [
     "RequestTrace",
     "STAGES",
     "find_max_sustainable_rps",
-    "http_sender",
     "poisson_offsets",
     "quantile",
-    "ramp_offsets",
     "run_open_loop",
     "service_sender",
     "session_requests",

@@ -11,6 +11,7 @@ so a client can see exactly how it was served.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -89,9 +90,10 @@ class RecommendRequest:
         if self.deadline_ms is not None:
             if (isinstance(self.deadline_ms, bool)
                     or not isinstance(self.deadline_ms, (int, float))
+                    or not math.isfinite(self.deadline_ms)
                     or self.deadline_ms <= 0):
                 raise RequestError(
-                    f"deadline_ms must be a positive number, "
+                    f"deadline_ms must be a positive finite number, "
                     f"got {self.deadline_ms!r}"
                 )
             self.deadline_ms = float(self.deadline_ms)

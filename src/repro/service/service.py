@@ -311,6 +311,9 @@ class RecommenderService:
         front, so a bad entry can never leave earlier entries' futures
         abandoned mid-batch (their scoring running with nobody waiting).
         """
+        if not isinstance(requests, (list, tuple)):
+            raise RequestError(f"requests must be a list of request objects, "
+                               f"got {type(requests).__name__}")
         coerced = []
         traces: List[Optional[RequestTrace]] = []
         for request in requests:

@@ -26,8 +26,8 @@ import pytest
 from repro.data import load_dataset
 from repro.data.splits import leave_one_out_split
 from repro.models import ModelConfig, build_model
-from repro.observability import (find_max_sustainable_rps, http_sender,
-                                 run_open_loop, session_requests)
+from repro.observability import (find_max_sustainable_rps, run_open_loop,
+                                 session_requests)
 from repro.resilience import (BREAKER_STATE_CODES, BatcherCrashed,
                               CircuitBreaker, DeadlineExceeded, FaultAction,
                               FaultPlan, InflightGate, OverloadError,
@@ -386,12 +386,9 @@ class TestDeadlinePropagation:
         request = RecommendRequest(history=[1, 2], deadline_ms=250)
         assert request.deadline_ms == 250.0
         assert request.to_dict()["deadline_ms"] == 250.0
-        with pytest.raises(RequestError):
-            RecommendRequest(history=[1], deadline_ms=0)
-        with pytest.raises(RequestError):
-            RecommendRequest(history=[1], deadline_ms=True)
-        with pytest.raises(RequestError):
-            RecommendRequest(history=[1], deadline_ms="fast")
+        for bad in (0, True, "fast", float("nan"), float("inf")):
+            with pytest.raises(RequestError):
+                RecommendRequest(history=[1], deadline_ms=bad)
 
     def test_expired_deadline_never_reaches_scoring(self, rsetup):
         _, split, _, _ = rsetup
@@ -1122,27 +1119,3 @@ class TestLoadgenClassification:
         assert first["sustained"] is False
         assert first["shed"] > 0
         assert first["errors"] == 0  # shed is not an error
-
-    def test_http_sender_reconstructs_typed_errors(self, rsetup, http_service):
-        service, harness = http_service
-        send = http_sender(harness.base + "/recommend", timeout=30.0)
-
-        def shed(request, timeout=None):
-            raise OverloadError("queue full", retry_after_s=2.0)
-
-        service.recommend = shed
-        with pytest.raises(OverloadError) as excinfo:
-            send({"history": [1, 2]})
-        assert excinfo.value.retry_after_s == 2.0
-
-        def expire(request, timeout=None):
-            raise DeadlineExceeded("late")
-
-        service.recommend = expire
-        with pytest.raises(DeadlineExceeded):
-            send({"history": [1, 2]})
-
-    def test_session_requests_attach_deadlines(self):
-        payloads = session_requests(4, catalogue=10, seed=0,
-                                    deadline_ms=120.0)
-        assert all(payload["deadline_ms"] == 120.0 for payload in payloads)

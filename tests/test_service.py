@@ -808,6 +808,9 @@ class TestHTTPServer:
         status, payload = self._post(http_server, "/recommend",
                                      {"history": "oops"})
         assert status == 400 and "history" in payload["error"]
+        status, payload = self._post(http_server, "/recommend",
+                                     {"requests": 5})
+        assert status == 400 and "requests must be a list" in payload["error"]
 
         status, payload = self._get(http_server, "/stats")
         assert status == 200 and payload["requests_served"] >= 3

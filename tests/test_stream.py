@@ -9,8 +9,7 @@ triggered refits), the detached-snapshot discipline (`Checkpoint.snapshot`,
 aliasing asserts, fine-tune-after-publish isolation), the incremental
 trainer (micro-epochs, at-least-once offsets), the publisher (version
 bumps, warm-up, in-place refresh), hot-swap under concurrent batched /
-sharded / session-cached traffic (old-or-new, never torn), and the
-follow-log coupling of the load generator.
+sharded / session-cached traffic (old-or-new, never torn).
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.data import load_dataset
 from repro.data.splits import leave_one_out_split
 from repro.experiments.persistence import Checkpoint, save_checkpoint
 from repro.models import ModelConfig, build_model
-from repro.observability import session_requests
 from repro.service import Deployment, ModelRegistry, RecommenderService
 from repro.serving import (
     EmbeddingStore,
@@ -660,35 +658,3 @@ class TestHotSwapUnderTraffic:
                 err_msg=f"torn scores: version {version}, row {row}")
         service.close()
         registry.close_all()
-
-
-# --------------------------------------------------------------------- #
-# Load generation follows the log
-# --------------------------------------------------------------------- #
-class TestFollowLog:
-    def test_session_requests_weave_in_logged_items(self, tmp_path):
-        with _log(tmp_path) as log:
-            log.append_many([(0, 77, 0.0)] * 3)
-            payloads = session_requests(30, catalogue=80, num_users=4,
-                                        seed=0, follow_log=log)
-        followed = [payload for payload in payloads
-                    if 77 in payload["history"]]
-        assert followed, "logged item never reached a session window"
-        # Without the log the item 77 run never happens for user 0's window.
-        baseline = session_requests(30, catalogue=80, num_users=4, seed=0)
-        assert [p["history"] for p in payloads] != \
-            [p["history"] for p in baseline]
-
-    def test_follow_log_skips_out_of_catalogue_items(self, tmp_path):
-        with _log(tmp_path) as log:
-            log.append_many([(0, 500, 0.0)])
-            payloads = session_requests(10, catalogue=20, num_users=2,
-                                        seed=0, follow_log=log)
-        assert all(500 not in payload["history"] for payload in payloads)
-
-    def test_follow_log_accepts_a_path(self, tmp_path):
-        with _log(tmp_path) as log:
-            log.append_many([(1, 5, 0.0)] * 2)
-        payloads = session_requests(8, catalogue=10, num_users=2, seed=0,
-                                    follow_log=tmp_path / "log")
-        assert any(5 in payload["history"] for payload in payloads)

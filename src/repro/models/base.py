@@ -24,7 +24,7 @@ import numpy as np
 from .. import nn
 from ..data.dataloader import SequenceBatch
 from ..nn import functional as F
-from ..nn.tensor import Tensor, fused_kernels_enabled
+from ..nn.tensor import Tensor
 
 
 @dataclass
@@ -93,34 +93,38 @@ class SequentialRecommender(nn.Module):
     # ------------------------------------------------------------------ #
     def encode_sequence(self, batch: SequenceBatch,
                         item_matrix: Optional[Tensor] = None) -> Tensor:
-        """Compute user representations ``s`` for a batch of histories."""
+        """Compute user representations ``s`` for a batch of histories.
+
+        The user representation is the hidden state at the last position
+        (sequences are left-padded, so the last position is always real).
+        Only the positions that hold an item are computed: they are packed
+        at the embedding lookup (:class:`repro.nn.attention.PackedRows`) and
+        stay packed through the input layer norm, dropout and every
+        position-wise op of :meth:`TransformerEncoder.forward_last`.
+        """
         item_matrix = item_matrix if item_matrix is not None else self.item_representations()
-        item_ids = batch.item_ids
-        batch_size, seq_len = item_ids.shape
+        layout = self._packed_rows(batch)
+        return self._encode_rows(item_matrix, batch, layout,
+                                 self.input_layernorm, self.encoder)
+
+    def _packed_rows(self, batch: SequenceBatch) -> nn.PackedRows:
+        batch_size, seq_len = batch.item_ids.shape
         if seq_len > self.max_seq_length:
             raise ValueError(
                 f"batch sequence length {seq_len} exceeds max_seq_length "
                 f"{self.max_seq_length}"
             )
+        return nn.PackedRows(batch.lengths, batch_size, seq_len)
 
-        hidden = item_matrix.take_rows(item_ids) + self._position_embeddings(batch_size, seq_len)
-        hidden = self.input_layernorm(hidden)
-        hidden = self.input_dropout(hidden)
-        # The user representation is the hidden state at the last position
-        # (sequences are left-padded, so the last position is always real);
-        # the encoder computes its final block there and nowhere else.
-        return self.encoder.forward_last(hidden, lengths=batch.lengths)
-
-    def _position_embeddings(self, batch_size: int, seq_len: int) -> Tensor:
-        """Position embeddings to add to a ``(batch, seq, d)`` item sequence."""
-        if fused_kernels_enabled():
-            # 1-D positions broadcast against the batch axis: the position
-            # table gradient then reduces to a (seq, d) sum instead of a
-            # scatter over batch * seq repeated indices.
-            positions = np.arange(seq_len)
-        else:
-            positions = np.broadcast_to(np.arange(seq_len), (batch_size, seq_len))
-        return self.position_embedding(positions)
+    def _encode_rows(self, table: Tensor, batch: SequenceBatch,
+                     layout: nn.PackedRows, layernorm: nn.LayerNorm,
+                     encoder: nn.TransformerEncoder) -> Tensor:
+        """Look up the packed rows of ``batch`` in ``table`` and encode them."""
+        hidden = (table.take_rows(batch.item_ids[layout.rows])
+                  + self.position_embedding(layout.rows[1]))
+        hidden = layernorm(hidden)
+        hidden = self.input_dropout.forward_rows(hidden, layout)
+        return encoder.forward_last(hidden, layout)
 
     # ------------------------------------------------------------------ #
     # Prediction & loss

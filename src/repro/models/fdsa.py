@@ -14,7 +14,6 @@ import numpy as np
 
 from .. import nn
 from ..data.dataloader import SequenceBatch
-from ..nn import functional as F
 from ..nn.tensor import Tensor, concatenate
 from .base import ModelConfig, SequentialRecommender
 
@@ -59,17 +58,13 @@ class FDSA(SequentialRecommender):
         """Candidate items are scored against their ID embeddings (as in FDSA)."""
         return self.item_embedding.all_embeddings()
 
-    def _encode_feature_stream(self, batch: SequenceBatch) -> Tensor:
-        feature_table = self.feature_projection(self.features.all_embeddings())
-        feature_emb = feature_table.take_rows(batch.item_ids)
-        feature_emb = feature_emb + self._position_embeddings(*batch.item_ids.shape)
-        feature_emb = self.feature_layernorm(feature_emb)
-        feature_emb = self.input_dropout(feature_emb)
-        return self.feature_encoder.forward_last(feature_emb, lengths=batch.lengths)
-
     def encode_sequence(self, batch: SequenceBatch,
                         item_matrix: Optional[Tensor] = None) -> Tensor:
-        item_state = super().encode_sequence(batch, item_matrix)
-        feature_state = self._encode_feature_stream(batch)
-        fused = self.fusion(concatenate([item_state, feature_state], axis=-1))
-        return fused
+        item_matrix = item_matrix if item_matrix is not None else self.item_representations()
+        layout = self._packed_rows(batch)
+        item_state = self._encode_rows(item_matrix, batch, layout,
+                                       self.input_layernorm, self.encoder)
+        feature_table = self.feature_projection(self.features.all_embeddings())
+        feature_state = self._encode_rows(feature_table, batch, layout,
+                                          self.feature_layernorm, self.feature_encoder)
+        return self.fusion(concatenate([item_state, feature_state], axis=-1))

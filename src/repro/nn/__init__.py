@@ -8,6 +8,7 @@ from . import functional
 from . import init
 from .attention import (
     MultiHeadSelfAttention,
+    PackedRows,
     PositionwiseFeedForward,
     TransformerBlock,
     TransformerEncoder,
@@ -63,6 +64,7 @@ __all__ = [
     "Module",
     "MultiHeadSelfAttention",
     "Optimizer",
+    "PackedRows",
     "Parameter",
     "PositionwiseFeedForward",
     "ReLU",

@@ -330,6 +330,20 @@ def dropout_last(x: Tensor, p: float, training: bool,
     return _dropout(x, p, rng, shape, (Ellipsis, seq_len - 1, slice(None)))
 
 
+def dropout_rows(x: Tensor, p: float, training: bool,
+                 rng: Optional[np.random.Generator], shape, index) -> Tensor:
+    """Dropout of the rows ``index`` of a tensor of ``shape``, on its stream.
+
+    ``x`` holds the rows ``index`` selects from a tensor of ``shape`` (with
+    ``x.shape[-1] == shape[-1]``) whose other rows were never computed.  The
+    mask is drawn for all of ``shape``, so values and generator state
+    afterwards equal ``dropout(full)[index]``.
+    """
+    if not training or p <= 0.0:
+        return x
+    return _dropout(x, p, rng, shape, index)
+
+
 def _dropout(x: Tensor, p: float, rng: Optional[np.random.Generator],
              shape, index) -> Tensor:
     """Apply to ``x`` the entries ``index`` of a mask drawn for ``shape``."""
@@ -358,6 +372,41 @@ def _dropout(x: Tensor, p: float, rng: Optional[np.random.Generator],
         dx = grad * keep
         dx *= scale
         x._accumulate_owned(dx)
+
+    out._backward = _backward if out.requires_grad else None
+    return out
+
+
+def gather_rows(x: Tensor, index) -> Tensor:
+    """``x[index]`` for an ``index`` that selects no row twice.
+
+    ``index`` is an integer array (rows of axis 0) or a tuple of them (rows
+    of the leading axes).  Unlike :meth:`Tensor.take_rows`, the backward is a
+    plain assignment instead of a scatter-add.
+    """
+    out = x._make_child(x.data[index], (x,))
+
+    def _backward(grad: np.ndarray) -> None:
+        full = np.zeros_like(x.data)
+        full[index] = grad
+        x._accumulate_owned(full)
+
+    out._backward = _backward if out.requires_grad else None
+    return out
+
+
+def scatter_rows(x: Tensor, index, shape) -> Tensor:
+    """Zeros of ``shape`` with ``x`` written at the rows ``index``.
+
+    The inverse of :func:`gather_rows`: ``gather_rows(scatter_rows(x, index,
+    shape), index)`` is ``x``.
+    """
+    data = np.zeros(shape, dtype=x.data.dtype)
+    data[index] = x.data
+    out = x._make_child(data, (x,))
+
+    def _backward(grad: np.ndarray) -> None:
+        x._accumulate_owned(grad[index])
 
     out._backward = _backward if out.requires_grad else None
     return out
@@ -402,6 +451,20 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     """L2-normalise ``x`` along ``axis``."""
     norm = (x * x).sum(axis=axis, keepdims=True)
     return x / (norm + eps).sqrt()
+
+
+#: minimum row count for the GEMMs whose rows must not depend on their
+#: batchmates.  BLAS routes very small ``m`` through different kernels
+#: (``m == 1`` is a GEMV; some shapes special-case ``m == 2``) whose
+#: accumulation order differs from the blocked kernels used for real
+#: batches, so without a floor a request's float32 scores would depend on
+#: how many other requests it was batched with.  Padding tiny batches up to 4
+#: rows keeps every batch composition on the same kernel family — the
+#: contract the dynamic micro-batcher's bit-identity guarantee rests on, and
+#: the floor :class:`repro.nn.attention.PackedRows` keeps under the packed
+#: sequence rows.  (float64 GEMMs are not row-stable across batch sizes in
+#: general; bit-identical coalescing is a float32-path property.)
+MIN_SCORING_ROWS = 4
 
 
 def catalogue_scores(users, item_matrix, dtype=np.float32) -> np.ndarray:

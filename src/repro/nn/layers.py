@@ -135,6 +135,13 @@ class Dropout(Module):
         return F.dropout_last(x, self.p, training=self.training,
                               rng=self._rng, seq_len=seq_len)
 
+    def forward_rows(self, x: Tensor, layout) -> Tensor:
+        """:func:`repro.nn.functional.dropout_rows` of the packed rows ``x``
+        of a :class:`repro.nn.attention.PackedRows` ``layout``."""
+        shape = (layout.batch, layout.seq_len, x.shape[-1])
+        return F.dropout_rows(x, self.p, training=self.training, rng=self._rng,
+                              shape=shape, index=layout.rows)
+
 
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:

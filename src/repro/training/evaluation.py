@@ -13,20 +13,7 @@ import numpy as np
 
 from ..data.dataloader import evaluation_batches
 from ..data.splits import EvaluationCase
-from ..nn.functional import catalogue_scores
-
-
-#: minimum row count for the full-catalogue scoring matmul.  BLAS routes
-#: very small ``m`` through different kernels (``m == 1`` is a GEMV; some
-#: shapes special-case ``m == 2``) whose accumulation order differs from the
-#: blocked kernels used for real batches, so without a floor a request's
-#: float32 scores would depend on how many other requests it was batched
-#: with.  Padding tiny batches up to 4 rows keeps every batch composition on
-#: the same kernel family — the contract the dynamic micro-batcher's
-#: bit-identity guarantee rests on.  (float64 GEMMs are not row-stable across
-#: batch sizes in general; bit-identical coalescing is a float32-path
-#: property.)
-MIN_SCORING_ROWS = 4
+from ..nn.functional import MIN_SCORING_ROWS, catalogue_scores
 
 
 def padded_catalogue_scores(users: np.ndarray, scoring_matrix: np.ndarray,
@@ -112,8 +99,12 @@ def mrr_at_k(ranks: np.ndarray, k: int) -> float:
 
 
 def target_ranks(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Compute the 1-based rank of each target item in its score row."""
-    scores = np.asarray(scores, dtype=np.float64)
+    """Compute the 1-based rank of each target item in its score row.
+
+    Compares in the scores' own dtype: every comparison is exact there, so a
+    float64 copy would only cost time.
+    """
+    scores = np.asarray(scores)
     targets = np.asarray(targets, dtype=np.int64)
     target_scores = scores[np.arange(len(targets)), targets]
     # Rank = 1 + number of items scored strictly higher than the target.
@@ -191,10 +182,13 @@ def evaluate_model(model, cases: Sequence[EvaluationCase],
         else:
             scores = model.predict_scores(batch)
         if candidate_mask is not None:
-            # Targets must stay scoreable even if the caller forgot them.
-            mask = candidate_mask.copy()
-            mask[batch.targets] = True
-            scores[:, ~mask] = -np.inf
+            # Each row's own target stays scoreable even if the caller forgot
+            # it; a batchmate's target does not, or ranks would depend on
+            # the batch size.
+            rows = np.arange(len(batch.targets))
+            target_scores = scores[rows, batch.targets]
+            scores[:, ~candidate_mask] = -np.inf
+            scores[rows, batch.targets] = target_scores
         all_ranks.append(target_ranks(scores, batch.targets))
 
     ranks = np.concatenate(all_ranks)

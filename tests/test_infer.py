@@ -87,13 +87,26 @@ class TestPlanBitIdentity:
     @pytest.mark.parametrize("name", sorted(available_models()))
     def test_every_family_bitwise_equal_to_graph(self, name, dtype, infer_setup):
         """Acceptance criterion: the compiled engine is bit-identical (ids
-        AND scores) to the no_grad graph path per family, at both dtypes."""
+        AND scores) to the no_grad graph path per family, at both dtypes.
+
+        Besides the fixture's histories, three edge inputs: one length-1
+        history (the graph path computes fewer rows than the packed-row
+        floor), a length-0 row (every position computed) and a ``lengths``
+        value above the window (clipped to it)."""
         features, train_sequences, histories = infer_setup
         model = _build(name, features, train_sequences, dtype=dtype)
-        item_ids, lengths = _padded(histories)
         matrix = model.inference_item_matrix()
-
         plan = compile_plan(model)
+
+        over_long = _padded(histories[:3])
+        over_long[1][1] = MAX_SEQ + 4
+        edge_inputs = [_padded([histories[0][:1]]), _padded([histories[1], []]),
+                       over_long]
+        for item_ids, lengths in edge_inputs:
+            reference = model.encode_sequences(item_ids, lengths, item_matrix=matrix)
+            assert np.array_equal(reference, plan.encode(item_ids, lengths, matrix))
+
+        item_ids, lengths = _padded(histories)
         reference = model.encode_sequences(item_ids, lengths, item_matrix=matrix)
         compiled = plan.encode(item_ids, lengths, matrix)
         assert compiled.dtype == reference.dtype

@@ -29,6 +29,7 @@ from repro.models import (
     requires_text_features,
 )
 from repro.models.cl4srec import crop_sequence, mask_sequence, reorder_sequence
+from repro.nn.functional import MIN_SCORING_ROWS
 from repro.whitening.metrics import covariance_condition_number
 
 
@@ -109,6 +110,21 @@ class TestSASRecVariants:
         too_long = make_batch([(1, list(range(1, 20)), 2)], max_length=20)
         with pytest.raises(ValueError):
             model.encode_sequence(too_long)
+
+    def test_encoder_computes_only_the_positions_that_hold_an_item(
+            self, config, num_items, batch):
+        """Block 0's feed-forward sees one row per history item, not B x L."""
+        model = SASRecID(num_items, ModelConfig(
+            hidden_dim=16, num_layers=2, num_heads=2, dropout=0.1,
+            max_seq_length=8, seed=0))
+        fc1 = model.encoder.blocks[0].feed_forward.fc1
+        seen = []
+        forward = fc1.forward
+        fc1.forward = lambda x: seen.append(x.size // x.shape[-1]) or forward(x)
+        model.loss(batch).backward()
+        filled = np.minimum(batch.lengths, batch.item_ids.shape[1]).sum()
+        assert seen == [max(filled, MIN_SCORING_ROWS)]
+        assert seen[0] < batch.item_ids.size
 
     def test_eval_mode_is_deterministic(self, config, num_items, features, batch):
         model = SASRecText(num_items, features, config)

@@ -248,6 +248,40 @@ def _encoder_pair(dtype, num_layers, causal, dropout, seed=3, hidden=8):
                 for _ in range(2)]
 
 
+class TestPackedRows:
+    """The layout of the rows ``forward_last`` computes."""
+
+    def test_rows_are_the_positions_that_hold_an_item(self):
+        layout = nn.PackedRows(np.array([2, 3]), 2, 4)
+        assert layout.num_rows == 5
+        np.testing.assert_array_equal(layout.rows[0], [0, 0, 1, 1, 1])
+        np.testing.assert_array_equal(layout.rows[1], [2, 3, 1, 2, 3])
+        np.testing.assert_array_equal(layout.last, [1, 4])
+
+    def test_length_zero_keeps_every_position_and_long_lengths_clip(self):
+        layout = nn.PackedRows(np.array([0, 9, 1]), 3, 3)
+        np.testing.assert_array_equal(layout.rows[0], [0, 0, 0, 1, 1, 1, 2])
+        np.testing.assert_array_equal(layout.last, [2, 5, 6])
+
+    def test_floor_tops_up_with_padding_positions(self):
+        layout = nn.PackedRows(np.array([1]), 1, 6)
+        assert layout.num_rows == F.MIN_SCORING_ROWS
+        np.testing.assert_array_equal(layout.rows[1], [0, 1, 2, 5])
+        np.testing.assert_array_equal(layout.last, [3])
+        assert nn.PackedRows(np.array([1]), 1, 2).num_rows == 2
+
+    def test_pad_inverts_pack_and_gradients_route_back(self):
+        layout = nn.PackedRows(np.array([2, 3]), 2, 4)
+        data = np.random.default_rng(4).standard_normal((2, 4, 3))
+        x = Tensor(data, requires_grad=True)
+        padded = layout.pad(layout.pack(x))
+        kept = np.zeros((2, 4, 1))
+        kept[layout.rows] = 1.0
+        np.testing.assert_array_equal(padded.data, data * kept)
+        padded.sum().backward()
+        np.testing.assert_array_equal(x.grad, np.broadcast_to(kept, data.shape))
+
+
 class TestLastPositionPruning:
     """``forward_last`` against its definition, ``forward(...)[:, -1]``."""
 
@@ -266,12 +300,14 @@ class TestLastPositionPruning:
         data = rng.standard_normal((4, 6, 8))
         readout = Tensor(rng.standard_normal((4, 8)), dtype=dtype)
         lengths = np.array([6, 2, 1, 4]) if padded else None
+        layout = nn.PackedRows(lengths, 4, 6)
+        assert layout.num_rows == (13 if padded else 24)
 
         x_full = Tensor(data, requires_grad=True, dtype=dtype)
         out_full = full(x_full, lengths)[:, -1]
         (out_full * readout).sum().backward()
         x_pruned = Tensor(data, requires_grad=True, dtype=dtype)
-        out_pruned = pruned.forward_last(x_pruned, lengths)
+        out_pruned = pruned.forward_last(layout.pack(x_pruned), layout)
         (out_pruned * readout).sum().backward()
 
         tolerance = self.TOLERANCE[dtype]
@@ -293,9 +329,11 @@ class TestLastPositionPruning:
         full, pruned = _encoder_pair(dtype, 2, True, dropout=0.2)
         data = np.random.default_rng(6).standard_normal((3, 5, 8))
         lengths = np.array([5, 3, 1])
+        layout = nn.PackedRows(lengths, 3, 5)
         with F.fused_kernels(fused):
             out_full = full(Tensor(data, dtype=dtype), lengths)[:, -1]
-            out_pruned = pruned.forward_last(Tensor(data, dtype=dtype), lengths)
+            out_pruned = pruned.forward_last(
+                layout.pack(Tensor(data, dtype=dtype)), layout)
         generators = [encoder.blocks[-1].feed_forward.dropout._rng
                       for encoder in (full, pruned)]
         assert (generators[0].bit_generator.state
@@ -317,11 +355,14 @@ class TestLastPositionPruning:
         rng = np.random.default_rng(10)
         data = rng.standard_normal((2, 4, 8))
         readout = rng.standard_normal((2, 8))
+        lengths = np.array([4, 2])
+        layout = nn.PackedRows(lengths, 2, 4)
         mask = F.causal_mask(4)[None, None, 3, :] | F.padding_mask(
-            np.array([4, 2]), 4)[:, None, :]
+            lengths, 4)[:, None, :]
 
         def objective(x):
-            return (block.forward_last(x, mask) * Tensor(readout)).sum()
+            last = block.forward_last(layout.pack(x), layout, mask)
+            return (last * Tensor(readout)).sum()
 
         x = Tensor(data, requires_grad=True)
         objective(x).backward()

@@ -89,9 +89,13 @@ class TestEvaluateModel:
                                     candidate_items=range(1, 11))
         assert restricted["recall@20"] >= unrestricted["recall@20"] - 1e-9
 
-    def test_batching_does_not_change_result(self, model, cases):
-        small = evaluate_model(model, cases, ks=(20,), batch_size=3, max_sequence_length=8)
-        large = evaluate_model(model, cases, ks=(20,), batch_size=100, max_sequence_length=8)
+    @pytest.mark.parametrize("candidate_items", [None, range(1, 11)],
+                             ids=["full", "restricted"])
+    def test_batching_does_not_change_result(self, model, cases, candidate_items):
+        small = evaluate_model(model, cases, ks=(20,), batch_size=3, max_sequence_length=8,
+                               candidate_items=candidate_items)
+        large = evaluate_model(model, cases, ks=(20,), batch_size=100, max_sequence_length=8,
+                               candidate_items=candidate_items)
         assert small == large
 
 
@@ -117,8 +121,8 @@ class TestTrainer:
             if not pruned:
                 encoder = model.encoder
                 encoder.forward_last = (
-                    lambda x, lengths=None, encoder=encoder:
-                    encoder.forward(x, lengths)[:, -1])
+                    lambda rows, layout, encoder=encoder:
+                    encoder.forward(layout.pad(rows), layout.lengths)[:, -1])
             trainer = Trainer(model, tiny_split, TrainingConfig(
                 batch_size=128, max_sequence_length=12, seed=0))
             examples = len(trainer.loader.examples)

@@ -4,9 +4,9 @@ Three headline measurements, one artifact:
 
 * **Overload goodput.**  A short rate-ladder probe finds the service's
   sustainable RPS, then an open-loop Poisson load at **2x** that rate is
-  offered twice per round: once to a service with admission control (a
-  bounded batcher queue + ``reject`` policy — overload answered instantly
-  with :class:`~repro.resilience.OverloadError` / HTTP 429) and once to an
+  offered twice per round: once to a service with admission control (the
+  ``max_inflight`` gate — overload answered instantly with
+  :class:`~repro.resilience.OverloadError` / HTTP 429) and once to an
   identical service with no admission control (every arrival queues).
   Goodput counts only requests answered *within the SLO*: the unprotected
   service accepts everything and answers almost all of it late, so its
@@ -61,12 +61,11 @@ CONCURRENCY = 8
 # not actually overload and the admission A/B measures nothing
 PROBE_LADDER = (25.0, 50.0, 100.0, 200.0, 400.0, 800.0, 1600.0,
                 3200.0, 6400.0, 12800.0)
-#: admission bounds of the protected service.  ``MAX_INFLIGHT`` must sit
+#: admission bound of the protected service.  ``MAX_INFLIGHT`` must sit
 #: below the generator's sender concurrency or shedding can never engage:
 #: each sender blocks on its own request, so the service never sees more
 #: than ``CONCURRENCY`` requests at once — the gate has to bite first.
 MAX_INFLIGHT = CONCURRENCY // 2
-MAX_QUEUE = 8
 #: floor for the no-admission goodput when forming the same-run ratio — the
 #: unprotected service routinely answers *zero* requests in-SLO, and a
 #: ratio against zero is not JSON
@@ -120,9 +119,7 @@ def _overload_goodput(recommender, overload_rps, rounds, duration_s,
     """Per-round goodput with and without admission control at 2x load."""
     admission_samples, unprotected_samples = [], []
     raw_speedups, shed_fractions = [], []
-    with _service(recommender, max_queue=MAX_QUEUE,
-                  overload_policy="reject",
-                  max_inflight=MAX_INFLIGHT) as shedding, \
+    with _service(recommender, max_inflight=MAX_INFLIGHT) as shedding, \
             _service(recommender) as unprotected:
         for round_index in range(rounds):
             seed = 29 + round_index
@@ -229,7 +226,6 @@ def run_resilience(scale: str = "bench") -> dict:
         "concurrency": CONCURRENCY,
         "rounds": rounds,
         "duration_s": duration_s,
-        "max_queue": MAX_QUEUE,
         "max_inflight": MAX_INFLIGHT,
         "probe_sustainable": sustainable,
         "overload_rate": overload_rps,

@@ -157,23 +157,13 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--no-batching", action="store_true",
                               help="disable dynamic batching (score each "
                                    "request individually)")
-    serve_parser.add_argument("--max-queue", type=int, default=None,
-                              metavar="N",
-                              help="admission control: bound each batcher "
-                                   "queue at N waiting requests (default: "
-                                   "unbounded)")
-    serve_parser.add_argument("--overload-policy", default="reject",
-                              choices=["reject", "shed-oldest", "block"],
-                              help="what a full --max-queue does with the "
-                                   "next arrival: refuse it (HTTP 429 + "
-                                   "Retry-After), evict the oldest queued "
-                                   "request, or block the caller until "
-                                   "space / its deadline (default: reject)")
     serve_parser.add_argument("--max-inflight", type=int, default=None,
                               metavar="N",
-                              help="shed requests beyond N concurrently "
-                                   "admitted ones at the service edge "
-                                   "(default: unlimited)")
+                              help="admission control: shed requests beyond "
+                                   "N concurrently admitted ones at the "
+                                   "service edge with HTTP 429 + "
+                                   "Retry-After; a burst of M requests takes "
+                                   "M slots (default: unlimited)")
     serve_parser.add_argument("--verbose", action="store_true",
                               help="with --http: structured access log to "
                                    "stderr (one JSON object per request: "
@@ -393,6 +383,7 @@ def _dataset_model(args, dropout: float = 0.1, checkpoint=None):
 def _command_serve(args) -> int:
     from .experiments.persistence import save_checkpoint
     from .models import display_label
+    from .resilience import OverloadError
     from .serving import (CATALOGUE_CODECS, SERVING_BACKENDS, SHARD_BACKENDS,
                           EmbeddingStore, Recommender, ServingConfig)
     from .service import Deployment, ModelRegistry, RecommenderService, serve_http, serve_jsonl
@@ -412,15 +403,20 @@ def _command_serve(args) -> int:
     if args.catalogue_codec not in CATALOGUE_CODECS:
         return _fail(f"unknown catalogue codec {args.catalogue_codec!r} "
                      f"(expected one of {', '.join(CATALOGUE_CODECS)})")
+    # Every knob is checked before any deployment is loaded or trained.
     try:
         serving_config = ServingConfig(k=args.k, backend=args.backend,
                                        shards=args.shards,
                                        shard_backend=args.shard_backend,
                                        catalogue_codec=args.catalogue_codec)
+        registry = ModelRegistry()
+        service = RecommenderService(registry, batching=not args.no_batching,
+                                     max_batch_size=args.max_batch_size,
+                                     max_wait_ms=args.max_wait_ms,
+                                     max_inflight=args.max_inflight)
     except ValueError as error:
         return _fail(str(error))
 
-    registry = ModelRegistry()
     # In --loop mode stdout is the JSONL protocol channel; progress goes to
     # stderr.
     log = sys.stderr if args.loop else sys.stdout
@@ -463,13 +459,6 @@ def _command_serve(args) -> int:
         return _fail("nothing to serve: pass a dataset and/or at least one "
                      "--deployment NAME=CHECKPOINT")
 
-    service = RecommenderService(registry, batching=not args.no_batching,
-                                 max_batch_size=args.max_batch_size,
-                                 max_wait_ms=args.max_wait_ms,
-                                 max_queue=args.max_queue,
-                                 overload_policy=args.overload_policy,
-                                 max_inflight=args.max_inflight)
-
     # Persistent front-ends.  Whatever way they exit (EOF, shutdown command,
     # Ctrl-C, a fatal error), the shard worker pools must come down with the
     # process — close_all() is idempotent and a no-op for --shards 1.
@@ -499,6 +488,9 @@ def _command_serve(args) -> int:
                      "--deployment checkpoints alone")
     try:
         return _serve_demo(args, registry, service, split)
+    except OverloadError as error:
+        return _fail(f"the one-shot demo serves its --requests as one burst, "
+                     f"which --max-inflight cannot admit: {error}")
     finally:
         registry.close_all()
 

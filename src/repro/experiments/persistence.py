@@ -202,7 +202,7 @@ def _model_build_kwargs(model) -> Dict[str, Any]:
 
 def _checkpoint_metadata(model, build_kwargs: Optional[Dict[str, Any]],
                          extra: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-    """The JSON metadata blob shared by both checkpoint layouts."""
+    """The JSON metadata blob stored in every checkpoint."""
     build = _model_build_kwargs(model)
     if build_kwargs:
         build.update(build_kwargs)
@@ -293,125 +293,10 @@ def save_checkpoint(model, path: PathLike,
     return path
 
 
-# Directory ("tree") checkpoint layout: memmap-friendly variant of the .npz.
-_TREE_METADATA_FILE = "metadata.json"
-_TREE_PARAM_DIR = "param"
-_TREE_FEATURES_FILE = "feature_table.npy"
-_TREE_ITEM_MATRIX_DIR = "item_matrix"
-_TREE_FORMAT = "repro-checkpoint-tree-v1"
-
-
-def _atomic_save_array(array: np.ndarray, path: Path) -> None:
-    temporary = path.with_suffix(path.suffix + ".tmp")
-    with open(temporary, "wb") as handle:
-        np.save(handle, np.ascontiguousarray(array))
-    temporary.replace(path)
-
-
-def save_checkpoint_tree(model, directory: PathLike,
-                         feature_table: Optional[np.ndarray] = None,
-                         build_kwargs: Optional[Dict[str, Any]] = None,
-                         extra: Optional[Dict[str, Any]] = None,
-                         catalogue_codec: Optional[str] = None) -> Path:
-    """Memmap-friendly checkpoint: same contents as :func:`save_checkpoint`,
-    laid out as a directory instead of a compressed archive.
-
-    ``directory/param/<name>.npy`` holds each parameter as a raw ``.npy``
-    (so ``load_checkpoint(..., mmap=True)`` maps it zero-copy — N serving
-    processes share one set of physical pages through the OS cache instead
-    of each decompressing a private copy), plus ``metadata.json`` and an
-    optional ``feature_table.npy``.  Arrays are written through temporary
-    files; the metadata file is written last, so a directory with
-    ``metadata.json`` present is complete.
-
-    ``catalogue_codec`` additionally materialises the float32 serving
-    catalogue under ``directory/item_matrix/`` as an
-    :class:`~repro.shard.layout.ItemMatrixLayout` — with the int8 sidecar
-    when ``"int8"`` — so shard workers can attach the frozen catalogue (and
-    its codes) zero-copy without re-deriving it from the parameters.  Use
-    :func:`checkpoint_item_matrix_layout` to open it.
-    """
-    directory = Path(directory)
-    (directory / _TREE_PARAM_DIR).mkdir(parents=True, exist_ok=True)
-
-    metadata = _checkpoint_metadata(model, build_kwargs, extra)
-    names = []
-    for name, values in model.state_dict().items():
-        safe = name.replace("/", "__")
-        names.append([name, safe + ".npy"])
-        _atomic_save_array(values, directory / _TREE_PARAM_DIR / (safe + ".npy"))
-    if feature_table is not None:
-        _atomic_save_array(np.asarray(feature_table, dtype=np.float64),
-                           directory / _TREE_FEATURES_FILE)
-    if catalogue_codec is not None:
-        if catalogue_codec not in ("fp32", "int8"):
-            raise ValueError(f"catalogue_codec must be 'fp32' or 'int8', "
-                             f"got {catalogue_codec!r}")
-        from ..shard.layout import ItemMatrixLayout
-
-        # The same float32 cast the serving layer scores with, so a layout
-        # attached by shard workers reproduces in-process score bits.
-        matrix = model.inference_item_matrix().astype(np.float32, copy=False)
-        layout = ItemMatrixLayout.write(matrix,
-                                        directory / _TREE_ITEM_MATRIX_DIR)
-        if catalogue_codec == "int8":
-            layout.ensure_int8_sidecar()
-        metadata["catalogue_codec"] = catalogue_codec
-    metadata["format"] = _TREE_FORMAT
-    metadata["parameters"] = names
-    metadata["has_feature_table"] = feature_table is not None
-    metadata["has_item_matrix_layout"] = catalogue_codec is not None
-    temporary = directory / (_TREE_METADATA_FILE + ".tmp")
-    temporary.write_text(json.dumps(metadata, indent=2, sort_keys=True),
-                         encoding="utf-8")
-    temporary.replace(directory / _TREE_METADATA_FILE)
-    return directory
-
-
-def checkpoint_item_matrix_layout(directory: PathLike):
-    """Open the item-matrix layout saved inside a tree checkpoint.
-
-    Raises :class:`FileNotFoundError` when the checkpoint was saved without
-    ``catalogue_codec`` (no layout was materialised).
-    """
-    from ..shard.layout import ItemMatrixLayout
-
-    return ItemMatrixLayout.open(Path(directory) / _TREE_ITEM_MATRIX_DIR)
-
-
-def _load_checkpoint_tree(directory: Path, mmap: bool) -> Checkpoint:
-    meta_path = directory / _TREE_METADATA_FILE
-    if not meta_path.exists():
-        raise ValueError(f"{directory!s} is not a repro checkpoint tree "
-                         f"(no {_TREE_METADATA_FILE})")
-    metadata = json.loads(meta_path.read_text(encoding="utf-8"))
-    if metadata.get("format") != _TREE_FORMAT:
-        raise ValueError(f"{meta_path!s} has unknown checkpoint format "
-                         f"{metadata.get('format')!r}")
-    mmap_mode = "r" if mmap else None
-    state = {
-        name: np.load(directory / _TREE_PARAM_DIR / filename,
-                      mmap_mode=mmap_mode, allow_pickle=False)
-        for name, filename in metadata.get("parameters", [])
-    }
-    feature_table = None
-    if metadata.get("has_feature_table"):
-        feature_table = np.load(directory / _TREE_FEATURES_FILE,
-                                mmap_mode=mmap_mode, allow_pickle=False)
-    return Checkpoint(state=state, metadata=metadata, feature_table=feature_table)
-
-
-def load_checkpoint(path: PathLike, mmap: bool = False) -> Checkpoint:
-    """Load a checkpoint written by :func:`save_checkpoint` (a ``.npz`` file)
-    or :func:`save_checkpoint_tree` (a directory).
-
-    ``mmap=True`` maps tree-checkpoint arrays read-only instead of copying
-    them into RAM; it is ignored for ``.npz`` checkpoints, whose compressed
-    members cannot be mapped.
-    """
+def load_checkpoint(path: PathLike) -> Checkpoint:
+    """Load a checkpoint written by :func:`save_checkpoint` (a ``.npz``
+    file; the suffix may be omitted)."""
     path = Path(path)
-    if path.is_dir():
-        return _load_checkpoint_tree(path, mmap=mmap)
     if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
         path = path.with_suffix(path.suffix + ".npz")
     with np.load(path, allow_pickle=False) as data:

@@ -3,9 +3,9 @@
 PR 7's open-loop harness can *demonstrate* queueing collapse; this package
 *prevents* it, and keeps serving through shard failures:
 
-* :mod:`~repro.resilience.admission` — the bounded-queue overload policies
-  (``reject`` / ``shed-oldest`` / ``block``) and the service-edge
-  :class:`InflightGate`, both shedding with a typed :class:`OverloadError`
+* :mod:`~repro.resilience.admission` — the service-edge
+  :class:`InflightGate`, the one admission bound (a burst of N takes N
+  slots, all or nothing), shedding with a typed :class:`OverloadError`
   (HTTP 429 + ``Retry-After``) instead of queueing into collapse;
 * :mod:`~repro.resilience.deadline` — deadline propagation helpers: one
   absolute monotonic timestamp fixed at the service edge and checked at
@@ -24,7 +24,7 @@ PR 7's open-loop harness can *demonstrate* queueing collapse; this package
   benchmark.
 """
 
-from .admission import ADMISSION_POLICIES, InflightGate
+from .admission import InflightGate
 from .breaker import BREAKER_STATE_CODES, BREAKER_STATES, CircuitBreaker
 from .deadline import deadline_from_budget_ms, expired, remaining_s
 from .errors import (BatcherCrashed, DeadlineExceeded, OverloadError,
@@ -34,7 +34,6 @@ from .guard import ResilientShardClient
 from .retry import RetryPolicy
 
 __all__ = [
-    "ADMISSION_POLICIES",
     "BREAKER_STATES",
     "BREAKER_STATE_CODES",
     "BatcherCrashed",

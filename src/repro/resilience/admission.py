@@ -1,19 +1,13 @@
 """Admission control: refuse work early instead of queueing into collapse.
 
-Two mechanisms, two places:
-
-* the **bounded batcher queue** (``max_queue`` + ``overload_policy`` on
-  :class:`~repro.service.batcher.DynamicBatcher`) governs how a full queue
-  treats the next arrival — the policies live here as named constants with
-  their semantics documented once;
-* the **max-inflight gate** (:class:`InflightGate`) bounds concurrently
-  admitted requests at the :class:`~repro.service.RecommenderService` edge,
-  upstream of any queue, so a slow downstream can never accumulate an
-  unbounded number of waiting caller threads.
-
-Both shed with a typed :class:`~repro.resilience.errors.OverloadError`
-(HTTP 429), never by blocking the caller indefinitely or dropping work
-silently.
+One bound, at the :class:`~repro.service.RecommenderService` edge: the
+:class:`InflightGate` caps concurrently admitted requests.  A burst of N
+requests takes N slots, all or nothing, so every batcher queue behind the
+gate holds at most ``max_inflight`` requests and needs no bound of its own,
+and a slow downstream can never accumulate an unbounded number of waiting
+caller threads.  Arrivals beyond the cap shed with a typed
+:class:`~repro.resilience.errors.OverloadError` (HTTP 429), never by
+blocking the caller or dropping work silently.
 """
 
 from __future__ import annotations
@@ -23,22 +17,6 @@ from typing import Any, Optional
 
 from .errors import OverloadError
 
-#: what a full batcher queue does with the next arrival:
-#:
-#: ``reject``
-#:     refuse it immediately with :class:`OverloadError` — the caller sees
-#:     HTTP 429 and backs off (lowest latency for admitted work, the
-#:     default);
-#: ``shed-oldest``
-#:     evict the oldest queued request (failing *its* future with
-#:     :class:`OverloadError`) and admit the newcomer — freshest-first,
-#:     matching callers who time out and retry anyway;
-#: ``block``
-#:     make the submitting caller wait for space, up to its deadline
-#:     (:class:`DeadlineExceeded` when that passes; without a deadline it
-#:     waits indefinitely) — backpressure for trusted in-process producers.
-ADMISSION_POLICIES = ("reject", "shed-oldest", "block")
-
 
 class InflightGate:
     """A non-blocking concurrency limiter for the service edge.
@@ -47,7 +25,8 @@ class InflightGate:
     :class:`OverloadError` beyond that — it never blocks, because a caller
     queueing *here* is exactly the unbounded-wait failure mode admission
     control exists to prevent.  ``limit=None`` disables the gate (every
-    acquire succeeds).  Use as a context manager around one request.
+    acquire succeeds).  A burst larger than ``limit`` can never be
+    admitted.  Use as a context manager around one request.
     """
 
     def __init__(self, limit: Optional[int] = None,
@@ -76,26 +55,21 @@ class InflightGate:
         with self._lock:
             return self._peak
 
-    def acquire(self) -> None:
-        if self.limit is None:
-            with self._lock:
-                self._inflight += 1
-                self._peak = max(self._peak, self._inflight)
-            return
+    def acquire(self, count: int = 1) -> None:
+        """Admit ``count`` requests at once, or none of them."""
         with self._lock:
-            if self._inflight >= self.limit:
-                self._rejected += 1
+            if self.limit is not None and self._inflight + count > self.limit:
+                self._rejected += count
                 raise OverloadError(
                     f"max inflight requests reached "
-                    f"({self._inflight}/{self.limit}); retry later",
+                    f"({self._inflight}+{count} > {self.limit}); retry later",
                     retry_after_s=self.retry_after_s)
-            self._inflight += 1
+            self._inflight += count
             self._peak = max(self._peak, self._inflight)
 
-    def release(self) -> None:
+    def release(self, count: int = 1) -> None:
         with self._lock:
-            if self._inflight > 0:
-                self._inflight -= 1
+            self._inflight = max(0, self._inflight - count)
 
     def __enter__(self) -> "InflightGate":
         self.acquire()

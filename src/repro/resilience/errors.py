@@ -19,10 +19,10 @@ class ResilienceError(RuntimeError):
 class OverloadError(ResilienceError):
     """The service refused new work to protect work already admitted.
 
-    Raised by a bounded batcher queue under the ``reject`` policy, delivered
-    into the future of a request evicted under ``shed-oldest``, and raised by
-    the service-edge max-inflight gate.  Clients should back off and retry
-    (the HTTP front-end answers 429 with a ``Retry-After`` header).
+    Raised by the service-edge max-inflight gate when a request (or every
+    request of a burst, which is admitted or shed whole) would exceed
+    ``max_inflight``.  Clients should back off and retry (the HTTP front-end
+    answers 429 with a ``Retry-After`` header).
     """
 
     #: seconds a client should wait before retrying (the HTTP front-end's

@@ -33,8 +33,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..resilience import (ADMISSION_POLICIES, BatcherCrashed,
-                          DeadlineExceeded, OverloadError)
+from ..resilience import BatcherCrashed, DeadlineExceeded
 from ..serving import Recommender, ServingConfig
 
 
@@ -79,10 +78,6 @@ class BatcherStats:
     ticks: int = 0
     scoring_calls: int = 0
     max_batch_observed: int = 0
-    #: arrivals refused by the ``reject`` policy on a full queue
-    rejected: int = 0
-    #: queued requests evicted by the ``shed-oldest`` policy
-    shed: int = 0
     #: requests whose deadline passed before scoring (failed at dequeue)
     expired: int = 0
     #: worker-thread deaths (each fails every parked future, never strands)
@@ -102,12 +97,20 @@ class BatcherStats:
             "ticks": self.ticks,
             "scoring_calls": self.scoring_calls,
             "max_batch_observed": self.max_batch_observed,
-            "rejected": self.rejected,
-            "shed": self.shed,
             "expired": self.expired,
             "worker_crashes": self.worker_crashes,
             "mean_batch_size": round(self.mean_batch_size, 2),
         }
+
+
+def check_batching_knobs(max_batch_size: int, max_wait_ms: float) -> None:
+    """Raise :class:`ValueError` for a batch cap below 1 or a negative
+    wait window (shared by the batcher and the service that configures it,
+    so a bad knob fails at construction, not on the first request)."""
+    if max_batch_size < 1:
+        raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
+    if max_wait_ms < 0:
+        raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
 
 
 @dataclass
@@ -154,40 +157,21 @@ class DynamicBatcher:
         Start the background worker immediately.  ``start=False`` leaves the
         batcher in manual mode — nothing is processed until :meth:`flush` —
         which tests use to assemble deterministic batch compositions.
-    max_queue:
-        Bound on queued (not yet popped) requests.  ``None`` (the default)
-        keeps the historical unbounded queue; production deployments should
-        set a bound — an unbounded queue converts overload into unbounded
-        latency for everyone (see :mod:`repro.resilience.admission`).
-    overload_policy:
-        What a full queue does with the next arrival: ``"reject"`` raises
-        :class:`~repro.resilience.OverloadError` from :meth:`submit`,
-        ``"shed-oldest"`` evicts the oldest queued request (failing *its*
-        future) and admits the newcomer, ``"block"`` makes the submitter
-        wait for space up to its deadline.
+
+    The queue itself is unbounded: admission is the service's job.  Behind
+    :class:`~repro.service.RecommenderService` it never holds more requests
+    than the service's ``max_inflight`` gate has admitted.
     """
 
     def __init__(self, recommender: Recommender,
                  config: Optional[ServingConfig] = None,
                  max_batch_size: int = 64, max_wait_ms: float = 0.0,
-                 start: bool = True, max_queue: Optional[int] = None,
-                 overload_policy: str = "reject"):
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
-        if max_queue is not None and max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        if overload_policy not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"overload_policy must be one of {ADMISSION_POLICIES}, "
-                f"got {overload_policy!r}")
+                 start: bool = True):
+        check_batching_knobs(max_batch_size, max_wait_ms)
         self.recommender = recommender
         self.config = config if config is not None else recommender.config
         self.max_batch_size = max_batch_size
         self.max_wait_ms = max_wait_ms
-        self.max_queue = max_queue
-        self.overload_policy = overload_policy
         self._queue: Deque[_Pending] = deque()
         self._wake = threading.Condition(threading.Lock())
         self._closed = False
@@ -263,8 +247,7 @@ class DynamicBatcher:
         ``deadline`` is an absolute ``time.monotonic()`` timestamp: a
         request still queued when it passes is failed with
         :class:`~repro.resilience.DeadlineExceeded` at dequeue instead of
-        being scored for a caller who already gave up.  With a bounded
-        queue, a full queue applies the configured overload policy here.
+        being scored for a caller who already gave up.
         """
         enqueued_at = time.perf_counter()
         config = self.config.with_overrides(k=k, exclude_seen=exclude_seen,
@@ -273,7 +256,6 @@ class DynamicBatcher:
         with self._wake:
             if self._closed:
                 raise RuntimeError("cannot submit to a closed batcher")
-            self._admit_locked(deadline)
             self._queue.append(_Pending(sequence, config, future, enqueued_at,
                                         deadline))
             self._stats.submitted += 1
@@ -284,41 +266,6 @@ class DynamicBatcher:
             if len(self._queue) == 1 or len(self._queue) >= self.max_batch_size:
                 self._wake.notify_all()
         return future
-
-    def _admit_locked(self, deadline: Optional[float]) -> None:
-        """Apply the overload policy; returns with queue space available
-        (or raises).  Caller holds the lock."""
-        if self.max_queue is None or len(self._queue) < self.max_queue:
-            return
-        if self.overload_policy == "reject":
-            self._stats.rejected += 1
-            raise OverloadError(
-                f"batcher queue is full "
-                f"({len(self._queue)}/{self.max_queue}); retry later")
-        if self.overload_policy == "shed-oldest":
-            while len(self._queue) >= self.max_queue:
-                victim = self._queue.popleft()
-                self._stats.shed += 1
-                if not victim.future.done():
-                    victim.future.set_exception(OverloadError(
-                        "shed from a full batcher queue by a newer arrival "
-                        "(shed-oldest policy); retry later"))
-            return
-        # "block": backpressure the submitter until space frees (the worker
-        # notifies on every batch pop) or its deadline passes.
-        while len(self._queue) >= self.max_queue and not self._closed:
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._stats.expired += 1
-                    raise DeadlineExceeded(
-                        "deadline expired while blocked on a full batcher "
-                        "queue")
-                self._wake.wait(remaining)
-            else:
-                self._wake.wait()
-        if self._closed:
-            raise RuntimeError("cannot submit to a closed batcher")
 
     def recommend(self, sequence: Sequence[int], k: Optional[int] = None,
                   exclude_seen: Optional[bool] = None,
@@ -354,11 +301,7 @@ class DynamicBatcher:
     # ------------------------------------------------------------------ #
     def _pop_batch_locked(self) -> List[_Pending]:
         take = min(len(self._queue), self.max_batch_size)
-        batch = [self._queue.popleft() for _ in range(take)]
-        if take and self.max_queue is not None:
-            # space just freed: wake submitters blocked by the "block" policy
-            self._wake.notify_all()
-        return batch
+        return [self._queue.popleft() for _ in range(take)]
 
     def _next_batch(self) -> Optional[List[_Pending]]:
         """Block until a batch is due; None means the batcher is shut down."""

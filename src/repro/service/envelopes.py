@@ -172,7 +172,6 @@ class RecommendResponse:
     degraded: bool = False
     #: shard scatter-gather retries absorbed serving this request
     shard_retries: int = 0
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable form used by the JSONL and HTTP front-ends."""
@@ -201,6 +200,4 @@ class RecommendResponse:
             payload["degraded"] = True
         if self.shard_retries:
             payload["shard_retries"] = int(self.shard_retries)
-        if self.extra:
-            payload["extra"] = self.extra
         return payload

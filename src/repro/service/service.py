@@ -20,7 +20,7 @@ from ..observability.tracing import RequestTrace
 from ..resilience import (BREAKER_STATE_CODES, BatcherCrashed,
                           DeadlineExceeded, InflightGate, OverloadError,
                           deadline_from_budget_ms)
-from .batcher import BatchedResult, DynamicBatcher
+from .batcher import BatchedResult, DynamicBatcher, check_batching_knobs
 from .envelopes import RecommendRequest, RecommendResponse, RequestError
 from .registry import Deployment, ModelRegistry
 
@@ -37,13 +37,13 @@ class RecommenderService:
         The deployment registry (a fresh empty one by default; add models
         with :meth:`deploy`).
     batching:
-        Coalesce concurrent :meth:`recommend` calls through per-deployment
-        dynamic batchers.  ``False`` scores every request individually (the
+        Coalesce concurrent requests through per-deployment dynamic
+        batchers.  ``False`` scores every request individually (the
         per-request baseline the batching benchmark measures against).
     max_batch_size / max_wait_ms:
-        Batcher tuning, applied to every per-deployment batcher.
-        ``max_wait_ms=0`` (the default) dispatches as soon as the batcher's
-        worker is free; see :class:`DynamicBatcher`.
+        Batcher tuning, applied to every per-deployment batcher and checked
+        here, at construction.  ``max_wait_ms=0`` (the default) dispatches
+        as soon as the batcher's worker is free; see :class:`DynamicBatcher`.
     autostart_batchers:
         ``False`` creates batchers in manual mode (no worker thread); tests
         drive them deterministically via :meth:`flush`.
@@ -57,35 +57,30 @@ class RecommenderService:
         measures against).  Instrumentation is event-level only (timer
         reads around whole requests and stages), never inside the scoring
         hot loops, so the bit-identity of served results is untouched.
-    max_queue / overload_policy:
-        Admission control for every per-deployment batcher: bound the queue
-        at ``max_queue`` waiting requests and apply ``overload_policy``
-        (``"reject"`` sheds the arriving request with an
-        :class:`~repro.resilience.OverloadError` — HTTP 429; ``"shed-oldest"``
-        evicts the stalest queued request instead; ``"block"`` makes the
-        submitting caller wait for space, honouring its deadline).
-        ``max_queue=None`` (the default) keeps the unbounded PR-5 behaviour.
     max_inflight:
-        Service-edge concurrency cap (an :class:`~repro.resilience.InflightGate`
-        across *all* deployments, batched and unbatched paths alike).
-        Arrivals beyond it shed immediately with :class:`OverloadError`;
-        ``None`` disables the gate.
+        The one admission bound: a service-edge concurrency cap (an
+        :class:`~repro.resilience.InflightGate` across *all* deployments,
+        batched and unbatched paths alike).  A burst of N requests takes N
+        slots, all or nothing, so the batcher queues behind the gate need no
+        bound of their own.  Arrivals beyond it shed immediately with
+        :class:`~repro.resilience.OverloadError` (HTTP 429); ``None``
+        disables the gate.
+
+    :meth:`recommend` is a burst of one: both entry points run the same
+    admission, deadline, counting and crash-fallback code.
     """
 
     def __init__(self, registry: Optional[ModelRegistry] = None,
                  batching: bool = True, max_batch_size: int = 64,
                  max_wait_ms: float = 0.0, autostart_batchers: bool = True,
                  metrics: Union[MetricsRegistry, None, bool] = None,
-                 max_queue: Optional[int] = None,
-                 overload_policy: str = "reject",
                  max_inflight: Optional[int] = None):
+        check_batching_knobs(max_batch_size, max_wait_ms)
         self.registry = registry if registry is not None else ModelRegistry()
         self.batching = batching
         self.max_batch_size = max_batch_size
         self.max_wait_ms = max_wait_ms
         self.autostart_batchers = autostart_batchers
-        self.max_queue = max_queue
-        self.overload_policy = overload_policy
         self._gate = InflightGate(max_inflight)
         self._lock = threading.Lock()
         self._batchers: Dict[Tuple[str, int], DynamicBatcher] = {}
@@ -150,10 +145,9 @@ class RecommenderService:
             "deployment, version and counter name.",
             labelnames=("deployment", "version", "counter"))
         self._m_shed = registry.counter(
-            "repro_requests_shed_total", "Requests shed by admission "
-            "control (bounded batcher queue or the in-flight gate); each "
-            "was answered HTTP 429 with Retry-After, never queued into "
-            "collapse.", labelnames=("deployment",))
+            "repro_requests_shed_total", "Requests shed by the in-flight "
+            "gate; each was answered HTTP 429 with Retry-After, never "
+            "queued into collapse.", labelnames=("deployment",))
         self._m_deadline = registry.counter(
             "repro_deadline_expired_total", "Requests whose deadline_ms "
             "budget expired before completion (HTTP 504).",
@@ -233,8 +227,6 @@ class RecommenderService:
                     max_batch_size=self.max_batch_size,
                     max_wait_ms=self.max_wait_ms,
                     start=self.autostart_batchers,
-                    max_queue=self.max_queue,
-                    overload_policy=self.overload_policy,
                 )
             return self._batchers[key]
 
@@ -243,41 +235,82 @@ class RecommenderService:
     # ------------------------------------------------------------------ #
     def recommend(self, request: Union[RecommendRequest, Dict[str, Any]],
                   timeout: Optional[float] = None) -> RecommendResponse:
-        """Serve one request (blocking until its batch is scored).
+        """Serve one request (blocking until its batch is scored): a burst
+        of one, see :meth:`recommend_many`."""
+        return self._serve((request,), timeout)[0]
 
-        Admission and deadline enforcement happen here, at the edge: the
-        in-flight gate sheds arrivals beyond ``max_inflight`` with
-        :class:`~repro.resilience.OverloadError`, and ``request.deadline_ms``
-        is fixed into one absolute monotonic deadline that every later stage
-        (batcher queue, encode, shard search) checks.
+    def recommend_many(self, requests: Sequence[Union[RecommendRequest,
+                                                      Dict[str, Any]]],
+                       timeout: Optional[float] = None) -> List[RecommendResponse]:
+        """Serve a burst of requests, submitting them all before waiting.
+
+        With batching enabled the whole burst lands in the batcher queue at
+        once, so it coalesces even without concurrent callers.  The burst
+        is admitted and fails as a unit: it takes one in-flight slot per
+        request, all or nothing, and any invalid entry fails it *before*
+        anything is scored.
         """
-        trace = self._open_trace()
-        coerced = self._coerce(request)
-        if trace is not None:
-            # validate is the first stage, so elapsed-since-open IS its
-            # duration (cheaper than a context manager on the request path).
-            trace.record("validate", trace.elapsed_ms())
-        deadline = (deadline_from_budget_ms(coerced.deadline_ms)
-                    if coerced.deadline_ms is not None else None)
-        self._admit(coerced.deployment)
-        try:
-            return self._serve(coerced, timeout, trace, deadline=deadline)
-        except OverloadError:
-            self._count_shed(coerced.deployment)
-            raise
-        except DeadlineExceeded:
-            self._count_deadline(coerced.deployment)
-            raise
-        finally:
-            self._gate.release()
+        if not isinstance(requests, (list, tuple)):
+            raise RequestError(f"requests must be a list of request objects, "
+                               f"got {type(requests).__name__}")
+        return self._serve(requests, timeout)
 
-    def _admit(self, deployment: Optional[str]) -> None:
-        """Acquire an in-flight slot or shed (counted, then re-raised)."""
+    def _serve(self, requests: Sequence[Union[RecommendRequest,
+                                              Dict[str, Any]]],
+               timeout: Optional[float]) -> List[RecommendResponse]:
+        """The one request path behind both entry points.
+
+        Every request is coerced, resolved and its overrides validated up
+        front, so a bad entry can never leave earlier entries' futures
+        abandoned mid-batch.  Admission and deadline enforcement happen
+        here, at the edge: the in-flight gate takes one slot per request or
+        sheds the whole burst with :class:`~repro.resilience.OverloadError`,
+        and each ``deadline_ms`` is fixed into one absolute monotonic
+        deadline that every later stage (batcher queue, encode, shard
+        search) checks.
+        """
+        entries = []
+        for request in requests:
+            trace = self._open_trace()
+            request = self._coerce(request)
+            if trace is not None:
+                # validate is the first stage, so elapsed-since-open IS its
+                # duration (cheaper than a context manager on the request path).
+                trace.record("validate", trace.elapsed_ms())
+            deployment = self._resolve(request)
+            try:
+                deployment.config.with_overrides(
+                    k=request.k, exclude_seen=request.exclude_seen,
+                    backend=request.backend)
+            except (ValueError, TypeError) as error:
+                self._count_error(deployment.name)
+                raise RequestError(str(error)) from None
+            entries.append((request, deployment, trace))
         try:
-            self._gate.acquire()
+            self._gate.acquire(len(entries))
         except OverloadError:
-            self._count_shed(deployment)
+            for request, _, _ in entries:
+                self._count_shed(request.deployment)
             raise
+        try:
+            submitted = []
+            for request, deployment, trace in entries:
+                deadline = (deadline_from_budget_ms(request.deadline_ms)
+                            if request.deadline_ms is not None else None)
+                future = (self._submit(request, deployment, deadline)
+                          if self.batching else None)
+                submitted.append((request, deployment, trace, deadline, future))
+            responses = []
+            for request, deployment, trace, deadline, future in submitted:
+                try:
+                    responses.append(self._await(request, deployment, trace,
+                                                 deadline, future, timeout))
+                except DeadlineExceeded:
+                    self._count_deadline(request.deployment)
+                    raise
+            return responses
+        finally:
+            self._gate.release(len(entries))
 
     def _count_shed(self, deployment: Optional[str]) -> None:
         with self._lock:
@@ -299,79 +332,6 @@ class RecommenderService:
         stage timer and metric observation."""
         return RequestTrace() if self.metrics is not None else None
 
-    def recommend_many(self, requests: Sequence[Union[RecommendRequest,
-                                                      Dict[str, Any]]],
-                       timeout: Optional[float] = None) -> List[RecommendResponse]:
-        """Serve a burst of requests, submitting them all before waiting.
-
-        With batching enabled the whole burst lands in the batcher queue at
-        once, so it coalesces even without concurrent callers.  The burst
-        fails as a unit on any invalid entry, and it fails *before* anything
-        is scored: every request is resolved and its overrides validated up
-        front, so a bad entry can never leave earlier entries' futures
-        abandoned mid-batch (their scoring running with nobody waiting).
-        """
-        if not isinstance(requests, (list, tuple)):
-            raise RequestError(f"requests must be a list of request objects, "
-                               f"got {type(requests).__name__}")
-        coerced = []
-        traces: List[Optional[RequestTrace]] = []
-        for request in requests:
-            trace = self._open_trace()
-            if trace is None:
-                coerced.append(self._coerce(request))
-            else:
-                coerced.append(self._coerce(request))
-                # first stage: elapsed-since-open is the validate duration
-                trace.record("validate", trace.elapsed_ms())
-            traces.append(trace)
-        resolved = []
-        for request, trace in zip(coerced, traces):
-            deployment = self._resolve(request)
-            try:
-                deployment.config.with_overrides(
-                    k=request.k, exclude_seen=request.exclude_seen,
-                    backend=request.backend)
-            except (ValueError, TypeError) as error:
-                self._count_error(deployment.name)
-                raise RequestError(str(error)) from None
-            deadline = (deadline_from_budget_ms(request.deadline_ms)
-                        if request.deadline_ms is not None else None)
-            resolved.append((request, deployment, trace, deadline))
-        if not self.batching:
-            return [self._serve_resolved(request, deployment, timeout, trace,
-                                         deadline=deadline)
-                    for request, deployment, trace, deadline in resolved]
-        submitted = []
-        for request, deployment, trace, deadline in resolved:
-            try:
-                future = self._submit(request, deployment, deadline=deadline)
-            except OverloadError:
-                self._count_shed(request.deployment)
-                raise
-            except DeadlineExceeded:
-                self._count_deadline(request.deployment)
-                raise
-            submitted.append((request, deployment, trace, deadline, future))
-        responses = []
-        for request, deployment, trace, deadline, future in submitted:
-            if future is None:
-                responses.append(self._serve_direct(request, deployment,
-                                                    trace, deadline=deadline))
-            else:
-                try:
-                    result = future.result(timeout)
-                except DeadlineExceeded:
-                    self._count_deadline(request.deployment)
-                    raise
-                except OverloadError:
-                    # its queue slot was shed by a later arrival
-                    self._count_shed(request.deployment)
-                    raise
-                responses.append(self._to_response(
-                    request, deployment, result, trace))
-        return responses
-
     def _coerce(self, request: Union[RecommendRequest, Dict[str, Any]]
                 ) -> RecommendRequest:
         if isinstance(request, RecommendRequest):
@@ -387,17 +347,15 @@ class RecommenderService:
             raise RequestError(str(error).strip('"')) from None
 
     def _submit(self, request: RecommendRequest, deployment: Deployment,
-                deadline: Optional[float] = None):
-        """Enqueue one request on the deployment's batcher.
+                deadline: Optional[float]):
+        """Enqueue one (already validated) request on the deployment's
+        batcher.
 
         Returns ``None`` when the request must be served unbatched instead:
         the deployment version was retired by a concurrent reload, its
         batcher closed between lookup and submit, or the batcher's worker
         thread died (a crashed batcher refuses new work; direct serving
-        keeps the deployment answering).  Invalid overrides surface as
-        :class:`RequestError` here, in the caller's thread; a full bounded
-        queue surfaces the admission policy's :class:`OverloadError` or,
-        for the ``block`` policy, :class:`DeadlineExceeded`.
+        keeps the deployment answering).
         """
         batcher = self._batcher_for(deployment)
         if batcher is None:
@@ -407,42 +365,26 @@ class RecommenderService:
                                   exclude_seen=request.exclude_seen,
                                   backend=request.backend,
                                   deadline=deadline)
-        except ValueError as error:
-            self._count_error()
-            raise RequestError(str(error)) from None
-        except (OverloadError, DeadlineExceeded):
-            raise
         except RuntimeError:  # closed by a concurrent reload/retire/crash
             return None
 
-    def _serve(self, request: RecommendRequest, timeout: Optional[float],
-               trace: Optional[RequestTrace] = None, *,
-               deadline: Optional[float] = None) -> RecommendResponse:
-        deployment = self._resolve(request)
-        return self._serve_resolved(request, deployment, timeout, trace,
-                                    deadline=deadline)
-
-    def _serve_resolved(self, request: RecommendRequest,
-                        deployment: Deployment, timeout: Optional[float],
-                        trace: Optional[RequestTrace] = None, *,
-                        deadline: Optional[float] = None
-                        ) -> RecommendResponse:
-        if not self.batching:
-            return self._serve_direct(request, deployment, trace,
-                                      deadline=deadline)
-        future = self._submit(request, deployment, deadline=deadline)
-        if future is None:
-            return self._serve_direct(request, deployment, trace,
-                                      deadline=deadline)
-        try:
-            result = future.result(timeout)
-        except BatcherCrashed:
-            # the worker thread died under this request — score it directly
-            # (the crashed batcher refuses new submits, so later requests
-            # take the direct path without paying this exception)
-            return self._serve_direct(request, deployment, trace,
-                                      deadline=deadline)
-        return self._to_response(request, deployment, result, trace)
+    def _await(self, request: RecommendRequest, deployment: Deployment,
+               trace: Optional[RequestTrace], deadline: Optional[float],
+               future, timeout: Optional[float]) -> RecommendResponse:
+        """One submitted request's response: its batch result, or a direct
+        score when it has no future (unbatched, or no live batcher) or its
+        batcher's worker died under it (the crashed batcher refuses new
+        submits, so later requests take the direct path without paying
+        this exception)."""
+        if future is not None:
+            try:
+                result = future.result(timeout)
+            except BatcherCrashed:
+                pass
+            else:
+                return self._to_response(request, deployment, result, trace)
+        return self._serve_direct(request, deployment, trace,
+                                  deadline=deadline)
 
     def _serve_direct(self, request: RecommendRequest,
                       deployment: Deployment,
@@ -604,7 +546,7 @@ class RecommenderService:
             counters = batcher.stats().to_dict()
             for counter in ("submitted", "completed", "failed",
                             "scoring_calls", "max_batch_observed",
-                            "rejected", "shed", "expired", "worker_crashes"):
+                            "expired", "worker_crashes"):
                 self._g_batcher.labels(
                     deployment=name, version=str(version),
                     counter=counter).set(float(counters[counter]))

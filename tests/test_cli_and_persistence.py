@@ -11,13 +11,9 @@ from repro.analysis.plots import histogram, line_plot, sparkline
 from repro.cli import main as cli_main
 from repro.data.splits import EvaluationCase
 from repro.experiments.persistence import (
-    load_checkpoint,
-    load_model,
     load_result,
     result_to_json,
     save_all,
-    save_checkpoint,
-    save_checkpoint_tree,
     save_result,
 )
 from repro.models import ModelConfig, SASRecID
@@ -65,57 +61,6 @@ class TestPersistence:
 
         payload = json.loads(result_to_json({"model": Opaque()}))
         assert payload["model"] == "<opaque>"
-
-
-class TestCheckpointTree:
-    """The memmap-friendly directory checkpoint vs the legacy `.npz`."""
-
-    @pytest.fixture(scope="class")
-    def small_model(self):
-        config = ModelConfig(hidden_dim=8, num_layers=1, num_heads=2,
-                             dropout=0.0, max_seq_length=6, seed=1)
-        return SASRecID(30, config=config)
-
-    def test_tree_matches_npz_checkpoint(self, tmp_path, small_model):
-        features = np.random.default_rng(0).standard_normal((31, 8))
-        npz_path = save_checkpoint(small_model, tmp_path / "flat",
-                                   feature_table=features)
-        tree_dir = save_checkpoint_tree(small_model, tmp_path / "tree",
-                                        feature_table=features)
-        flat = load_checkpoint(npz_path)
-        tree = load_checkpoint(tree_dir)
-        assert flat.state.keys() == tree.state.keys()
-        for name in flat.state:
-            assert np.array_equal(flat.state[name], tree.state[name]), name
-        assert np.array_equal(flat.feature_table, tree.feature_table)
-        assert tree.metadata["model_name"] == flat.metadata["model_name"]
-
-    def test_mmap_load_is_zero_copy_and_readonly(self, tmp_path, small_model):
-        tree_dir = save_checkpoint_tree(small_model, tmp_path / "tree")
-        mapped = load_checkpoint(tree_dir, mmap=True)
-        for name, values in mapped.state.items():
-            assert isinstance(values, np.memmap), name
-            with pytest.raises(ValueError):
-                values[...] = 0.0
-
-    def test_rebuilt_model_scores_identically(self, tmp_path, small_model):
-        from repro.data.dataloader import make_batch
-
-        tree_dir = save_checkpoint_tree(small_model, tmp_path / "tree")
-        rebuilt = load_model(load_checkpoint(tree_dir, mmap=True))
-        batch = make_batch([(1, [3, 5, 7], 2), (2, [2, 9, 4, 6], 8)],
-                           max_length=6)
-        original = small_model.predict_scores(batch)
-        restored = rebuilt.predict_scores(batch)
-        assert np.array_equal(original, restored)
-
-    def test_incomplete_tree_is_rejected(self, tmp_path, small_model):
-        """metadata.json is the commit marker: a directory without it (a
-        crashed writer) must not load as a checkpoint."""
-        tree_dir = save_checkpoint_tree(small_model, tmp_path / "tree")
-        (tree_dir / "metadata.json").unlink()
-        with pytest.raises(ValueError):
-            load_checkpoint(tree_dir)
 
 
 class TestPlots:

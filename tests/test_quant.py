@@ -3,9 +3,8 @@
 Covers: the int8 codec round trip and its error bound, exact-parity of the
 shortlist-then-re-rank scorer against the dense shard scorer (including
 ties, sub-ranges, zero rows and degenerate shapes), the shard client / layout
-sidecar wiring, the serving-config validation surface, Recommender parity
-and re-quantization coherence under the generation clock, and the
-tree-checkpoint catalogue layout.
+sidecar wiring, the serving-config validation surface, and Recommender
+parity and re-quantization coherence under the generation clock.
 """
 
 from __future__ import annotations
@@ -15,10 +14,6 @@ import pytest
 
 from repro.data import load_dataset
 from repro.data.splits import leave_one_out_split
-from repro.experiments.persistence import (
-    checkpoint_item_matrix_layout,
-    save_checkpoint_tree,
-)
 from repro.models import ModelConfig, build_model
 from repro.quant import (
     QuantizedMatrix,
@@ -327,45 +322,3 @@ class TestRecommenderCodec:
         got = sharded.topk(histories)
         assert np.array_equal(expected.items, got.items)
         assert np.array_equal(expected.scores, got.scores)
-
-
-class TestCheckpointCatalogue:
-    def test_tree_checkpoint_materialises_int8_layout(self, serving_setup,
-                                                      tmp_path):
-        _, _, features, model = serving_setup
-        directory = tmp_path / "ckpt"
-        save_checkpoint_tree(model, directory, feature_table=features,
-                             catalogue_codec="int8")
-        layout = checkpoint_item_matrix_layout(directory)
-        assert layout.has_int8_sidecar()
-        expected = model.inference_item_matrix().astype(np.float32)
-        assert np.array_equal(np.asarray(layout.matrix()), expected)
-        attached = layout.quantized()
-        fresh = quantize_matrix(np.ascontiguousarray(expected))
-        assert np.array_equal(np.asarray(attached.codes), fresh.codes)
-
-        import json
-        metadata = json.loads(
-            (directory / "metadata.json").read_text(encoding="utf-8"))
-        assert metadata["catalogue_codec"] == "int8"
-        assert metadata["has_item_matrix_layout"] is True
-
-    def test_fp32_layout_has_no_sidecar(self, serving_setup, tmp_path):
-        _, _, _, model = serving_setup
-        directory = tmp_path / "ckpt"
-        save_checkpoint_tree(model, directory, catalogue_codec="fp32")
-        layout = checkpoint_item_matrix_layout(directory)
-        assert not layout.has_int8_sidecar()
-
-    def test_codec_omitted_means_no_layout(self, serving_setup, tmp_path):
-        _, _, _, model = serving_setup
-        directory = tmp_path / "ckpt"
-        save_checkpoint_tree(model, directory)
-        with pytest.raises(FileNotFoundError):
-            checkpoint_item_matrix_layout(directory)
-
-    def test_invalid_codec_rejected(self, serving_setup, tmp_path):
-        _, _, _, model = serving_setup
-        with pytest.raises(ValueError, match="catalogue_codec"):
-            save_checkpoint_tree(model, tmp_path / "ckpt",
-                                 catalogue_codec="int4")

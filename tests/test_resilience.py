@@ -4,12 +4,13 @@ Covers: the circuit-breaker state machine on an injected clock (no sleeps),
 seeded retry backoff, the deterministic FaultPlan (same seed -> byte-equal
 fired-fault signatures), pool-level fault injection (kill / delay / drop map
 to the pool's typed errors), the ResilientShardClient degradation ladder
-(retry -> breaker -> bit-identical in-process fallback), bounded-queue
-admission policies and the batcher worker-crash regression (no stranded
-futures, service keeps answering), deadline propagation (an expired request
-never reaches scoring), the HTTP status mapping (429 + Retry-After / 504 /
-clean 500) with the split liveness/readiness probes, and the load
-generator's outcome classification.
+(retry -> breaker -> bit-identical in-process fallback), the in-flight
+gate (single requests and bursts alike) and the batcher worker-crash
+regression (no stranded futures, service keeps answering), deadline
+propagation (an expired request never reaches scoring), the HTTP status
+mapping (429 + Retry-After / 504 / clean 500) with the split
+liveness/readiness probes, and the load generator's outcome
+classification.
 """
 
 from __future__ import annotations
@@ -60,6 +61,20 @@ def _recommender(rsetup, **kwargs):
     _, split, features, model = rsetup
     return Recommender(model, store=EmbeddingStore(features),
                        train_sequences=split.train_sequences, **kwargs)
+
+
+#: requests one call of each service entry point serves in these tests
+ENTRY_SIZES = {"recommend": 1, "recommend_many": 3}
+entry_points = pytest.mark.parametrize("entry", sorted(ENTRY_SIZES))
+
+
+def _serve(service, entry, payload, **kwargs):
+    """Serve ``payload`` through ``recommend``, or as a 3-request burst
+    through ``recommend_many``; returns the first response."""
+    if entry == "recommend":
+        return service.recommend(payload, **kwargs)
+    return service.recommend_many([payload] * ENTRY_SIZES[entry],
+                                  **kwargs)[0]
 
 
 @pytest.fixture(scope="module")
@@ -258,66 +273,6 @@ class TestInflightGate:
             InflightGate(0)
 
 
-class TestBatcherAdmission:
-    """Bounded-queue overload policies on a manual-mode batcher (the queue
-    never drains by itself, so 'full' is deterministic)."""
-
-    @pytest.fixture()
-    def recommender(self, rsetup):
-        return _recommender(rsetup)
-
-    def test_reject_policy_sheds_the_arrival(self, rsetup, recommender):
-        _, split, _, _ = rsetup
-        history = split.test[0].history
-        with DynamicBatcher(recommender, start=False, max_queue=2,
-                            overload_policy="reject") as batcher:
-            batcher.submit(history)
-            batcher.submit(history)
-            with pytest.raises(OverloadError):
-                batcher.submit(history)
-            assert batcher.stats().rejected == 1
-            assert batcher.queue_depth == 2
-            batcher.flush()
-
-    def test_shed_oldest_policy_evicts_the_stalest_future(self, rsetup,
-                                                          recommender):
-        _, split, _, _ = rsetup
-        history = split.test[0].history
-        with DynamicBatcher(recommender, start=False, max_queue=2,
-                            overload_policy="shed-oldest") as batcher:
-            oldest = batcher.submit(history)
-            second = batcher.submit(history)
-            third = batcher.submit(history)  # evicts `oldest`
-            with pytest.raises(OverloadError):
-                oldest.result(timeout=1.0)
-            assert batcher.stats().shed == 1
-            batcher.flush()
-            assert second.result(timeout=5.0).items.size > 0
-            assert third.result(timeout=5.0).items.size > 0
-
-    def test_block_policy_honours_the_deadline(self, rsetup, recommender):
-        _, split, _, _ = rsetup
-        history = split.test[0].history
-        with DynamicBatcher(recommender, start=False, max_queue=1,
-                            overload_policy="block") as batcher:
-            batcher.submit(history)
-            deadline = time.monotonic() + 0.05
-            started = time.perf_counter()
-            with pytest.raises(DeadlineExceeded):
-                batcher.submit(history, deadline=deadline)
-            waited = time.perf_counter() - started
-            assert waited < 2.0  # bounded by the deadline, not forever
-            assert batcher.stats().expired == 1
-            batcher.flush()
-
-    def test_invalid_admission_configuration(self, recommender):
-        with pytest.raises(ValueError):
-            DynamicBatcher(recommender, start=False, max_queue=0)
-        with pytest.raises(ValueError):
-            DynamicBatcher(recommender, start=False,
-                           overload_policy="drop-newest")
-
-
 # --------------------------------------------------------------------- #
 # Batcher worker crash (the stranded-futures regression)
 # --------------------------------------------------------------------- #
@@ -344,26 +299,27 @@ class TestBatcherWorkerCrash:
         with pytest.raises(RuntimeError):
             batcher.submit(split.test[0].history)
 
-    def test_service_keeps_answering_after_worker_crash(self, rsetup):
+    @entry_points
+    def test_service_keeps_answering_after_worker_crash(self, rsetup, entry):
         _, split, _, _ = rsetup
         registry = ModelRegistry()
         registry.register(Deployment("arts", _recommender(rsetup),
                                      config=ServingConfig(k=5)))
         with RecommenderService(registry, max_wait_ms=1.0) as service:
-            history = split.test[0].history
-            baseline = service.recommend({"history": history})
+            payload = {"history": split.test[0].history}
+            baseline = _serve(service, entry, payload)
             batcher = next(iter(service._batchers.values()))
 
             def explode(batch):
                 raise MemoryError("simulated worker OOM")
 
             batcher._process = explode
-            # This request rides the crashing worker; the service catches the
-            # BatcherCrashed future and re-serves it on the direct path.
-            crashed = service.recommend({"history": history}, timeout=10.0)
+            # This call rides the crashing worker; the service catches the
+            # BatcherCrashed futures and re-serves them on the direct path.
+            crashed = _serve(service, entry, payload, timeout=10.0)
             assert crashed.items == baseline.items
             # Subsequent requests keep flowing (direct path, same bits).
-            after = service.recommend({"history": history}, timeout=10.0)
+            after = _serve(service, entry, payload, timeout=10.0)
             assert after.items == baseline.items
             assert after.scores == baseline.scores
 
@@ -421,19 +377,25 @@ class TestDeadlinePropagation:
             assert stats.expired == 1
             assert stats.completed == 1
 
-    def test_service_counts_deadline_expiry(self, rsetup):
+    @pytest.mark.parametrize("batching", [True, False],
+                             ids=["batched", "direct"])
+    @entry_points
+    def test_service_counts_deadline_expiry(self, rsetup, entry, batching):
         _, split, _, _ = rsetup
         registry = ModelRegistry()
         registry.register(Deployment("arts", _recommender(rsetup),
                                      config=ServingConfig(k=5)))
-        with RecommenderService(registry, max_wait_ms=20.0) as service:
+        with RecommenderService(registry, batching=batching,
+                                max_wait_ms=20.0) as service:
             with pytest.raises(DeadlineExceeded):
-                # 1 microsecond of budget expires in the batcher queue
-                service.recommend({"history": split.test[0].history,
-                                   "deadline_ms": 0.001}, timeout=10.0)
+                # 1 microsecond of budget expires in the batcher queue (or
+                # before the direct path starts scoring)
+                _serve(service, entry, {"history": split.test[0].history,
+                                        "deadline_ms": 0.001}, timeout=10.0)
             assert service.stats()["deadline_expired"] == 1
             # an un-deadlined request is untouched
-            response = service.recommend({"history": split.test[0].history})
+            response = _serve(service, entry,
+                              {"history": split.test[0].history})
             assert len(response.items) == 5
 
 
@@ -723,44 +685,43 @@ class TestGuardedShardedServing:
 # Service edge: shedding, metrics, recovery under live traffic
 # --------------------------------------------------------------------- #
 class TestServiceOverload:
-    def test_inflight_gate_sheds_and_counts(self, rsetup):
+    @entry_points
+    def test_inflight_gate_sheds_and_counts(self, rsetup, entry):
         _, split, _, _ = rsetup
         registry = ModelRegistry()
         registry.register(Deployment("arts", _recommender(rsetup),
                                      config=ServingConfig(k=5)))
-        with RecommenderService(registry, max_inflight=1) as service:
+        limit = ENTRY_SIZES[entry]
+        with RecommenderService(registry, max_inflight=limit) as service:
             service._gate.acquire()  # simulate one admitted request in flight
             try:
                 with pytest.raises(OverloadError):
-                    service.recommend({"history": split.test[0].history})
+                    _serve(service, entry, {"history": split.test[0].history})
             finally:
                 service._gate.release()
             stats = service.stats()
-            assert stats["requests_shed"] == 1
+            assert stats["requests_shed"] == ENTRY_SIZES[entry]
             assert stats["request_errors"] == 0  # shedding is not an error
             # the slot freed: traffic flows again
-            response = service.recommend({"history": split.test[0].history})
+            response = _serve(service, entry,
+                              {"history": split.test[0].history})
             assert len(response.items) == 5
 
-    def test_bounded_queue_shedding_through_the_service(self, rsetup):
+    def test_burst_beyond_the_limit_is_shed_whole(self, rsetup):
+        """A burst takes one slot per request, all or nothing: 3 requests
+        against ``max_inflight=2`` are all shed and none is submitted."""
         _, split, _, _ = rsetup
         registry = ModelRegistry()
         registry.register(Deployment("arts", _recommender(rsetup),
                                      config=ServingConfig(k=5)))
-        service = RecommenderService(registry, autostart_batchers=False,
-                                     max_queue=1, overload_policy="reject")
-        try:
-            deployment = service.registry.get("arts")
-            first = service._submit(
-                RecommendRequest(history=split.test[0].history), deployment)
-            assert first is not None
+        with RecommenderService(registry, max_inflight=2) as service:
             with pytest.raises(OverloadError):
-                service.recommend({"history": split.test[1].history})
-            assert service.stats()["requests_shed"] == 1
-            service.flush()
-            assert first.result(timeout=5.0).items.size > 0
-        finally:
-            service.close()
+                service.recommend_many(
+                    [{"history": case.history} for case in split.test[:3]])
+            stats = service.stats()
+            assert stats["requests_shed"] == 3
+            assert stats["inflight"] == 0
+            assert stats["batchers"] == {}  # no batcher ever saw a request
 
     def test_resilience_metrics_are_exported(self, rsetup):
         _, split, _, _ = rsetup

@@ -942,6 +942,20 @@ class TestServeCLIErrorPaths:
         assert code == 2
         assert "k must be a positive integer" in captured.err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-batch-size", "0", "max_batch_size must be >= 1"),
+        ("--max-wait-ms", "-1", "max_wait_ms must be >= 0"),
+        ("--max-inflight", "0", "max_inflight must be >= 1"),
+    ], ids=["max-batch-size", "max-wait-ms", "max-inflight"])
+    def test_invalid_service_knob_exits_2_before_training(self, flag, value,
+                                                          message, capsys):
+        code = cli_main(["serve", "arts", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert "training" not in captured.out  # failed before any model work
+
     def test_loop_plus_http_conflict_exits_2(self, capsys):
         """Both front-ends at once is a config error, not a silent --loop."""
         code = cli_main(["serve", "--deployment", "m=/no/such.npz",

@@ -818,18 +818,21 @@ class TestRetrievalPipeline:
                                  config=ServingConfig(**{name: other[name]}))
 
 
+def _cli_checkpoint(path):
+    """A checkpoint aligned with the CLI's default dataset settings (arts /
+    tiny / seed 7 / dim 32), so `repro serve arts` needs no training."""
+    dataset = load_dataset("arts", scale="tiny", seed=7)
+    features = encode_items(dataset.items, embedding_dim=32, seed=7)
+    config = ModelConfig(hidden_dim=16, num_layers=1, num_heads=2,
+                         max_seq_length=20, seed=7)
+    model = build_model("whitenrec", dataset.num_items,
+                        feature_table=features, config=config)
+    return save_checkpoint(model, path, feature_table=features)
+
+
 class TestServeCLI:
     def test_serve_from_checkpoint(self, tmp_path, capsys):
-        # Build a checkpoint aligned with the CLI's default dataset settings
-        # (arts / tiny / seed 7 / dim 32) so no training is needed.
-        dataset = load_dataset("arts", scale="tiny", seed=7)
-        features = encode_items(dataset.items, embedding_dim=32, seed=7)
-        config = ModelConfig(hidden_dim=16, num_layers=1, num_heads=2,
-                             max_seq_length=20, seed=7)
-        model = build_model("whitenrec", dataset.num_items,
-                            feature_table=features, config=config)
-        path = save_checkpoint(model, tmp_path / "cli_model", feature_table=features)
-
+        path = _cli_checkpoint(tmp_path / "cli_model")
         exit_code = cli_main([
             "serve", "arts", "--checkpoint", str(path),
             "--requests", "3", "--k", "5", "--repeats", "1",
@@ -840,14 +843,7 @@ class TestServeCLI:
         assert "sequences/second" in captured.out
 
     def test_serve_with_ann_backend(self, tmp_path, capsys):
-        dataset = load_dataset("arts", scale="tiny", seed=7)
-        features = encode_items(dataset.items, embedding_dim=32, seed=7)
-        config = ModelConfig(hidden_dim=16, num_layers=1, num_heads=2,
-                             max_seq_length=20, seed=7)
-        model = build_model("whitenrec", dataset.num_items,
-                            feature_table=features, config=config)
-        path = save_checkpoint(model, tmp_path / "ann_model",
-                               feature_table=features)
+        path = _cli_checkpoint(tmp_path / "ann_model")
         exit_code = cli_main([
             "serve", "arts", "--checkpoint", str(path), "--backend", "ivf",
             "--requests", "3", "--k", "5", "--repeats", "1",
@@ -855,6 +851,19 @@ class TestServeCLI:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "backend=ivf" in captured.out
+
+    def test_demo_burst_beyond_max_inflight_exits_2(self, tmp_path, capsys):
+        """The demo serves its requests as one burst, and a burst takes one
+        in-flight slot per request: 3 requests never fit --max-inflight 2."""
+        path = _cli_checkpoint(tmp_path / "cli_model")
+        exit_code = cli_main([
+            "serve", "arts", "--checkpoint", str(path),
+            "--requests", "3", "--max-inflight", "2",
+        ])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert "one burst" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_serve_help_documents_backend_and_k(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

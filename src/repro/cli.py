@@ -163,7 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "N concurrently admitted ones at the "
                                    "service edge with HTTP 429 + "
                                    "Retry-After; a burst of M requests takes "
-                                   "M slots (default: unlimited)")
+                                   "M slots, and one with M > N is a 400 "
+                                   "(default: unlimited)")
     serve_parser.add_argument("--verbose", action="store_true",
                               help="with --http: structured access log to "
                                    "stderr (one JSON object per request: "
@@ -383,26 +384,14 @@ def _dataset_model(args, dropout: float = 0.1, checkpoint=None):
 def _command_serve(args) -> int:
     from .experiments.persistence import save_checkpoint
     from .models import display_label
-    from .resilience import OverloadError
-    from .serving import (CATALOGUE_CODECS, SERVING_BACKENDS, SHARD_BACKENDS,
-                          EmbeddingStore, Recommender, ServingConfig)
-    from .service import Deployment, ModelRegistry, RecommenderService, serve_http, serve_jsonl
+    from .serving import EmbeddingStore, Recommender, ServingConfig
+    from .service import (Deployment, ModelRegistry, RecommenderService,
+                          RequestError, serve_http, serve_jsonl)
     from .training import quick_train
 
     if args.loop and args.http is not None:
         return _fail("--loop and --http are mutually exclusive; run one "
                      "front-end per process")
-    if args.backend not in SERVING_BACKENDS:
-        return _fail(f"unknown backend {args.backend!r} "
-                     f"(expected one of {', '.join(SERVING_BACKENDS)})")
-    if args.shards < 1:
-        return _fail(f"--shards must be >= 1, got {args.shards}")
-    if args.shard_backend not in SHARD_BACKENDS:
-        return _fail(f"unknown shard backend {args.shard_backend!r} "
-                     f"(expected one of {', '.join(SHARD_BACKENDS)})")
-    if args.catalogue_codec not in CATALOGUE_CODECS:
-        return _fail(f"unknown catalogue codec {args.catalogue_codec!r} "
-                     f"(expected one of {', '.join(CATALOGUE_CODECS)})")
     # Every knob is checked before any deployment is loaded or trained.
     try:
         serving_config = ServingConfig(k=args.k, backend=args.backend,
@@ -488,9 +477,9 @@ def _command_serve(args) -> int:
                      "--deployment checkpoints alone")
     try:
         return _serve_demo(args, registry, service, split)
-    except OverloadError as error:
-        return _fail(f"the one-shot demo serves its --requests as one burst, "
-                     f"which --max-inflight cannot admit: {error}")
+    except RequestError as error:
+        return _fail(f"the one-shot demo serves its --requests as one "
+                     f"burst: {error}")
     finally:
         registry.close_all()
 

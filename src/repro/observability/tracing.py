@@ -1,15 +1,13 @@
 """Per-request stage timing: one trace through the whole serving lifecycle.
 
-Before this module, each serving layer timed itself in isolation — the
-batcher measured ``queue_ms``, the inference engine ``encode_ms``, the
-recommender its scoring call — and the pieces never lined up into one
-request-shaped picture.  :class:`RequestTrace` is that picture: the service
-opens one trace per request, stages record into it (either live via
-:meth:`RequestTrace.stage` or post-hoc via :meth:`RequestTrace.record` when
-the stage ran on another thread, as batched scoring does), and
-:meth:`RequestTrace.finish` closes the books — whatever wall-clock time no
-stage claimed becomes the ``respond`` stage, so the breakdown always sums to
-the request's total.
+:class:`RequestTrace` is the one per-request timing record.  The service
+opens one trace per request, records the stage it runs on the caller's
+thread (``validate``) with :meth:`RequestTrace.record`, and hands the
+stages that ran on the batcher's worker thread (``queue``, ``encode``,
+``score``, ``merge``) to :meth:`RequestTrace.finish`, which closes the
+books: whatever wall-clock time no stage claimed becomes the ``respond``
+stage, so the breakdown always sums to the request's total.  The result is
+the response's ``stages_ms``, its only timing.
 
 The canonical stage order — shared by the batched, unbatched, sharded and
 ANN paths, so clients see one schema no matter how a request was served::
@@ -26,35 +24,15 @@ from typing import Dict
 STAGES = ("validate", "queue", "encode", "score", "merge", "respond")
 
 
-class _StageTimer:
-    """Tiny class-based context manager timing one stage block.
-
-    A generator ``@contextmanager`` costs ~3x as much per entry; this runs
-    on every request, so the boring version wins.
-    """
-
-    __slots__ = ("_trace", "_name", "_started")
-
-    def __init__(self, trace: "RequestTrace", name: str) -> None:
-        self._trace = trace
-        self._name = name
-
-    def __enter__(self) -> None:
-        self._started = time.perf_counter()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._trace.record(
-            self._name, (time.perf_counter() - self._started) * 1000.0)
-
-
 class RequestTrace:
     """Wall-clock stage accounting for one request.
 
-    Cheap by construction — one ``perf_counter`` read at open, two per
-    timed stage, and a dict of floats — so tracing every request costs
-    microseconds, never a per-item loop.  Not thread-safe: one trace belongs
-    to one request's serving path; cross-thread stages (the batcher worker's
-    scoring) report durations that the caller records after the fact.
+    Cheap by construction — one ``perf_counter`` read at open, one per
+    recorded stage, one at finish, and a dict of floats — so tracing every
+    request costs microseconds, never a per-item loop.  Not thread-safe: one
+    trace belongs to one request's serving path; cross-thread stages (the
+    batcher worker's scoring) report durations that the caller passes to
+    :meth:`finish`.
     """
 
     __slots__ = ("_started", "_stages", "_finished")
@@ -64,22 +42,15 @@ class RequestTrace:
         self._stages: Dict[str, float] = {}
         self._finished = False
 
-    def stage(self, name: str) -> _StageTimer:
-        """Time a ``with`` block as one lifecycle stage (accumulating)."""
-        return _StageTimer(self, name)
-
     def record(self, name: str, ms: float) -> None:
-        """Attribute ``ms`` milliseconds to ``name`` (accumulating; negative
-        durations are clamped — a stage can never un-spend time)."""
+        """Attribute ``ms`` milliseconds to the canonical stage ``name``
+        (accumulating; negative durations are clamped — a stage can never
+        un-spend time).  ``respond`` is what no stage claimed, so it cannot
+        be recorded, and neither can a name outside :data:`STAGES`."""
+        if name not in STAGES or name == "respond":
+            raise ValueError(f"cannot record stage {name!r}; expected one of "
+                             f"{', '.join(STAGES[:-1])}")
         self._stages[name] = self._stages.get(name, 0.0) + max(0.0, float(ms))
-
-    def record_stages(self, **durations_ms: float) -> None:
-        """Record several stages in one call (same clamping/accumulation
-        semantics as :meth:`record`; one call site per request beats four
-        on the hot path)."""
-        stages = self._stages
-        for name, ms in durations_ms.items():
-            stages[name] = stages.get(name, 0.0) + (ms if ms > 0.0 else 0.0)
 
     def elapsed_ms(self) -> float:
         """Wall-clock milliseconds since the trace opened."""
@@ -89,48 +60,33 @@ class RequestTrace:
                score: float = 0.0, merge: float = 0.0) -> Dict[str, float]:
         """Close the trace: returns the stage breakdown plus ``total``.
 
-        The named parameters record the stages that ran on another thread
-        (the batcher worker's scoring call) in the same call that closes
-        the books — the serving path pays one method call per request, not
-        five.  Unaccounted wall-clock time (dispatch, future hand-off,
-        response assembly) lands in ``respond``, clamped at zero, so the
-        stages sum to ``total`` whenever accounting is complete and never
-        exceed it spuriously.  Idempotent after the first call.
-
-        On the canonical path (nothing but ``validate`` recorded live) the
-        full ``validate -> queue -> encode -> score -> merge -> respond``
-        schema is emitted, zero-filled where a stage did no work, built as
-        one dict literal; traces carrying extra :meth:`record`-ed stages
-        keep them (accumulating semantics).  Values are raw milliseconds —
-        rounding happens at the serialisation edge
+        The named parameters are the stages that ran on another thread (the
+        batcher worker's scoring call), added to whatever was recorded for
+        them here; negative values are clamped.  The full
+        ``validate -> queue -> encode -> score -> merge -> respond`` schema
+        is emitted, zero-filled where a stage did no work.  Unaccounted
+        wall-clock time (dispatch, future hand-off, response assembly)
+        lands in ``respond``, clamped at zero, so the stages sum to
+        ``total`` whenever accounting is complete and never exceed it
+        spuriously.  Idempotent after the first call.  Values are raw
+        milliseconds — rounding happens at the serialisation edge
         (``RecommendResponse.to_dict``), not on the hot path.
         """
-        stages = self._stages
         if not self._finished:
-            queue = queue if queue > 0.0 else 0.0
-            encode = encode if encode > 0.0 else 0.0
-            score = score if score > 0.0 else 0.0
-            merge = merge if merge > 0.0 else 0.0
+            recorded = self._stages
             total = (time.perf_counter() - self._started) * 1000.0
-            if not stages or (len(stages) == 1 and "validate" in stages):
-                validate = stages.get("validate", 0.0)
-                respond = total - (validate + queue + encode + score + merge)
-                self._stages = stages = {
-                    "validate": validate, "queue": queue, "encode": encode,
-                    "score": score, "merge": merge,
-                    "respond": respond if respond > 0.0 else 0.0,
-                    "total": total,
-                }
-            else:
-                stages["queue"] = stages.get("queue", 0.0) + queue
-                stages["encode"] = stages.get("encode", 0.0) + encode
-                stages["score"] = stages.get("score", 0.0) + score
-                stages["merge"] = stages.get("merge", 0.0) + merge
-                extra = total - sum(stages.values())
-                if extra > 0.0:
-                    stages["respond"] = stages.get("respond", 0.0) + extra
-                elif "respond" not in stages:
-                    stages["respond"] = 0.0
-                stages["total"] = total
+            validate = recorded.get("validate", 0.0)
+            queue = recorded.get("queue", 0.0) + (queue if queue > 0.0 else 0.0)
+            encode = recorded.get("encode", 0.0) + (
+                encode if encode > 0.0 else 0.0)
+            score = recorded.get("score", 0.0) + (score if score > 0.0 else 0.0)
+            merge = recorded.get("merge", 0.0) + (merge if merge > 0.0 else 0.0)
+            respond = total - (validate + queue + encode + score + merge)
+            self._stages = {
+                "validate": validate, "queue": queue, "encode": encode,
+                "score": score, "merge": merge,
+                "respond": respond if respond > 0.0 else 0.0,
+                "total": total,
+            }
             self._finished = True
-        return stages
+        return self._stages

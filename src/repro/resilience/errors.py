@@ -22,7 +22,8 @@ class OverloadError(ResilienceError):
     Raised by the service-edge max-inflight gate when a request (or every
     request of a burst, which is admitted or shed whole) would exceed
     ``max_inflight``.  Clients should back off and retry (the HTTP front-end
-    answers 429 with a ``Retry-After`` header).
+    answers 429 with a ``Retry-After`` header).  A burst larger than
+    ``max_inflight`` is a request error instead: no retry could admit it.
     """
 
     #: seconds a client should wait before retrying (the HTTP front-end's

@@ -34,18 +34,19 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..resilience import BatcherCrashed, DeadlineExceeded
-from ..serving import Recommender, ServingConfig
+from ..serving import Recommender, ServingConfig, TopKResult
 
 
 @dataclass(frozen=True)
 class BatchedResult:
-    """Per-request outcome delivered through a submit future.
+    """Per-request outcome delivered through a submit future (see
+    :func:`row_result`).
 
     ``queue_ms`` is the time the request spent waiting for its batch to be
-    assembled; ``compute_ms`` the duration of the shared scoring call;
-    ``batch_size`` how many requests that call served.  ``engine`` and
-    ``encode_ms`` report which sequence-encoding engine ran the call's warm
-    rows and what the encode cost (per call, not per row).
+    assembled; ``batch_size`` how many requests the scoring call served.
+    ``engine`` names the sequence-encoding engine that ran the call's warm
+    rows; ``encode_ms`` / ``score_ms`` / ``merge_ms`` are that call's
+    ``encode``, ``score`` and ``merge`` stages (per call, not per row).
     """
 
     items: np.ndarray
@@ -53,12 +54,9 @@ class BatchedResult:
     cold: bool
     backend: str
     queue_ms: float
-    compute_ms: float
     batch_size: int
     engine: str = "graph"
     encode_ms: float = 0.0
-    #: scoring / top-K-merge portions of ``compute_ms`` (per call, not per
-    #: row) — the ``score`` and ``merge`` stages of the request lifecycle.
     score_ms: float = 0.0
     merge_ms: float = 0.0
     #: served through the in-process degradation fallback (shard breaker
@@ -66,6 +64,23 @@ class BatchedResult:
     degraded: bool = False
     #: shard scatter-gather retries this call absorbed
     shard_retries: int = 0
+
+
+def row_result(result: TopKResult, row: int, k: int, backend: str,
+               queue_ms: float, batch_size: int) -> BatchedResult:
+    """Row ``row`` of one ``Recommender.topk`` call as one request's result,
+    trimmed to the request's ``k`` (the batched and the direct path both
+    cut their rows here)."""
+    k = min(k, result.items.shape[1])
+    return BatchedResult(
+        items=result.items[row, :k].copy(),
+        scores=result.scores[row, :k].copy(),
+        cold=bool(result.cold[row]), backend=backend, queue_ms=queue_ms,
+        batch_size=batch_size, engine=result.engine,
+        encode_ms=result.encode_ms, score_ms=result.score_ms,
+        merge_ms=result.merge_ms, degraded=result.degraded,
+        shard_retries=result.shard_retries,
+    )
 
 
 @dataclass
@@ -80,6 +95,8 @@ class BatcherStats:
     max_batch_observed: int = 0
     #: requests whose deadline passed before scoring (failed at dequeue)
     expired: int = 0
+    #: requests whose caller cancelled them while queued (never scored)
+    cancelled: int = 0
     #: worker-thread deaths (each fails every parked future, never strands)
     worker_crashes: int = 0
 
@@ -98,6 +115,7 @@ class BatcherStats:
             "scoring_calls": self.scoring_calls,
             "max_batch_observed": self.max_batch_observed,
             "expired": self.expired,
+            "cancelled": self.cancelled,
             "worker_crashes": self.worker_crashes,
             "mean_batch_size": round(self.mean_batch_size, 2),
         }
@@ -247,7 +265,8 @@ class DynamicBatcher:
         ``deadline`` is an absolute ``time.monotonic()`` timestamp: a
         request still queued when it passes is failed with
         :class:`~repro.resilience.DeadlineExceeded` at dequeue instead of
-        being scored for a caller who already gave up.
+        being scored for a caller who already gave up.  Cancelling the
+        future while the request is still queued drops it unscored.
         """
         enqueued_at = time.perf_counter()
         config = self.config.with_overrides(k=k, exclude_seen=exclude_seen,
@@ -266,14 +285,6 @@ class DynamicBatcher:
             if len(self._queue) == 1 or len(self._queue) >= self.max_batch_size:
                 self._wake.notify_all()
         return future
-
-    def recommend(self, sequence: Sequence[int], k: Optional[int] = None,
-                  exclude_seen: Optional[bool] = None,
-                  backend: Optional[str] = None,
-                  timeout: Optional[float] = None) -> BatchedResult:
-        """Blocking convenience wrapper: submit and wait for the result."""
-        return self.submit(sequence, k=k, exclude_seen=exclude_seen,
-                           backend=backend).result(timeout)
 
     def flush(self) -> int:
         """Synchronously process everything currently queued (caller thread).
@@ -362,19 +373,23 @@ class DynamicBatcher:
     def _process(self, batch: List[_Pending]) -> None:
         """Serve one popped batch: group by policy, one topk call per group.
 
-        Requests whose deadline already passed are failed here, *before*
-        scoring — an expired request must never consume catalogue compute.
+        A request whose future its caller cancelled while it was queued is
+        dropped unscored.  Requests whose deadline already passed are failed
+        here, *before* scoring — an expired request must never consume
+        catalogue compute.
         """
         started = time.perf_counter()
         now = time.monotonic()
+        popped = len(batch)
+        batch = [pending for pending in batch
+                 if pending.future.set_running_or_notify_cancel()]
         live: List[_Pending] = []
         expired = 0
         for pending in batch:
             if pending.deadline is not None and now >= pending.deadline:
                 expired += 1
-                if not pending.future.done():
-                    pending.future.set_exception(DeadlineExceeded(
-                        "deadline expired while queued for batching"))
+                pending.future.set_exception(DeadlineExceeded(
+                    "deadline expired while queued for batching"))
             else:
                 live.append(pending)
 
@@ -397,7 +412,6 @@ class DynamicBatcher:
             group_deadline = (max(deadlines)
                               if all(d is not None for d in deadlines)
                               else None)
-            call_started = time.perf_counter()
             try:
                 result = self.recommender.topk(
                     [pending.sequence for pending in members],
@@ -408,25 +422,12 @@ class DynamicBatcher:
                 for pending in members:
                     pending.future.set_exception(error)
                 continue
-            compute_ms = (time.perf_counter() - call_started) * 1000.0
             scoring_calls += 1
             for row, pending in enumerate(members):
-                k = min(pending.config.k, result.items.shape[1])
-                pending.future.set_result(BatchedResult(
-                    items=result.items[row, :k].copy(),
-                    scores=result.scores[row, :k].copy(),
-                    cold=bool(result.cold[row]),
-                    backend=backend,
+                pending.future.set_result(row_result(
+                    result, row, pending.config.k, backend,
                     queue_ms=(started - pending.enqueued_at) * 1000.0,
-                    compute_ms=compute_ms,
-                    batch_size=len(members),
-                    engine=result.engine,
-                    encode_ms=result.encode_ms,
-                    score_ms=result.score_ms,
-                    merge_ms=result.merge_ms,
-                    degraded=getattr(result, "degraded", False),
-                    shard_retries=getattr(result, "shard_retries", 0),
-                ))
+                    batch_size=len(members)))
 
         with self._wake:
             self._stats.ticks += 1
@@ -434,5 +435,6 @@ class DynamicBatcher:
             self._stats.completed += len(live) - failed
             self._stats.failed += failed
             self._stats.expired += expired
+            self._stats.cancelled += popped - len(batch)
             self._stats.max_batch_observed = max(
                 self._stats.max_batch_observed, len(batch))

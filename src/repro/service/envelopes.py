@@ -5,8 +5,9 @@ front-end — speaks the same two envelopes.  :class:`RecommendRequest`
 validates eagerly (a malformed request fails at the edge with a
 :class:`RequestError`, never deep inside a batched matmul), and
 :class:`RecommendResponse` carries per-row diagnostics (warm/cold path,
-backend used, queue and compute latency, how many requests shared the batch)
-so a client can see exactly how it was served.
+backend used, how many requests shared the batch, and one stage breakdown of
+where the request's milliseconds went) so a client can see exactly how it
+was served.
 """
 
 from __future__ import annotations
@@ -139,16 +140,15 @@ class RecommendResponse:
     request was served: which deployment (and deployment version, so a client
     can observe a hot-swap), which retrieval backend and path (warm sequence
     encoder vs cold fallback), which sequence-encoding ``engine`` ran the
-    warm rows (``"compiled"`` graph-free plan or the ``"graph"`` fallback)
-    and its ``encode_ms`` cost, how long the request waited for its batch
-    (``queue_ms``), how long the scoring took (``compute_ms``), and how many
-    requests shared that scoring call (``batch_size``).
+    warm rows (``"compiled"`` graph-free plan or the ``"graph"`` fallback),
+    and how many requests shared the scoring call (``batch_size``).
 
-    ``stages_ms`` is the unified per-request lifecycle breakdown
-    (``validate -> queue -> encode -> score -> merge -> respond`` plus
-    ``total``, see :mod:`repro.observability.tracing`) — the same schema
-    for the batched, unbatched, sharded and ANN paths.  It is empty when
-    the service runs with instrumentation disabled (``metrics=False``).
+    ``stages_ms`` is the response's only timing: the per-request lifecycle
+    breakdown (``validate -> queue -> encode -> score -> merge -> respond``
+    plus ``total``, see :mod:`repro.observability.tracing`) — the same
+    schema for the batched, unbatched, sharded and ANN paths.  It is empty,
+    and omitted from :meth:`to_dict`, when the service runs with
+    instrumentation disabled (``metrics=False``).
     """
 
     items: List[int]
@@ -158,11 +158,8 @@ class RecommendResponse:
     backend: str
     cold: bool
     k: int
-    queue_ms: float
-    compute_ms: float
     batch_size: int
     engine: str = "graph"
-    encode_ms: float = 0.0
     stages_ms: Dict[str, float] = field(default_factory=dict)
     request_id: Optional[str] = None
     #: served through the resilience layer's degradation fallback (shard
@@ -183,11 +180,8 @@ class RecommendResponse:
             "backend": self.backend,
             "cold": bool(self.cold),
             "k": self.k,
-            "queue_ms": round(float(self.queue_ms), 3),
-            "compute_ms": round(float(self.compute_ms), 3),
             "batch_size": self.batch_size,
             "engine": self.engine,
-            "encode_ms": round(float(self.encode_ms), 3),
         }
         if self.stages_ms:
             payload["stages_ms"] = {name: round(float(value), 3)

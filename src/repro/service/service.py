@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..observability.metrics import (BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_MS,
@@ -20,7 +21,8 @@ from ..observability.tracing import RequestTrace
 from ..resilience import (BREAKER_STATE_CODES, BatcherCrashed,
                           DeadlineExceeded, InflightGate, OverloadError,
                           deadline_from_budget_ms)
-from .batcher import BatchedResult, DynamicBatcher, check_batching_knobs
+from .batcher import (BatchedResult, DynamicBatcher, check_batching_knobs,
+                      row_result)
 from .envelopes import RecommendRequest, RecommendResponse, RequestError
 from .registry import Deployment, ModelRegistry
 
@@ -63,8 +65,9 @@ class RecommenderService:
         batched and unbatched paths alike).  A burst of N requests takes N
         slots, all or nothing, so the batcher queues behind the gate need no
         bound of their own.  Arrivals beyond it shed immediately with
-        :class:`~repro.resilience.OverloadError` (HTTP 429); ``None``
-        disables the gate.
+        :class:`~repro.resilience.OverloadError` (HTTP 429); a burst larger
+        than the cap could never fit and is a :class:`RequestError`
+        (HTTP 400).  ``None`` disables the gate.
 
     :meth:`recommend` is a burst of one: both entry points run the same
     admission, deadline, counting and crash-fallback code.
@@ -263,11 +266,14 @@ class RecommenderService:
         Every request is coerced, resolved and its overrides validated up
         front, so a bad entry can never leave earlier entries' futures
         abandoned mid-batch.  Admission and deadline enforcement happen
-        here, at the edge: the in-flight gate takes one slot per request or
-        sheds the whole burst with :class:`~repro.resilience.OverloadError`,
-        and each ``deadline_ms`` is fixed into one absolute monotonic
-        deadline that every later stage (batcher queue, encode, shard
-        search) checks.
+        here, at the edge: a burst larger than ``max_inflight`` could never
+        be admitted, so it is a :class:`RequestError`; otherwise the
+        in-flight gate takes one slot per request or sheds the whole burst
+        with :class:`~repro.resilience.OverloadError`, and each
+        ``deadline_ms`` is fixed into one absolute monotonic deadline that
+        every later stage (batcher queue, encode, shard search) checks.
+        When an entry fails, the slots stay held until its batch-mates from
+        the same burst have left the batcher.
         """
         entries = []
         for request in requests:
@@ -286,14 +292,22 @@ class RecommenderService:
                 self._count_error(deployment.name)
                 raise RequestError(str(error)) from None
             entries.append((request, deployment, trace))
+        limit = self._gate.limit
+        if limit is not None and len(entries) > limit:
+            for _, deployment, _ in entries:
+                self._count_error(deployment.name)
+            raise RequestError(
+                f"a burst of {len(entries)} requests can never be admitted "
+                f"under max_inflight={limit}; split it into bursts of at "
+                f"most {limit}")
         try:
             self._gate.acquire(len(entries))
         except OverloadError:
             for request, _, _ in entries:
                 self._count_shed(request.deployment)
             raise
+        submitted = []
         try:
-            submitted = []
             for request, deployment, trace in entries:
                 deadline = (deadline_from_budget_ms(request.deadline_ms)
                             if request.deadline_ms is not None else None)
@@ -309,6 +323,13 @@ class RecommenderService:
                     self._count_deadline(request.deployment)
                     raise
             return responses
+        except Exception:
+            # The burst's slots are freed only once none of its entries is
+            # queued or being scored: cancel what the batcher has not
+            # started, wait for what it has.
+            wait([future for *_, future in submitted
+                  if future is not None and not future.cancel()])
+            raise
         finally:
             self._gate.release(len(entries))
 
@@ -396,22 +417,16 @@ class RecommenderService:
             config = deployment.config.with_overrides(
                 k=request.k, exclude_seen=request.exclude_seen,
                 backend=request.backend)
-            started = time.perf_counter()
             result = deployment.recommender.topk(
                 [request.history], config=config, deadline=deadline)
         except (ValueError, TypeError) as error:
             self._count_error(deployment.name)
             raise RequestError(str(error)) from None
-        compute_ms = (time.perf_counter() - started) * 1000.0
-        batched = BatchedResult(
-            items=result.items[0], scores=result.scores[0],
-            cold=bool(result.cold[0]), backend=config.backend,
-            queue_ms=0.0, compute_ms=compute_ms, batch_size=1,
-            engine=result.engine, encode_ms=result.encode_ms,
-            score_ms=result.score_ms, merge_ms=result.merge_ms,
-            degraded=result.degraded, shard_retries=result.shard_retries,
-        )
-        return self._to_response(request, deployment, batched, trace)
+        return self._to_response(
+            request, deployment,
+            row_result(result, 0, config.k, config.backend, queue_ms=0.0,
+                       batch_size=1),
+            trace)
 
     def _to_response(self, request: RecommendRequest, deployment: Deployment,
                      result: BatchedResult,
@@ -438,11 +453,8 @@ class RecommenderService:
             backend=result.backend,
             cold=result.cold,
             k=len(result.items),
-            queue_ms=result.queue_ms,
-            compute_ms=result.compute_ms,
             batch_size=result.batch_size,
             engine=result.engine,
-            encode_ms=result.encode_ms,
             stages_ms=stages,
             request_id=request.request_id,
             degraded=result.degraded,
@@ -546,7 +558,7 @@ class RecommenderService:
             counters = batcher.stats().to_dict()
             for counter in ("submitted", "completed", "failed",
                             "scoring_calls", "max_batch_observed",
-                            "expired", "worker_crashes"):
+                            "expired", "cancelled", "worker_crashes"):
                 self._g_batcher.labels(
                     deployment=name, version=str(version),
                     counter=counter).set(float(counters[counter]))

@@ -433,7 +433,7 @@ class TestServiceAndCli:
             response = service.recommend({"history": histories[0]})
             payload = response.to_dict()
             assert payload["engine"] == "compiled"
-            assert payload["encode_ms"] >= 0.0
+            assert payload["stages_ms"]["encode"] > 0.0
 
     def test_deployment_describe_includes_engine_stats(self, infer_setup):
         from repro.service import Deployment

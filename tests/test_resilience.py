@@ -20,6 +20,7 @@ import io
 import threading
 import time
 import urllib.request
+from concurrent.futures import TimeoutError as FutureTimeout
 
 import numpy as np
 import pytest
@@ -707,21 +708,68 @@ class TestServiceOverload:
                               {"history": split.test[0].history})
             assert len(response.items) == 5
 
-    def test_burst_beyond_the_limit_is_shed_whole(self, rsetup):
-        """A burst takes one slot per request, all or nothing: 3 requests
-        against ``max_inflight=2`` are all shed and none is submitted."""
+    def test_burst_beyond_the_limit_is_a_request_error(self, rsetup):
+        """A burst takes one slot per request, all or nothing, so 3 requests
+        never fit ``max_inflight=2``: that is a client error (HTTP 400)
+        telling the client to split the burst, not a shed (HTTP 429) whose
+        ``Retry-After`` it could obey forever.  Nothing is submitted."""
         _, split, _, _ = rsetup
         registry = ModelRegistry()
         registry.register(Deployment("arts", _recommender(rsetup),
                                      config=ServingConfig(k=5)))
         with RecommenderService(registry, max_inflight=2) as service:
-            with pytest.raises(OverloadError):
+            with pytest.raises(RequestError,
+                               match="split it into bursts of at most 2"):
                 service.recommend_many(
                     [{"history": case.history} for case in split.test[:3]])
             stats = service.stats()
-            assert stats["requests_shed"] == 3
+            assert stats["request_errors"] == 3
+            assert stats["requests_shed"] == 0
             assert stats["inflight"] == 0
             assert stats["batchers"] == {}  # no batcher ever saw a request
+
+    @pytest.mark.parametrize("failure", ["deadline", "timeout"])
+    def test_failed_burst_leaves_nothing_in_the_batcher(self, rsetup, failure):
+        """When one burst entry fails, the call returns only once no entry
+        of the burst is queued or being scored: batch-mates the worker has
+        started are waited for, queued ones are cancelled and never scored.
+        So the in-flight slots the call frees are really free."""
+        _, split, _, _ = rsetup
+        recommender = _recommender(rsetup)
+        score = recommender.topk
+
+        def slow_topk(*args, **kwargs):
+            time.sleep(0.2)
+            return score(*args, **kwargs)
+
+        recommender.topk = slow_topk
+        registry = ModelRegistry()
+        registry.register(Deployment("arts", recommender,
+                                     config=ServingConfig(k=5)))
+        burst = [{"history": case.history} for case in split.test[:4]]
+        if failure == "deadline":
+            # the first entry expires in the 20 ms window; its three
+            # batch-mates are popped with it and scored
+            burst[0]["deadline_ms"] = 0.001
+            knobs, kwargs, error = (dict(max_wait_ms=20.0), {},
+                                    DeadlineExceeded)
+        else:
+            # the caller gives up while the whole burst is still queued
+            knobs, kwargs, error = (dict(max_wait_ms=2_000.0),
+                                    dict(timeout=0.05), FutureTimeout)
+        with RecommenderService(registry, max_inflight=4,
+                                **knobs) as service:
+            with pytest.raises(error):
+                service.recommend_many(burst, **kwargs)
+            assert service.stats()["inflight"] == 0
+            batcher = service._batchers[("arts", 1)]
+            completed = batcher.stats().completed
+            service.close()  # drains the queue and joins the worker
+            stats = batcher.stats()
+        assert stats.completed == completed  # nothing scored after return
+        assert stats.completed == (3 if failure == "deadline" else 0)
+        assert stats.cancelled == (0 if failure == "deadline" else 4)
+        assert stats.worker_crashes == 0
 
     def test_resilience_metrics_are_exported(self, rsetup):
         _, split, _, _ = rsetup

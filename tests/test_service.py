@@ -22,6 +22,7 @@ import socket
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,9 +134,26 @@ class TestEnvelopes:
         assert payload["backend"] == "exact"
         assert payload["cold"] is False
         assert len(payload["items"]) == payload["k"] == 5
-        assert payload["queue_ms"] >= 0.0
-        assert payload["compute_ms"] >= 0.0
+        assert payload["stages_ms"]["queue"] >= 0.0
+        assert payload["stages_ms"]["total"] >= payload["stages_ms"]["score"]
         assert payload["batch_size"] >= 1
+
+    def test_readme_response_example_matches_the_wire_format(self,
+                                                             deployment):
+        """The JSONL response example in README.md cannot drift from
+        ``RecommendResponse.to_dict()``: same keys, same stages."""
+        readme = (Path(__file__).resolve().parents[1]
+                  / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```jsonl\n", 1)[1].split("```", 1)[0]
+        example = json.loads(block.split("← ", 1)[1].split("\n→", 1)[0])
+        service = RecommenderService()
+        service.deploy(deployment)
+        with service:
+            payload = service.recommend({"history": [3, 5, 9], "k": 5,
+                                         "request_id": "r1"}).to_dict()
+        assert payload["cold"] is False
+        assert set(example) == set(payload)
+        assert set(example["stages_ms"]) == set(payload["stages_ms"])
 
 
 class TestRegistry:
@@ -258,7 +276,7 @@ class TestDynamicBatcher:
         with DynamicBatcher(recommender, max_batch_size=32,
                             max_wait_ms=25.0) as batcher:
             def client(row):
-                results[row] = batcher.recommend(histories[row], k=6)
+                results[row] = batcher.submit(histories[row], k=6).result()
 
             threads = [threading.Thread(target=client, args=(row,))
                        for row in range(len(histories))]
@@ -371,7 +389,7 @@ class TestDynamicBatcher:
         with DynamicBatcher(recommender, max_batch_size=64,
                             max_wait_ms=30.0) as batcher:
             started = time.perf_counter()
-            result = batcher.recommend(split.test[0].history, k=3, timeout=10)
+            result = batcher.submit(split.test[0].history, k=3).result(10)
             elapsed = time.perf_counter() - started
         assert result.batch_size == 1
         assert elapsed < 5.0  # served by the wait deadline, not the size cap
@@ -896,13 +914,23 @@ class TestHTTPServer:
 
 
 class TestServeCLIErrorPaths:
-    def test_unknown_backend_exits_2_with_message(self, capsys):
-        code = cli_main(["serve", "arts", "--backend", "faiss"])
+    @pytest.mark.parametrize("flag, value, allowed", [
+        ("--backend", "'faiss'", "('exact', 'ivf')"),
+        ("--shards", "0", "a positive integer"),
+        ("--shard-backend", "'bogus'", "('local', 'process')"),
+        ("--catalogue-codec", "'bogus'", "('fp32', 'int8')"),
+    ], ids=["backend", "shards", "shard-backend", "catalogue-codec"])
+    def test_unknown_backend_exits_2_with_message(self, flag, value, allowed,
+                                                  capsys):
+        """ServingConfig rejects each bad serving knob; the CLI maps that
+        to exit 2 naming the bad value and the allowed values."""
+        code = cli_main(["serve", "arts", flag, value.strip("'")])
         captured = capsys.readouterr()
         assert code == 2
-        assert "unknown backend 'faiss'" in captured.err
-        assert "exact, ivf" in captured.err
+        assert f"got {value}" in captured.err
+        assert allowed in captured.err
         assert "Traceback" not in captured.err
+        assert "training" not in captured.out  # failed before any model work
 
     def test_missing_checkpoint_exits_2_with_message(self, capsys):
         code = cli_main(["serve", "arts", "--checkpoint", "/no/such/model.npz"])

@@ -569,12 +569,6 @@ class TestShardedServing:
         assert np.array_equal(first.items, again.items)
         recommender.close()
 
-    def test_cli_rejects_invalid_shard_arguments(self, capsys):
-        assert cli_main(["serve", "arts", "--shards", "0"]) == 2
-        assert "--shards" in capsys.readouterr().err
-        assert cli_main(["serve", "arts", "--shard-backend", "rpc"]) == 2
-        assert "shard backend" in capsys.readouterr().err
-
     def test_cli_help_documents_sharding(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["serve", "--help"])

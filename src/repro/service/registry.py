@@ -76,7 +76,8 @@ class Deployment:
 
         Includes the sequence-encoding engine actually in use and, when the
         compiled engine is active, its diagnostics (arena footprint, encode
-        counters).
+        counters), plus the recommender's generation and how many times each
+        of its memo entries was built.
         """
         summary: Dict[str, Any] = {
             "name": self.name,
@@ -85,6 +86,8 @@ class Deployment:
             "num_items": self.num_items,
             "config": self.config.to_dict(),
             "engine": self.recommender.engine_stats(),
+            "generation": self.recommender.generation_clock.value,
+            "builds": self.recommender.build_counts(),
         }
         if self.source is not None:
             summary["source"] = self.source

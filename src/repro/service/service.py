@@ -20,7 +20,7 @@ from ..observability.metrics import (BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_MS,
 from ..observability.tracing import RequestTrace
 from ..resilience import (BREAKER_STATE_CODES, BatcherCrashed,
                           DeadlineExceeded, InflightGate, OverloadError,
-                          deadline_from_budget_ms)
+                          deadline_from_budget_ms, expired)
 from .batcher import (BatchedResult, DynamicBatcher, check_batching_knobs,
                       row_result)
 from .envelopes import RecommendRequest, RecommendResponse, RequestError
@@ -314,21 +314,22 @@ class RecommenderService:
                 future = (self._submit(request, deployment, deadline)
                           if self.batching else None)
                 submitted.append((request, deployment, trace, deadline, future))
-            responses = []
-            for request, deployment, trace, deadline, future in submitted:
-                try:
-                    responses.append(self._await(request, deployment, trace,
-                                                 deadline, future, timeout))
-                except DeadlineExceeded:
-                    self._count_deadline(request.deployment)
-                    raise
-            return responses
-        except Exception:
+            return [self._await(request, deployment, trace, deadline, future,
+                                timeout)
+                    for request, deployment, trace, deadline, future
+                    in submitted]
+        except Exception as error:
             # The burst's slots are freed only once none of its entries is
             # queued or being scored: cancel what the batcher has not
             # started, wait for what it has.
             wait([future for *_, future in submitted
                   if future is not None and not future.cancel()])
+            if isinstance(error, DeadlineExceeded):
+                # The burst fails as a whole: every entry whose budget ran
+                # out counts, not only the one that raised.
+                for request, _, _, deadline, _ in submitted:
+                    if expired(deadline):
+                        self._count_deadline(request.deployment)
             raise
         finally:
             self._gate.release(len(entries))

@@ -18,8 +18,7 @@ into a cache-backed top-K service:
 
 from .config import (CATALOGUE_CODECS, SERVING_BACKENDS, SHARD_BACKENDS,
                      STRUCTURAL_FIELDS, ServingConfig)
-from .generations import (GenerationClock, GenerationFollower,
-                          GenerationalCache)
+from .generations import GenerationClock, GenerationalCache
 from .recommender import Recommender, TopKResult, full_sort_topk
 from .store import EmbeddingStore
 from .throughput import ThroughputReport, measure_throughput, per_sequence_topk
@@ -28,7 +27,6 @@ __all__ = [
     "CATALOGUE_CODECS",
     "EmbeddingStore",
     "GenerationClock",
-    "GenerationFollower",
     "GenerationalCache",
     "Recommender",
     "SERVING_BACKENDS",

@@ -1,47 +1,39 @@
 """The single generation-stamp mechanism behind every serving-side cache.
 
-Serving keeps several layers of state *derived* from a deployment's model
-and catalogue: the inference item matrix and its scoring cast
-(``_ItemMatrixCache``), the compiled inference plan (``_EngineSlot``),
-per-backend ANN indexes, whitened fallback tables, the
-popularity cast, the shard pool layout, and the
-:class:`~repro.serving.store.EmbeddingStore`'s whitened tables and index
-memos.  Historically each of those carried its own invalidation scheme — an
-integer ``generation`` on the matrix cache, an explicit ``reset()`` on the
-engine slot, content-hash ``index_cache_key`` memos on the store — three
-parallel mechanisms that every hot-swap had to tickle in the right order.
-
-This module replaces them with one primitive:
+Serving keeps state *derived* from a deployment's model and catalogue: the
+inference item matrix and its scoring cast, the int8 codes, the compiled
+inference plan, per-backend ANN indexes, the whitened fallback table, the
+shard client, and the :class:`~repro.serving.store.EmbeddingStore`'s fitted
+transforms, whitened tables and index memos.  All of it lives in
+:class:`GenerationalCache` entries, so one mechanism governs its lifetime:
 
 * :class:`GenerationClock` — a monotonically increasing stamp owned by the
   thing the caches are derived *from* (a model's catalogue, a store's
   feature table).  Publishing a model update advances the clock exactly
   once; nothing else is required.
-* :class:`GenerationFollower` — the consumer side: remembers the last
-  generation it reconciled against and reports (once per advance) that its
-  derived state is stale.
-* :class:`GenerationalCache` — a key → value memo that empties itself the
-  first time it is touched after the clock advanced.  The keys keep their
-  existing identity semantics (e.g. the store's nested whitening/index
-  spec keys); the *lifetime* is what the clock governs.
+* :class:`GenerationalCache` — a key → value memo whose entries lapse
+  together the first time it is touched after the clock advanced.  Builds
+  are single-flight per key, counted per key, and a build that straddles
+  an advance is handed to its caller but never memoised.
 
 The contract, relied on by :meth:`repro.stream.publish.Publisher`:
 advancing a deployment's clock invalidates, on next use, every cache
-derived from that deployment's model — item-matrix cast, compiled plan,
-ANN indexes, fallback tables, shard layout — with no per-cache calls and no
-ordering hazards.
+derived from that deployment's model — item matrix and its cast, int8
+codes, compiled plan, ANN indexes, fallback table, shard client — with no
+per-cache calls and no ordering hazards.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Hashable, Optional
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 __all__ = [
     "GenerationClock",
-    "GenerationFollower",
     "GenerationalCache",
 ]
+
+_MISSING = object()
 
 
 class GenerationClock:
@@ -74,109 +66,126 @@ class GenerationClock:
         return f"GenerationClock(value={self._value})"
 
 
-class GenerationFollower:
-    """Tracks the last generation a consumer reconciled its state against.
-
-    ``catch_up()`` returns ``True`` exactly once per clock advance (per
-    follower), which is the consumer's cue to drop whatever derived state it
-    owns.  Multiple followers of one clock reconcile independently.
-    """
-
-    __slots__ = ("clock", "_seen", "_lock")
-
-    def __init__(self, clock: GenerationClock):
-        self.clock = clock
-        self._seen = clock.value
-        self._lock = threading.Lock()
-
-    @property
-    def generation(self) -> int:
-        """The generation this follower last reconciled against."""
-        return self._seen
-
-    def out_of_date(self) -> bool:
-        return self._seen != self.clock.value
-
-    def catch_up(self) -> bool:
-        """Mark the current generation as seen.
-
-        Returns ``True`` when the clock advanced since the last call — the
-        caller must then invalidate its derived state.  Thread-safe: under a
-        race, exactly one caller observes ``True`` per advance.
-        """
-        current = self.clock.value
-        with self._lock:
-            if self._seen == current:
-                return False
-            self._seen = current
-            return True
-
-
 class GenerationalCache:
     """A key → value memo whose entries live for exactly one generation.
 
-    Keys keep whatever identity semantics the caller already uses (backend
+    Keys keep whatever identity semantics the caller already uses (entry
     names, nested whitening/index spec tuples); the clock governs lifetime.
     The cache self-reconciles: the first access after an ``advance()`` drops
     every stale entry, so callers never issue explicit ``clear()`` calls on
     a swap.
+
+    ``on_lapse(key, value)``, when given, is called for every entry that
+    leaves the memo (a lapsed generation or :meth:`discard`), outside the
+    cache lock — the place to close a resource an entry holds.
     """
 
-    def __init__(self, clock: GenerationClock):
+    def __init__(self, clock: GenerationClock,
+                 on_lapse: Optional[Callable[[Hashable, Any], None]] = None):
         self.clock = clock
+        self._on_lapse = on_lapse
         self._entries: Dict[Hashable, Any] = {}
-        self._built_generation = clock.value
+        self._generation = clock.value
+        #: key → event of the build in flight for it this generation
+        self._building: Dict[Hashable, threading.Event] = {}
+        self._builds: Dict[Hashable, int] = {}
         self._lock = threading.Lock()
 
-    def _reconcile_locked(self) -> None:
+    def _reconcile_locked(self) -> List[Tuple[Hashable, Any]]:
+        """Start the clock's current generation; returns the lapsed
+        entries for :meth:`_release` once the lock is dropped."""
         current = self.clock.value
-        if self._built_generation != current:
-            self._built_generation = current
-            self._entries.clear()
+        if self._generation == current:
+            return []
+        lapsed = list(self._entries.items())
+        # Entries first, stamp second: a lock-free reader that sees the new
+        # stamp can only see the new generation's entries.
+        self._entries = {}
+        self._building = {}
+        self._generation = current
+        return lapsed
+
+    def _release(self, lapsed: List[Tuple[Hashable, Any]]) -> None:
+        if self._on_lapse is not None:
+            for key, value in lapsed:
+                self._on_lapse(key, value)
 
     def get_or_build(self, key: Hashable,
                      builder: Callable[[], Any]) -> Any:
         """The cached value for ``key`` in the current generation.
 
-        ``builder`` runs outside the cache lock (index builds and whitening
-        fits are slow); under a race the first stored value wins so every
-        caller of one generation sees the same object.
+        A hit whose stamp matches the clock takes no lock.  A miss builds
+        single-flight: one caller runs ``builder`` (outside the cache lock,
+        so other keys proceed), later callers of the same key wait for its
+        result.  A build that straddles an advance is returned to its
+        caller but not memoised; callers waiting on it then build for the
+        new generation.
         """
-        with self._lock:
-            self._reconcile_locked()
-            if key in self._entries:
-                return self._entries[key]
-            generation = self._built_generation
-        value = builder()
-        with self._lock:
-            self._reconcile_locked()
-            if self._built_generation != generation:
-                # The clock advanced mid-build: the value is stale, hand it
-                # to the caller (their generation) but do not memoise it.
+        if self._generation == self.clock.value:
+            value = self._entries.get(key, _MISSING)
+            if value is not _MISSING:
                 return value
-            return self._entries.setdefault(key, value)
+        while True:
+            with self._lock:
+                lapsed = self._reconcile_locked()
+                value = self._entries.get(key, _MISSING)
+                pending = self._building.get(key)
+                owner = value is _MISSING and pending is None
+                if owner:
+                    pending = self._building[key] = threading.Event()
+                    generation = self._generation
+                    self._builds[key] = self._builds.get(key, 0) + 1
+            self._release(lapsed)
+            if value is not _MISSING:
+                return value
+            if owner:
+                break
+            pending.wait()
+        value = _MISSING
+        try:
+            value = builder()
+        finally:
+            with self._lock:
+                lapsed = self._reconcile_locked()
+                if value is not _MISSING and self._generation == generation:
+                    self._entries[key] = value
+                if self._building.get(key) is pending:
+                    del self._building[key]
+                pending.set()
+            self._release(lapsed)
+        return value
+
+    def _read(self, read: Callable[[Dict[Hashable, Any]], Any]) -> Any:
+        """``read(entries)`` of the current generation, under the lock."""
+        with self._lock:
+            lapsed = self._reconcile_locked()
+            result = read(self._entries)
+        self._release(lapsed)
+        return result
 
     def get(self, key: Hashable, default: Any = None) -> Any:
-        with self._lock:
-            self._reconcile_locked()
-            return self._entries.get(key, default)
+        """The current generation's entry for ``key``; never builds."""
+        return self._read(lambda entries: entries.get(key, default))
 
-    def __contains__(self, key: Hashable) -> bool:
+    def discard(self, key: Hashable) -> None:
+        """Drop ``key``'s entry now (``on_lapse`` sees it); idempotent."""
+        value = self._read(lambda entries: entries.pop(key, _MISSING))
+        if value is not _MISSING:
+            self._release([(key, value)])
+
+    def reconcile(self) -> None:
+        """Lapse a previous generation's entries now rather than on the
+        next access."""
+        self._read(len)
+
+    def build_counts(self) -> Dict[Hashable, int]:
+        """How many times each key was built, across every generation."""
         with self._lock:
-            self._reconcile_locked()
-            return key in self._entries
+            return dict(self._builds)
 
     def __len__(self) -> int:
-        with self._lock:
-            self._reconcile_locked()
-            return len(self._entries)
+        return self._read(len)
 
     def values(self) -> list:
         """The live entries of the current generation (a snapshot list)."""
-        with self._lock:
-            self._reconcile_locked()
-            return list(self._entries.values())
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        return self._read(lambda entries: list(entries.values()))

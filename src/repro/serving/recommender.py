@@ -26,7 +26,6 @@ popularity prior estimated from the training sequences.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -42,7 +41,7 @@ from ..resilience.errors import DeadlineExceeded
 from ..shard.scoring import ann_shard_topk
 from ..training.evaluation import padded_catalogue_scores
 from .config import SERVING_BACKENDS, STRUCTURAL_FIELDS, ServingConfig
-from .generations import GenerationClock, GenerationFollower
+from .generations import GenerationClock, GenerationalCache
 from .store import EmbeddingStore
 
 
@@ -94,121 +93,6 @@ class TopKResult:
         return self.items.shape[0]
 
 
-class _ItemMatrixCache:
-    """Clock-stamped memo of the candidate matrix and its scoring cast.
-
-    The model-precision inference matrix is derived from the model once per
-    generation and cast to the scoring ``dtype`` exactly once.
-    :attr:`cast_count` counts real casts for regression tests.
-
-    The cache *owns* the deployment's :class:`GenerationClock`: every other
-    derived cache (engine slot, ANN indexes, fallback tables, shard layout)
-    follows the same clock, so :meth:`refresh` — a single ``advance()`` —
-    invalidates all of them coherently.
-    """
-
-    def __init__(self, model, dtype,
-                 clock: Optional[GenerationClock] = None):
-        self.model = model
-        self.dtype = np.dtype(dtype)
-        self.clock = clock if clock is not None else GenerationClock()
-        #: number of dtype casts actually performed (not cache hits)
-        self.cast_count = 0
-        #: number of model item-matrix derivations performed
-        self.derive_count = 0
-        #: number of int8 quantizations actually performed (not cache hits)
-        self.quantize_count = 0
-        self._native: Optional[np.ndarray] = None
-        self._cast: Optional[np.ndarray] = None
-        self._quantized = None
-        self._built_generation = self.clock.value
-        self._lock = threading.Lock()
-
-    @property
-    def generation(self) -> int:
-        """The current catalogue generation (the shared clock's stamp)."""
-        return self.clock.value
-
-    def _reconcile_locked(self) -> None:
-        current = self.clock.value
-        if self._built_generation != current:
-            self._built_generation = current
-            self._native = None
-            self._cast = None
-            # Codes and scales lapse with the matrix they were derived from:
-            # one clock advance invalidates both coherently, so a refreshed
-            # catalogue can never be scanned with stale int8 codes.
-            self._quantized = None
-
-    def native(self) -> np.ndarray:
-        """The model-precision candidate matrix (derived once per generation)."""
-        with self._lock:
-            self._reconcile_locked()
-            if self._native is None:
-                self._native = self.model.inference_item_matrix()
-                self.derive_count += 1
-            return self._native
-
-    def cast(self) -> np.ndarray:
-        """The candidate matrix in scoring precision (cast once per
-        generation)."""
-        native = self.native()
-        with self._lock:
-            self._reconcile_locked()
-            if self._cast is None:
-                if native.dtype == self.dtype:
-                    self._cast = native
-                else:
-                    self._cast = native.astype(self.dtype)
-                    self.cast_count += 1
-            return self._cast
-
-    def quantized(self):
-        """Int8 codes + scales over the scoring cast — float32 whenever the
-        int8 codec is configured (built once per generation, see
-        :func:`repro.quant.codec.quantize_matrix`)."""
-        matrix = self.cast()
-        with self._lock:
-            self._reconcile_locked()
-            if self._quantized is None:
-                from ..quant.codec import quantize_matrix
-
-                self._quantized = quantize_matrix(matrix)
-                self.quantize_count += 1
-            return self._quantized
-
-    def refresh(self) -> None:
-        """Invalidate after the model changed: one clock advance, observed
-        lazily by this memo and every follower of the shared clock."""
-        self.clock.advance()
-
-
-class _EngineSlot:
-    """Lazy-build slot for one model's compiled engine.
-
-    The slot follows the deployment's :class:`GenerationClock`: a catalogue
-    refresh drops the compiled plan (its weight snapshot is stale) on the
-    next access, with no explicit reset call.
-    """
-
-    def __init__(self, clock: GenerationClock):
-        self.clock = clock
-        self.engine: Optional[InferenceEngine] = None
-        self.unsupported = False
-        self.lock = threading.Lock()
-        self._built_generation = clock.value
-
-    def reconcile(self) -> None:
-        """Drop a plan compiled for a previous generation."""
-        if self._built_generation == self.clock.value:
-            return
-        with self.lock:
-            if self._built_generation != self.clock.value:
-                self._built_generation = self.clock.value
-                self.engine = None
-                self.unsupported = False
-
-
 class _StageClock:
     """The stage stopwatch of one :meth:`Recommender.topk` call: the time
     since the previous lap is booked to the named stage, so the three stages
@@ -222,6 +106,12 @@ class _StageClock:
         now = time.perf_counter()
         self.ms[stage] += (now - self._last) * 1000.0
         self._last = now
+
+
+def _close_shard_client(key, value) -> None:
+    """The memo's lapse hook: a lapsed shard client releases its pool."""
+    if key == "shards":
+        value.close()
 
 
 def _mask(scores: np.ndarray, exclude: Sequence[Sequence[int]]) -> None:
@@ -293,7 +183,6 @@ class Recommender:
         self.fallback_method = fallback_method
         self.fallback_groups = fallback_groups
         self.index_params = dict(index_params or {})
-        self._indexes: Dict[str, ItemIndex] = {}
         self.cold_items = frozenset(int(item) for item in cold_items) if cold_items else frozenset()
         self.num_items = model.num_items
         if store is not None and store.num_items < self.num_items:
@@ -302,13 +191,13 @@ class Recommender:
                 f"{self.num_items}; the cold-start fallback needs an embedding "
                 f"for every catalogue item"
             )
-        self._matrix_cache = _ItemMatrixCache(model, self.dtype)
-        self._follower = GenerationFollower(self._matrix_cache.clock)
-        self._fallback_tables: Dict[Tuple[str, str, str], np.ndarray] = {}
-        self._popularity_cast: Optional[np.ndarray] = None
-        self._engine_slot = _EngineSlot(self._matrix_cache.clock)
-        self._shard_client = None
-        self._shard_lock = threading.Lock()
+        #: everything derived from the model — item matrix, its cast, int8
+        #: codes, compiled engine, ANN indexes, fallback table, shard client
+        #: — is an entry of this one memo on the deployment's clock
+        self._memo = GenerationalCache(GenerationClock(),
+                                       on_lapse=_close_shard_client)
+        #: the popularity prior, in scoring precision; it never depends on
+        #: the model, so no generation lapses it
         self._popularity: Optional[np.ndarray] = None
         if train_sequences is not None:
             counts = np.zeros(self.num_items + 1, dtype=np.float64)
@@ -317,70 +206,74 @@ class Recommender:
                     if 0 < item <= self.num_items:
                         counts[item] += 1.0
             total = counts.sum()
-            self._popularity = counts / total if total > 0 else counts
+            self._popularity = (counts / total if total > 0
+                                else counts).astype(self.dtype)
 
     # ------------------------------------------------------------------ #
-    # Cached matrices & compiled engine
+    # The generational memo: everything derived from the model
     # ------------------------------------------------------------------ #
+    @property
+    def generation_clock(self) -> GenerationClock:
+        """The deployment-wide clock every derived cache follows.
+
+        Advancing it (equivalently, :meth:`refresh_item_matrix`) lapses
+        every entry of the memo: the item matrix, its cast and int8 codes,
+        the compiled plan, the ANN indexes, the fallback table and the shard
+        client.
+        """
+        return self._memo.clock
+
+    def build_counts(self) -> Dict[str, int]:
+        """How many times each memo entry (``"matrix"``, ``"cast"``,
+        ``"codes"``, ``"engine"``, ``"index:<backend>"``, ``"fallback"``,
+        ``"shards"``) was built, across every generation."""
+        return self._memo.build_counts()
+
+    def refresh_item_matrix(self) -> None:
+        """Drop the cached ``V`` and everything derived from it — call after
+        fine-tuning the model.  One clock advance; the shard client is
+        closed now rather than on the next request."""
+        self.generation_clock.advance()
+        self._memo.reconcile()
+
+    def _native_matrix(self) -> np.ndarray:
+        """The model-precision candidate matrix."""
+        return self._memo.get_or_build("matrix",
+                                       self.model.inference_item_matrix)
+
+    def _cast_matrix(self) -> np.ndarray:
+        native = self._native_matrix()
+        return native if native.dtype == self.dtype else native.astype(self.dtype)
+
     def item_matrix(self) -> np.ndarray:
         """The frozen candidate matrix ``V`` in scoring precision.
 
         The derivation and the cast are memoised per
         :meth:`refresh_item_matrix` generation.
         """
-        self._sync_generation()
-        return self._matrix_cache.cast()
+        return self._memo.get_or_build("cast", self._cast_matrix)
 
-    @property
-    def generation_clock(self) -> GenerationClock:
-        """The deployment-wide clock every derived cache follows.
+    def _quantize(self):
+        """Int8 codes + scales over the scoring cast — float32 whenever the
+        int8 codec is configured (see
+        :func:`repro.quant.codec.quantize_matrix`)."""
+        from ..quant.codec import quantize_matrix
 
-        Advancing it (equivalently, :meth:`refresh_item_matrix`) invalidates
-        the item matrix and its cast, the compiled plan, the ANN indexes,
-        fallback tables and shard layout.
-        """
-        return self._matrix_cache.clock
+        return quantize_matrix(self.item_matrix())
 
-    def _sync_generation(self) -> None:
-        """Drop the derived caches that do not follow the clock themselves
-        (ANN indexes, fallback casts, shard client) once it has advanced —
-        through :meth:`refresh_item_matrix` or a direct
-        :attr:`generation_clock` advance."""
-        if self._follower.catch_up():
-            self._indexes.clear()
-            self._fallback_tables.clear()
-            self._popularity_cast = None
-            # The shard pool (or local shard client) serves the previous
-            # generation's matrix: close it so the next sharded request
-            # re-shards the refreshed catalogue coherently.
-            with self._shard_lock:
-                client, self._shard_client = self._shard_client, None
-            if client is not None:
-                client.close()
-
-    def refresh_item_matrix(self) -> None:
-        """Drop the cached ``V``, every index built on it, and the compiled
-        engine (its weight snapshot is stale) — call after fine-tuning the
-        model.  One clock advance."""
-        self._matrix_cache.refresh()
-        self._sync_generation()
+    def _compile(self) -> Optional[InferenceEngine]:
+        try:
+            return InferenceEngine(self.model)
+        except UnsupportedModelError:
+            return None
 
     def engine(self) -> Optional[InferenceEngine]:
         """The compiled graph-free engine, or ``None`` on the graph path.
 
         Built lazily on first use; model classes without a compiled plan
-        fall back to the graph path once and for all.
+        fall back to the graph path for the generation.
         """
-        slot = self._engine_slot
-        slot.reconcile()
-        if slot.engine is None and not slot.unsupported:
-            with slot.lock:
-                if slot.engine is None and not slot.unsupported:
-                    try:
-                        slot.engine = InferenceEngine(self.model)
-                    except UnsupportedModelError:
-                        slot.unsupported = True
-        return slot.engine
+        return self._memo.get_or_build("engine", self._compile)
 
     @property
     def engine_name(self) -> str:
@@ -394,15 +287,43 @@ class Recommender:
         Never triggers compilation: a deployment listing reports
         ``compiled: False`` until the first warm request builds the plan.
         """
-        slot = self._engine_slot
-        slot.reconcile()
-        if slot.unsupported:
+        engine = self._memo.get("engine", False)
+        if engine is None:
             return {"engine": "graph", "fallback": "unsupported-model"}
-        if slot.engine is None:
+        if engine is False:  # not built in this generation yet
             return {"engine": "compiled", "compiled": False}
-        stats = slot.engine.stats()
+        stats = engine.stats()
         stats["compiled"] = True
         return stats
+
+    def _build_shard_client(self):
+        from ..resilience import (CircuitBreaker, ResilientShardClient,
+                                  RetryPolicy)
+        from ..shard import LocalShardClient, ShardPool
+
+        config = self.config
+        matrix = self.item_matrix()
+        codec = config.catalogue_codec
+        # The local client (and the degradation fallback) reuses the
+        # memoised quantization: deterministic codes mean the pool's sidecar
+        # and the local client score identical int8 artefacts, so degraded
+        # results keep the bit-identity contract codec included.
+        quantized = (self._memo.get_or_build("codes", self._quantize)
+                     if codec == "int8" else None)
+
+        def local_client():
+            return LocalShardClient(
+                matrix, config.shards, index_params=self.index_params,
+                codec=codec, quantized=quantized)
+
+        if config.shards == 1 or config.shard_backend == "local":
+            return local_client()
+        return ResilientShardClient(
+            ShardPool.from_matrix(matrix, config.shards,
+                                  index_params=self.index_params, codec=codec),
+            fallback_factory=local_client,
+            retry=RetryPolicy(max_retries=1, base_backoff_ms=20.0, seed=0),
+            breaker=CircuitBreaker())
 
     def shard_client(self):
         """The :class:`repro.shard.ShardClient` behind every retrieval cell
@@ -413,9 +334,9 @@ class Recommender:
         ``shards == 1`` or ``shard_backend == "local"`` (one shard never
         spawns a pool — the 1-shard int8 client *is* the in-process
         quantized scan), a spawned :class:`~repro.shard.ShardPool` holding
-        the matrix via zero-copy memmap otherwise.
-        :meth:`refresh_item_matrix` closes and drops it, so the next request
-        re-shards the new catalogue generation.
+        the matrix via zero-copy memmap otherwise.  A clock advance closes
+        and drops it, so the next request re-shards the new catalogue
+        generation.
 
         A process pool comes wrapped in a
         :class:`~repro.resilience.ResilientShardClient`: worker crashes are
@@ -424,41 +345,7 @@ class Recommender:
         degrades to a :class:`~repro.shard.LocalShardClient` over the same
         matrix — bit-identical results, ``degraded=True`` diagnostics.
         """
-        from ..resilience import (CircuitBreaker, ResilientShardClient,
-                                  RetryPolicy)
-        from ..shard import LocalShardClient, ShardPool
-
-        self._sync_generation()
-        with self._shard_lock:
-            if self._shard_client is None:
-                config = self.config
-                matrix = self.item_matrix()
-                codec = config.catalogue_codec
-                # The local client (and the degradation fallback) reuses the
-                # memoised quantization: deterministic codes mean the pool's
-                # sidecar and the local client score identical int8
-                # artefacts, so degraded results keep the bit-identity
-                # contract codec included.
-                quantized = (self._matrix_cache.quantized()
-                             if codec == "int8" else None)
-
-                def local_client():
-                    return LocalShardClient(
-                        matrix, config.shards, index_params=self.index_params,
-                        codec=codec, quantized=quantized)
-
-                if config.shards == 1 or config.shard_backend == "local":
-                    self._shard_client = local_client()
-                else:
-                    self._shard_client = ResilientShardClient(
-                        ShardPool.from_matrix(
-                            matrix, config.shards,
-                            index_params=self.index_params, codec=codec),
-                        fallback_factory=local_client,
-                        retry=RetryPolicy(max_retries=1, base_backoff_ms=20.0,
-                                          seed=0),
-                        breaker=CircuitBreaker())
-            return self._shard_client
+        return self._memo.get_or_build("shards", self._build_shard_client)
 
     def shard_stats(self) -> Optional[Dict[str, object]]:
         """Health counters of the shard client, or ``None`` without one.
@@ -466,8 +353,7 @@ class Recommender:
         Never *builds* the client (unlike :meth:`shard_client`): a metrics
         scrape must observe the pool, not spawn worker processes.
         """
-        with self._shard_lock:
-            client = self._shard_client
+        client = self._memo.get("shards")
         if client is None:
             return None
         stats = getattr(client, "stats", None)
@@ -476,28 +362,35 @@ class Recommender:
     def close(self) -> None:
         """Shut down the shard worker pool, if one was built.  Idempotent;
         the recommender stays usable (a later sharded request rebuilds it)."""
-        with self._shard_lock:
-            client, self._shard_client = self._shard_client, None
-        if client is not None:
-            client.close()
+        self._memo.discard("shards")
 
     def item_index(self, backend: str = "ivf") -> ItemIndex:
         """The ANN index over the candidate matrix for ``backend`` (cached).
 
         The index covers rows ``1..num_items`` of :meth:`item_matrix` (the
         padding row is excluded) under their item ids, so search results are
-        directly item ids.  Like the item matrix itself it is built once and
-        reused across requests; :meth:`refresh_item_matrix` drops it.
+        directly item ids.  Like the item matrix itself it is built once per
+        generation and reused across requests.
         """
         if backend not in SERVING_BACKENDS or backend == "exact":
             raise ValueError(f"no index backs the {backend!r} backend")
-        self._sync_generation()
-        if backend not in self._indexes:
+
+        def build() -> ItemIndex:
             index = build_index(backend, **self.index_params)
             index.build(self.item_matrix()[1:],
                         ids=np.arange(1, self.num_items + 1, dtype=np.int64))
-            self._indexes[backend] = index
-        return self._indexes[backend]
+            return index
+
+        return self._memo.get_or_build(f"index:{backend}", build)
+
+    def _cast_fallback_table(self) -> np.ndarray:
+        table = self.store.whitened(self.fallback_method, self.fallback_groups)
+        return table[: self.num_items + 1].astype(self.dtype, copy=False)
+
+    def _fallback_table(self) -> np.ndarray:
+        """The whitened fallback table in scoring precision (cast once, not
+        per cold request)."""
+        return self._memo.get_or_build("fallback", self._cast_fallback_table)
 
     # ------------------------------------------------------------------ #
     # Request classification & encoding
@@ -536,7 +429,7 @@ class Recommender:
         encode = (engine.encode_sequences if engine is not None
                   else self.model.encode_sequences)
         users = encode(item_ids, lengths,
-                       item_matrix=self._matrix_cache.native())
+                       item_matrix=self._native_matrix())
         return np.asarray(users).astype(self.dtype, copy=False)
 
     @staticmethod
@@ -582,7 +475,6 @@ class Recommender:
         """Content-based (whitened text space) or popularity fallback scores."""
         batch = len(histories)
         scores = np.zeros((batch, self.num_items + 1), dtype=self.dtype)
-        self._sync_generation()
         table: Optional[np.ndarray] = None
         if self.store is not None:
             table = self._fallback_table()
@@ -591,22 +483,8 @@ class Recommender:
                 profile = table[list(history)].mean(axis=0)
                 scores[row] = table @ profile
             elif self._popularity is not None:
-                if self._popularity_cast is None:
-                    self._popularity_cast = self._popularity.astype(self.dtype)
-                scores[row] = self._popularity_cast
+                scores[row] = self._popularity
         return scores
-
-    def _fallback_table(self) -> np.ndarray:
-        """The whitened fallback table in scoring precision (cast once, not
-        per cold request)."""
-        key = (str(self.fallback_method), str(self.fallback_groups),
-               np.dtype(self.dtype).name)
-        table = self._fallback_tables.get(key)
-        if table is None:
-            table = self.store.whitened(self.fallback_method, self.fallback_groups)
-            table = table[: self.num_items + 1].astype(self.dtype, copy=False)
-            self._fallback_tables[key] = table
-        return table
 
     # ------------------------------------------------------------------ #
     # Top-K retrieval: one pipeline

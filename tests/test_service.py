@@ -858,7 +858,7 @@ class TestHTTPServer:
                                        {"history": history})
                 assert status == 200
                 workers = len(multiprocessing.active_children())
-                casts = recommender._matrix_cache.cast_count
+                casts = recommender.build_counts()["cast"]
                 assert workers == idle + 2 and casts == 1
 
                 status, payload = self._post(
@@ -867,7 +867,7 @@ class TestHTTPServer:
                 assert status == 400
                 assert "unknown request field(s): score_dtype" in payload["error"]
                 assert len(multiprocessing.active_children()) == workers
-                assert recommender._matrix_cache.cast_count == casts
+                assert recommender.build_counts()["cast"] == casts
         finally:
             recommender.close()
 

@@ -11,8 +11,10 @@ the `serve` CLI command, and the one retrieval pipeline behind
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from repro.experiments.persistence import (
     load_model,
     save_checkpoint,
 )
+from repro.index import IVFFlatIndex, build_index
 from repro.models import ModelConfig, SASRecID, build_model
 from repro.models.whitenrec import _whiten_feature_table
 from repro.nn import Tensor, is_grad_enabled, no_grad
@@ -363,11 +366,12 @@ class TestCacheReuse:
         recommender = Recommender(model, store=EmbeddingStore(features))
         histories = [case.history for case in split.test[:2]]
         recommender.topk(histories, k=3)
-        assert recommender._matrix_cache.cast_count == 1
+        recommender.topk(histories, k=3)
+        assert recommender.build_counts()["cast"] == 1
         recommender.refresh_item_matrix()
         recommender.topk(histories, k=3)
-        assert recommender._matrix_cache.cast_count == 2
-        assert recommender._matrix_cache.generation == 1
+        assert recommender.build_counts()["cast"] == 2
+        assert recommender.generation_clock.value == 1
 
     def test_cold_fallback_table_cast_memoised(self, serving_setup):
         """The whitened fallback table is cast to scoring precision once,
@@ -379,6 +383,132 @@ class TestCacheReuse:
         table_first = recommender._fallback_table()
         recommender.topk(cold_history, k=3)
         assert recommender._fallback_table() is table_first
+
+
+#: IVF settings of the generational-memo tests: every list probed, so a
+#: fresh index and the cached one must agree exactly
+_MEMO_INDEX = {"n_lists": 4, "nprobe": 4}
+
+
+@pytest.fixture()
+def held_index_build(monkeypatch):
+    """Hold the first IVF index build until the test sets ``release``;
+    ``builds`` lists every index a build was started for."""
+    entered, release = threading.Event(), threading.Event()
+    builds = []
+    build = IVFFlatIndex.build
+
+    def held(index, vectors, ids=None):
+        builds.append(index)
+        if len(builds) == 1:
+            entered.set()
+            assert release.wait(30)
+        return build(index, vectors, ids)
+
+    monkeypatch.setattr(IVFFlatIndex, "build", held)
+    return SimpleNamespace(entered=entered, release=release, builds=builds)
+
+
+class TestGenerationalMemo:
+    """Every cache derived from the model is an entry of the one
+    generational memo: built once, and never stale after an advance."""
+
+    def test_refresh_mid_index_build_does_not_cache_the_stale_index(
+            self, serving_setup, held_index_build):
+        dataset, _, features, _ = serving_setup
+        model = build_model("whitenrec", dataset.num_items,
+                            feature_table=features,
+                            config=ModelConfig(hidden_dim=16, num_layers=1,
+                                               num_heads=2, max_seq_length=12,
+                                               seed=0))
+        recommender = Recommender(model, store=EmbeddingStore(features),
+                                  index_params=_MEMO_INDEX)
+        worker = threading.Thread(target=recommender.item_index,
+                                  args=("ivf",))
+        worker.start()
+        assert held_index_build.entered.wait(30)
+        for parameter in model.parameters():  # fine-tune in place...
+            parameter.data += 0.05
+        recommender.refresh_item_matrix()  # ...and refresh mid-build
+        held_index_build.release.set()
+        worker.join(30)
+
+        cached = recommender.item_index("ivf")
+        assert cached is not held_index_build.builds[0]
+        fresh = build_index("ivf", **_MEMO_INDEX).build(
+            recommender.item_matrix()[1:],
+            ids=np.arange(1, recommender.num_items + 1, dtype=np.int64))
+        queries = recommender.item_matrix()[1:6]
+        for got, want in zip(cached.search(queries, 10),
+                             fresh.search(queries, 10)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.timeout(60)
+    def test_advance_while_building_the_shard_client_does_not_deadlock(
+            self, serving_setup):
+        _, split, features, model = serving_setup
+        config = ServingConfig(k=5, shards=2, shard_backend="local")
+        recommender = Recommender(model, store=EmbeddingStore(features),
+                                  config=config)
+        item_matrix = recommender.item_matrix
+
+        def advance_then_read():
+            # the first read of the matrix lands an advance mid-build
+            if recommender.generation_clock.value == 0:
+                recommender.generation_clock.advance()
+            return item_matrix()
+
+        recommender.item_matrix = advance_then_read
+        built = []
+        worker = threading.Thread(
+            target=lambda: built.append(recommender.shard_client()),
+            daemon=True)
+        worker.start()
+        worker.join(5.0)
+        assert not worker.is_alive(), "shard_client() blocked on itself"
+        try:
+            # the straddling client is its caller's alone, never memoised
+            assert recommender.shard_stats() is None
+            recommender.close()
+            histories = [case.history for case in split.test[:4]]
+            dense = Recommender(model, store=EmbeddingStore(features))
+            assert np.array_equal(recommender.topk(histories).items,
+                                  dense.topk(histories, k=5).items)
+            assert recommender.shard_client() is not built[0]
+        finally:
+            built[0].close()
+            recommender.close()
+
+    def test_concurrent_first_requests_build_each_entry_once(
+            self, serving_setup, held_index_build):
+        _, split, features, model = serving_setup
+        config = ServingConfig(k=5, backend="ivf")
+        recommender = Recommender(model, store=EmbeddingStore(features),
+                                  index_params=_MEMO_INDEX, config=config)
+        histories = [case.history for case in split.test[:8]]
+        served = {}
+
+        def serve(row):
+            served[row] = recommender.topk([histories[row]]).items[0]
+
+        callers = [threading.Thread(target=serve, args=(row,))
+                   for row in range(len(histories))]
+        for caller in callers:
+            caller.start()
+        assert held_index_build.entered.wait(30)
+        time.sleep(0.5)  # the other seven callers reach the index meanwhile
+        held_index_build.release.set()
+        for caller in callers:
+            caller.join(30)
+
+        assert len(held_index_build.builds) == 1
+        counts = recommender.build_counts()
+        assert {key: counts.get(key) for key in
+                ("matrix", "cast", "engine", "index:ivf")} == {
+            "matrix": 1, "cast": 1, "engine": 1, "index:ivf": 1}
+        expected = recommender.topk(histories).items
+        assert all(np.array_equal(served[row], expected[row])
+                   for row in range(len(histories)))
 
 
 class TestInferenceMode:

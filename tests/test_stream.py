@@ -1,7 +1,7 @@
 """Tests for the online-learning loop (`repro.stream`) and its substrate.
 
 Covers: the unified generation-stamp mechanism (`repro.serving.generations`
-— clock/follower/cache semantics and the EmbeddingStore + item-matrix
+— clock and memo semantics and the EmbeddingStore + item-matrix
 integration), the crash-safe interaction log (round-trip, segment rolling,
 replay-from-offset, torn-tail truncation, fsync'd commit offsets), the
 online whitening statistics (exactness against the batch fit, drift-
@@ -15,6 +15,7 @@ sharded / session-cached traffic (old-or-new, never torn).
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -30,7 +31,6 @@ from repro.serving import (
     EmbeddingStore,
     GenerationalCache,
     GenerationClock,
-    GenerationFollower,
     Recommender,
     ServingConfig,
 )
@@ -81,27 +81,6 @@ class TestGenerations:
         assert clock.advance() == 2
         assert clock.value == 2
 
-    def test_follower_catches_up_once_per_advance(self):
-        clock = GenerationClock()
-        follower = GenerationFollower(clock)
-        assert not follower.catch_up()  # already current at birth
-        clock.advance()
-        assert follower.out_of_date()
-        assert follower.catch_up()
-        assert not follower.catch_up()  # second call: nothing new
-        clock.advance()
-        clock.advance()
-        assert follower.catch_up()  # two advances coalesce into one lapse
-        assert not follower.catch_up()
-
-    def test_independent_followers_lapse_independently(self):
-        clock = GenerationClock()
-        first, second = GenerationFollower(clock), GenerationFollower(clock)
-        clock.advance()
-        assert first.catch_up()
-        assert second.out_of_date()
-        assert second.catch_up()
-
     def test_cache_rebuilds_after_advance(self):
         clock = GenerationClock()
         cache = GenerationalCache(clock)
@@ -129,6 +108,88 @@ class TestGenerations:
         assert cache.get_or_build("key", build_and_invalidate) == "stale"
         assert cache.get("key") is None
         assert len(cache) == 0
+
+    def test_cache_builds_single_flight_per_key(self):
+        """Callers of a key under construction wait for its one build;
+        another key builds meanwhile (no cache-wide lock is held)."""
+        cache = GenerationalCache(GenerationClock())
+        entered, release = threading.Event(), threading.Event()
+
+        def slow_build():
+            entered.set()
+            assert release.wait(10)
+            return object()
+
+        results = []
+        callers = [threading.Thread(
+            target=lambda: results.append(cache.get_or_build("slow",
+                                                             slow_build)))
+            for _ in range(4)]
+        for caller in callers:
+            caller.start()
+        assert entered.wait(10)
+        assert cache.get_or_build("other", lambda: "built") == "built"
+        release.set()
+        for caller in callers:
+            caller.join(10)
+            assert not caller.is_alive()
+        assert len(results) == 4 and all(r is results[0] for r in results)
+        assert cache.build_counts() == {"slow": 1, "other": 1}
+
+    @pytest.mark.timeout(60)
+    def test_cache_under_advances_never_serves_an_older_generation(self):
+        """Eight readers race a writer that keeps advancing the clock: no
+        read returns a value built before the generation it started in,
+        and once the clock rests the memo holds the current generation."""
+        clock = GenerationClock()
+        cache = GenerationalCache(clock)
+        done = threading.Event()
+        stale = []
+
+        def build():
+            built_at = clock.value
+            time.sleep(0)  # let an advance land mid-build
+            return built_at
+
+        def reader():
+            while not done.is_set():
+                started = clock.value
+                built_at = cache.get_or_build("key", build)
+                if built_at < started:
+                    stale.append((started, built_at))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=reader) for _ in range(8)]
+            for thread in readers:
+                thread.start()
+            for _ in range(200):
+                clock.advance()
+                time.sleep(0.0005)
+            done.set()
+            for thread in readers:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert stale == []
+        assert cache.get_or_build("key", build) == clock.value
+
+    def test_cache_lapse_hook_sees_every_dropped_entry(self):
+        clock = GenerationClock()
+        lapsed = []
+        cache = GenerationalCache(clock, on_lapse=lambda key, value:
+                                  lapsed.append((key, value)))
+        cache.get_or_build("a", lambda: 1)
+        cache.get_or_build("b", lambda: 2)
+        cache.discard("b")
+        cache.discard("b")  # idempotent
+        assert lapsed == [("b", 2)]
+        clock.advance()
+        cache.reconcile()
+        assert lapsed == [("b", 2), ("a", 1)]
+        assert cache.build_counts() == {"a": 1, "b": 1}
 
     def test_store_refresh_feature_table_lapses_derived_state(self,
                                                               stream_setup):

@@ -1,7 +1,8 @@
 """Reproduction of "Are ID Embeddings Necessary? Whitening Pre-trained Text
 Embeddings for Effective Sequential Recommendation" (ICDE 2024).
 
-Public surface:
+Public surface (``import repro`` loads none of these; each is imported on
+first use, so a process pays only for the subpackages it touches):
 
 * :mod:`repro.nn`         — numpy autograd + Transformer substrate (PyTorch stand-in)
 * :mod:`repro.text`       — synthetic item texts + anisotropic "pre-trained" encoder
@@ -19,43 +20,4 @@ Public surface:
   registry, dynamic micro-batching, JSONL/HTTP front-ends)
 """
 
-from . import analysis, data, experiments, index, infer, models, nn, service, serving, text, training, whitening
-from .data import load_dataset
-from .infer import InferenceEngine, compile_plan
-from .models import ModelConfig, WhitenRec, WhitenRecPlus, build_model
-from .service import Deployment, ModelRegistry, RecommenderService
-from .serving import EmbeddingStore, Recommender, ServingConfig
-from .training import Trainer, TrainingConfig, evaluate_model
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "Deployment",
-    "EmbeddingStore",
-    "InferenceEngine",
-    "ModelConfig",
-    "ModelRegistry",
-    "Recommender",
-    "RecommenderService",
-    "ServingConfig",
-    "Trainer",
-    "TrainingConfig",
-    "WhitenRec",
-    "WhitenRecPlus",
-    "analysis",
-    "build_model",
-    "compile_plan",
-    "data",
-    "evaluate_model",
-    "experiments",
-    "index",
-    "infer",
-    "load_dataset",
-    "models",
-    "nn",
-    "service",
-    "serving",
-    "text",
-    "training",
-    "whitening",
-]

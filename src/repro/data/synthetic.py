@@ -169,7 +169,20 @@ def _sample_sequence_length(rng: np.random.Generator, config: DatasetConfig) -> 
     mean_extra = max(config.avg_sequence_length - config.min_sequence_length, 0.5)
     extra = rng.geometric(1.0 / (mean_extra + 1.0)) - 1
     length = config.min_sequence_length + int(extra)
-    return int(np.clip(length, config.min_sequence_length, config.max_sequence_length))
+    return min(max(length, config.min_sequence_length), config.max_sequence_length)
+
+
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    """The cumulative table ``Generator.choice(a, p=weights)`` draws from.
+
+    ``choice`` returns ``a[cdf.searchsorted(rng.random(), side="right")]``
+    over exactly this table, so drawing from a table built once consumes the
+    same random numbers and yields the same items as calling ``choice`` with
+    the same ``p`` every time.
+    """
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def generate_dataset(config: DatasetConfig) -> SyntheticDataset:
@@ -221,6 +234,7 @@ def generate_dataset(config: DatasetConfig) -> SyntheticDataset:
         + (1.0 - config.category_stickiness) * transition
     )
     transition = transition / transition.sum(axis=1, keepdims=True)
+    transition_cdfs = [_cdf(row) for row in transition]
 
     user_sequences: Dict[int, List[int]] = {}
     for user_id in range(1, config.num_users + 1):
@@ -240,21 +254,26 @@ def generate_dataset(config: DatasetConfig) -> SyntheticDataset:
         length = _sample_sequence_length(rng, config)
         current_category = int(rng.choice(preferred))
         sequence: List[int] = []
+        # The item distribution depends on (user, category) only: built on
+        # the user's first visit to a category, reused on every later one.
+        item_cdfs: Dict[int, np.ndarray] = {}
         for _ in range(length):
             category_name = categories[current_category]
             ids = candidates[category_name]
-            # Boost items whose style tokens overlap the user's preferences;
-            # this makes the choice *within* a category text-predictable.
-            matches = item_styles[ids] @ style_preference
-            weights = base_weights[category_name] * np.exp(config.style_strength * matches)
-            weights = weights / weights.sum()
-            item = int(rng.choice(ids, p=weights))
+            cdf = item_cdfs.get(current_category)
+            if cdf is None:
+                # Boost items whose style tokens overlap the user's
+                # preferences; this makes the choice *within* a category
+                # text-predictable.
+                matches = item_styles[ids] @ style_preference
+                weights = base_weights[category_name] * np.exp(config.style_strength * matches)
+                cdf = item_cdfs[current_category] = _cdf(weights / weights.sum())
+            item = int(ids[cdf.searchsorted(rng.random(), side="right")])
             sequence.append(item)
             if rng.random() < config.coherence:
                 # Follow the category transition chain (sequential signal).
-                current_category = int(
-                    rng.choice(num_categories, p=transition[current_category])
-                )
+                current_category = int(transition_cdfs[current_category].searchsorted(
+                    rng.random(), side="right"))
             else:
                 # Jump back to one of the user's preferred categories.
                 current_category = int(rng.choice(preferred))

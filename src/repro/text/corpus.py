@@ -158,12 +158,23 @@ STYLE_WORDS = [
 
 
 def _make_brands(rng: np.random.Generator, count: int) -> List[str]:
-    """Generate ``count`` distinct two-syllable brand names."""
+    """Generate ``count`` distinct brand names.
+
+    Names have two syllables while the 18² two-syllable names last and three
+    after that (no three-syllable name spells a two-syllable one), so every
+    ``count`` up to 18² + 18³ terminates and the draws for ``count <= 18²``
+    are the two-syllable draws alone.
+    """
+    two_syllable = len(_BRAND_SYLLABLES) ** 2
+    capacity = two_syllable + len(_BRAND_SYLLABLES) ** 3
+    if count > capacity:
+        raise ValueError(f"at most {capacity} distinct brand names exist, "
+                         f"{count} were asked for")
     brands: List[str] = []
     seen = set()
     while len(brands) < count:
-        first, second = rng.choice(_BRAND_SYLLABLES, size=2, replace=True)
-        brand = f"{first}{second}"
+        syllables = 2 if len(brands) < two_syllable else 3
+        brand = "".join(rng.choice(_BRAND_SYLLABLES, size=syllables, replace=True))
         if brand not in seen:
             seen.add(brand)
             brands.append(brand)

@@ -29,7 +29,7 @@ The encoder is deterministic given its seed, so "pre-computing" embeddings
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -101,12 +101,19 @@ class PretrainedTextEncoder:
     # ------------------------------------------------------------------ #
     # Feature extraction
     # ------------------------------------------------------------------ #
-    def _bag_of_tokens(self, text: str) -> np.ndarray:
-        """Hash the tokens of ``text`` into a normalised count vector."""
+    def _bag_of_tokens(self, text: str, buckets: Dict[str, int]) -> np.ndarray:
+        """Hash the tokens of ``text`` into a normalised count vector.
+
+        ``buckets`` memoises the bucket of every token hashed so far, so a
+        catalogue hashes each distinct token once.
+        """
         counts = np.zeros(self.config.hash_dim)
-        tokens = tokenize(text)
-        for token in tokens:
-            counts[hash_token(token, self.config.hash_dim, seed=self.config.seed)] += 1.0
+        for token in tokenize(text):
+            bucket = buckets.get(token)
+            if bucket is None:
+                bucket = buckets[token] = hash_token(
+                    token, self.config.hash_dim, seed=self.config.seed)
+            counts[bucket] += 1.0
         norm = np.linalg.norm(counts)
         if norm > 0:
             counts /= norm
@@ -114,7 +121,8 @@ class PretrainedTextEncoder:
 
     def semantic_codes(self, texts: Sequence[str]) -> np.ndarray:
         """Return the intermediate semantic codes (before anisotropic mixing)."""
-        bags = np.stack([self._bag_of_tokens(text) for text in texts])
+        buckets: Dict[str, int] = {}
+        bags = np.stack([self._bag_of_tokens(text, buckets) for text in texts])
         codes = bags @ self._token_projection
         # Normalise code energy so the spectrum fully controls the geometry.
         norms = np.linalg.norm(codes, axis=1, keepdims=True)

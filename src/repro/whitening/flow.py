@@ -23,13 +23,16 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .base import WhiteningTransform, register_whitening
 
 
 def _normal_quantile(p: np.ndarray) -> np.ndarray:
     """Inverse CDF of the standard normal distribution."""
+    # scipy is needed by this one function only, so importing it here keeps
+    # it out of every process that never fits a BERT-flow transform.
+    from scipy import special
+
     return np.sqrt(2.0) * special.erfinv(2.0 * p - 1.0)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 
 import numpy as np
@@ -179,6 +181,25 @@ class TestSyntheticGeneration:
             a, b = rng.choice(items_flat, size=2)
             random_pairs.append(len(styles[a] & styles[b]) > 0)
         assert np.mean(within_user) > np.mean(random_pairs)
+
+    def test_generated_sequences_match_the_golden_digest(self):
+        """Every table is computed on these datasets, so a change to the
+        generator's code must leave its output bit-identical.  The digest is
+        sha256 over ``json.dumps(sorted(user_sequences.items()))`` of each
+        (domain, scale, seed) below, in this order."""
+        digest = hashlib.sha256()
+        for domain in ("arts", "toys", "tools", "food"):
+            for scale in ("tiny", "small"):
+                for seed in (0, 2, 3, 7, 42):
+                    sequences = generate_dataset(dataset_config(
+                        domain, scale=scale, seed=seed)).interactions.user_sequences
+                    digest.update(json.dumps(sorted(sequences.items())).encode())
+        assert digest.hexdigest() == GOLDEN_SEQUENCES_SHA256
+
+
+#: see ``test_generated_sequences_match_the_golden_digest``
+GOLDEN_SEQUENCES_SHA256 = (
+    "bc80ac1e19cbe5bf4a52608b81c070ec761ef7705e8731410f852d6957acb0f0")
 
 
 class TestStatistics:

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.text import encoder as encoder_module
 from repro.text.corpus import (
     STYLE_WORDS,
+    _make_brands,
     available_domains,
     category_index,
     generate_catalogue,
@@ -135,6 +141,27 @@ class TestCatalogue:
         assert len(texts) == 5
         assert texts[0] == records[0].text()
 
+    @pytest.mark.timeout(60)
+    def test_brands_beyond_the_two_syllable_names_terminate(self):
+        # 18 syllables spell 324 two-syllable names; the paper presets ask
+        # for up to 1,012 brands.  A fresh interpreter with a deadline, so a
+        # generator that never returns fails here and stops spinning.
+        code = ("import json, numpy as np\n"
+                "from repro.text.corpus import _make_brands\n"
+                "print(json.dumps(_make_brands(np.random.default_rng(0), 325)))")
+        completed = subprocess.run([sys.executable, "-c", code],
+                                   capture_output=True, text=True, timeout=30,
+                                   check=True)
+        brands = json.loads(completed.stdout)
+        assert len(set(brands)) == 325
+        # the first 324 are every two-syllable name, drawn as before
+        assert brands[:324] == _make_brands(np.random.default_rng(0), 324)
+
+    @pytest.mark.timeout(60)
+    def test_brands_past_every_three_syllable_name_are_refused(self):
+        with pytest.raises(ValueError, match="distinct brand names"):
+            _make_brands(np.random.default_rng(0), 18 ** 2 + 18 ** 3 + 1)
+
 
 class TestPretrainedEncoder:
     def _texts(self, n: int = 120):
@@ -144,6 +171,24 @@ class TestPretrainedEncoder:
         config = EncoderConfig(embedding_dim=24, semantic_dim=16, seed=0)
         embeddings = PretrainedTextEncoder(config).encode(self._texts(50))
         assert embeddings.shape == (50, 24)
+
+    def test_each_distinct_token_is_hashed_once(self, monkeypatch):
+        texts = self._texts(60)
+        config = EncoderConfig(embedding_dim=24, semantic_dim=16, seed=0)
+        encoder = PretrainedTextEncoder(config)
+        unmemoised = PretrainedTextEncoder._bag_of_tokens
+        # a fresh memo per text hashes every token occurrence
+        monkeypatch.setattr(PretrainedTextEncoder, "_bag_of_tokens",
+                            lambda self, text, buckets: unmemoised(self, text, {}))
+        want = encoder.encode(texts)
+        monkeypatch.undo()
+        hashed = []
+        monkeypatch.setattr(encoder_module, "hash_token",
+                            lambda token, *args, **kwargs: hashed.append(token)
+                            or hash_token(token, *args, **kwargs))
+        got = encoder.encode(texts)
+        assert np.array_equal(got, want)
+        assert sorted(hashed) == sorted({t for text in texts for t in tokenize(text)})
 
     def test_deterministic(self):
         texts = self._texts(40)

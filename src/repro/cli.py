@@ -46,13 +46,10 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from .analysis.anisotropy import analyze_embeddings
-from .analysis.plots import sparkline
-from .analysis.reporting import format_table
-from .data.statistics import dataset_statistics
+# Building the parser loads ``repro.data`` (``available_presets``) and, through
+# it, ``repro.text``; every other import lives in the command that uses it, so
+# ``repro serve`` never loads the paper runners or the analysis code.
 from .data.synthetic import available_presets, load_dataset
-from .experiments.persistence import save_result
-from .experiments.registry import get_experiment, list_experiments
 from .text.features import encode_items, strip_padding_row
 
 
@@ -261,6 +258,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _command_list() -> int:
+    from .analysis.reporting import format_table
+    from .experiments.registry import list_experiments
+
     rows = [
         [spec.experiment_id, spec.artefact, spec.kind, spec.description]
         for spec in list_experiments()
@@ -271,6 +271,9 @@ def _command_list() -> int:
 
 
 def _command_run(experiment_id: str, scale: str, output: Optional[str]) -> int:
+    from .experiments.persistence import save_result
+    from .experiments.registry import get_experiment
+
     spec = get_experiment(experiment_id)
     print(f"running {spec.artefact} ({spec.experiment_id}) at scale={scale!r} ...")
     result = spec.runner(scale=scale)
@@ -288,6 +291,9 @@ def _command_run(experiment_id: str, scale: str, output: Optional[str]) -> int:
 
 
 def _command_stats(dataset_name: str, scale: str, seed: int) -> int:
+    from .analysis.reporting import format_table
+    from .data.statistics import dataset_statistics
+
     dataset = load_dataset(dataset_name, scale=scale, seed=seed)
     stats = dataset_statistics(dataset).as_dict()
     print(format_table(list(stats.keys()), [list(stats.values())], precision=2,
@@ -296,6 +302,9 @@ def _command_stats(dataset_name: str, scale: str, seed: int) -> int:
 
 
 def _command_anisotropy(dataset_name: str, dim: int, seed: int) -> int:
+    from .analysis.anisotropy import analyze_embeddings
+    from .analysis.plots import sparkline
+
     dataset = load_dataset(dataset_name, scale="tiny", seed=seed)
     embeddings = strip_padding_row(encode_items(dataset.items, embedding_dim=dim, seed=seed))
     report = analyze_embeddings(embeddings)
@@ -485,6 +494,7 @@ def _command_serve(args) -> int:
 
 
 def _serve_demo(args, registry, service, split) -> int:
+    from .analysis.reporting import format_table
     from .serving import measure_throughput
 
     with service:
@@ -627,6 +637,7 @@ def _command_stream_run(args) -> int:
 def _command_index_build(args) -> int:
     import numpy as np
 
+    from .analysis.reporting import format_table
     from .index import FlatIndex, build_index
     from .serving import EmbeddingStore
 

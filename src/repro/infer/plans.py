@@ -526,13 +526,13 @@ class FDSAPlan(InferencePlan):
             self.arena, f"{tag}/feature", batch, seq, dtype,
             feature_stack, mask)
         concat = self.arena.get(f"{tag}/concat", (batch, 2 * hidden_dim), dtype)
-        fused = self.arena.get(f"{tag}/fused", (batch, hidden_dim), dtype)
+        fusion_out = self.arena.get(f"{tag}/fused", (batch, hidden_dim), dtype)
         weight, bias = self._fusion
         projected = self._projected_features
 
         def run(item_ids, lengths, matrix, fill_mask=fill_mask,
                 run_item=run_item, run_feature=run_feature,
-                projected=projected, concat=concat, fused=fused,
+                projected=projected, concat=concat, fusion_out=fusion_out,
                 item_last=item_last, feature_last=feature_last,
                 weight=weight, bias=bias, hidden_dim=hidden_dim):
             fill_mask(lengths)
@@ -540,9 +540,9 @@ class FDSAPlan(InferencePlan):
             run_feature(projected, item_ids)
             np.copyto(concat[:, :hidden_dim], item_last)
             np.copyto(concat[:, hidden_dim:], feature_last)
-            np.matmul(concat, weight, out=fused)
-            fused += bias
-            return fused
+            np.matmul(concat, weight, out=fusion_out)
+            fusion_out += bias
+            return fusion_out
 
         return run
 

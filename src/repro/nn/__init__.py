@@ -28,18 +28,15 @@ from .layers import (
     Tanh,
 )
 from .module import Module, Parameter, export_array
-from .optim import Adam, Optimizer, SGD, clip_grad_norm
+from .optim import Adam, Optimizer, clip_grad_norm
 from .tensor import (
     Tensor,
     autocast,
     concatenate,
-    fused_kernels,
-    fused_kernels_enabled,
     get_default_dtype,
     is_grad_enabled,
     no_grad,
     set_default_dtype,
-    set_fused_kernels,
     stack,
     where,
 )
@@ -47,11 +44,8 @@ from .tensor import (
 __all__ = [
     "Adam",
     "autocast",
-    "fused_kernels",
-    "fused_kernels_enabled",
     "get_default_dtype",
     "set_default_dtype",
-    "set_fused_kernels",
     "Dropout",
     "Embedding",
     "FrozenEmbedding",
@@ -68,7 +62,6 @@ __all__ = [
     "Parameter",
     "PositionwiseFeedForward",
     "ReLU",
-    "SGD",
     "Sequential",
     "Tanh",
     "Tensor",

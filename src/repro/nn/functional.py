@@ -5,19 +5,13 @@ models in this reproduction need: softmax / log-softmax, cross entropy over
 the full item catalogue, layer normalisation, dropout and masking utilities
 for causal self-attention.
 
-The training hot-path ops (softmax, log-softmax, layer norm, cross entropy)
-ship in two equivalent implementations:
-
-* a **fused** kernel (the default) that computes the forward value with
-  ``out=`` ufuncs and backs up the gradient in one or two allocations,
-  reusing saved forward intermediates;
-* a **reference** composition out of primitive :class:`Tensor` ops, kept as
-  the seed-style baseline for benchmarks and for gradient cross-checking.
-
-The forward values of the two paths are bit-identical (the fused kernels
-perform the same floating-point operations in the same order); only the
-backward pass differs in rounding, because the fused gradient is evaluated
-from the closed-form formula instead of the primitive-op chain.
+Each op has one implementation.  The training hot-path ops (softmax,
+log-softmax, cross entropy, linear, layer norm, dropout, masked fill) are
+fused kernels: the forward value is computed with ``out=`` ufuncs and the
+gradient is evaluated from its closed form in one or two allocations,
+reusing saved forward intermediates.  ``tests/`` checks every op's forward
+against a closed-form numpy expression and its gradient against float64
+central differences.
 """
 
 from __future__ import annotations
@@ -26,15 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import (
-    Tensor,
-    _unbroadcast,
-    fused_kernels,
-    fused_kernels_enabled,
-    is_grad_enabled,
-    set_fused_kernels,
-    where,
-)
+from .tensor import Tensor, _unbroadcast, is_grad_enabled
 
 # A large negative value used to mask attention logits.  Using an actual
 # ``-inf`` would produce NaNs when an entire row is masked, so we follow the
@@ -42,16 +28,8 @@ from .tensor import (
 MASK_VALUE = -1e9
 
 
-def _softmax_reference(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - x.data.max(axis=axis, keepdims=True)
-    exps = shifted.exp()
-    return exps / exps.sum(axis=axis, keepdims=True)
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    if not fused_kernels_enabled():
-        return _softmax_reference(x, axis=axis)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=axis, keepdims=True)
@@ -69,16 +47,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def _log_softmax_reference(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - x.data.max(axis=axis, keepdims=True)
-    log_norm = shifted.exp().sum(axis=axis, keepdims=True).log()
-    return shifted - log_norm
-
-
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
-    if not fused_kernels_enabled():
-        return _log_softmax_reference(x, axis=axis)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     exps = np.exp(shifted)
     sum_exp = exps.sum(axis=axis, keepdims=True)
@@ -131,20 +101,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
         keep = np.ones(batch, dtype=bool)
         safe_targets = targets
 
-    if not fused_kernels_enabled():
-        log_probs = log_softmax(logits, axis=-1)
-        picked = log_probs[rows, safe_targets]
-        mask = Tensor(keep.astype(log_probs.data.dtype))
-        losses = -picked * mask
-        if reduction == "none":
-            return losses
-        if reduction == "sum":
-            return losses.sum()
-        denom = max(int(keep.sum()), 1)
-        return losses.sum() * (1.0 / denom)
-
-    # Fused path: the loss over the full catalogue is the single largest
-    # training allocation site (batch x num_items logits), so the backward
+    # The loss over the full catalogue is the single largest training
+    # allocation site (batch x num_items logits), so the backward
     # writes (softmax - onehot) * scale into one reused buffer instead of
     # chaining log-softmax / gather / mask primitives.
     x = logits.data
@@ -188,13 +146,12 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray,
                                      reduction: str = "mean") -> Tensor:
     """Numerically stable BCE-with-logits (used by S3-Rec style objectives)."""
-    dtype = logits.data.dtype
-    targets_t = Tensor(np.asarray(targets), dtype=dtype)
-    # log(1 + exp(-|x|)) + max(x, 0) - x * y
-    abs_neg = Tensor(-np.abs(logits.data), dtype=dtype)
-    log_term = (abs_neg.exp() + 1.0).log()
-    max_term = Tensor(np.maximum(logits.data, 0.0), dtype=dtype)
-    losses = log_term + max_term - logits * targets_t
+    targets_t = Tensor(np.asarray(targets), dtype=logits.data.dtype)
+    # log(1 + exp(-|x|)) + max(x, 0) - x * y, with |x| = max(x, 0) + max(-x, 0)
+    # so that every term stays on the graph.
+    positive = logits.relu()
+    log_term = ((-(positive + (-logits).relu())).exp() + 1.0).log()
+    losses = log_term + positive - logits * targets_t
     if reduction == "none":
         return losses
     if reduction == "sum":
@@ -204,15 +161,6 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray,
     raise ValueError(f"unknown reduction: {reduction!r}")
 
 
-def _layer_norm_reference(x: Tensor, weight: Tensor, bias: Tensor,
-                          eps: float = 1e-12) -> Tensor:
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normed = centered / (var + eps).sqrt()
-    return normed * weight + bias
-
-
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine map ``x @ weight + bias`` with a fused flattened-GEMM kernel.
 
@@ -220,15 +168,8 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     one small GEMM per leading index; the fused kernel reshapes to a single
     ``(batch * seq, d)`` GEMM — much better BLAS utilisation — adds the bias
     in place, and computes ``dW = x²ᵀ g²`` / ``db = Σ g²`` as single GEMM /
-    reduction calls in the backward.  The reference path composes
-    ``matmul`` + ``add`` primitives like the seed.
+    reduction calls in the backward.
     """
-    if not fused_kernels_enabled():
-        out = x.matmul(weight)
-        if bias is not None:
-            out = out + bias
-        return out
-
     xd = x.data
     in_dim = xd.shape[-1]
     out_dim = weight.data.shape[-1]
@@ -260,12 +201,10 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
     """Layer normalisation over the last dimension."""
-    if not fused_kernels_enabled():
-        return _layer_norm_reference(x, weight, bias, eps=eps)
     xd = x.data
     inv_count = 1.0 / xd.shape[-1]
-    # sum * (1/n) instead of np.mean keeps the values bit-identical to the
-    # reference composition (Tensor.mean is defined as sum * (1/n)).
+    # sum * (1/n), not np.mean: the same rounding as Tensor.mean and as the
+    # compiled inference plans.
     mean = xd.sum(axis=-1, keepdims=True) * inv_count
     centered = xd - mean
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv_count
@@ -353,15 +292,10 @@ def _dropout(x: Tensor, p: float, rng: Optional[np.random.Generator],
     dtype = x.data.dtype
     if dtype == np.float32:
         # Single-precision draws halve the generator work; the float64 path
-        # keeps the historical bit stream.  Both kernel modes consume the
-        # same stream so fused vs reference stays bit-identical per dtype.
+        # keeps the historical bit stream.
         draws = rng.random(shape, dtype=np.float32)[index]
     else:
         draws = rng.random(shape)[index]
-    if not fused_kernels_enabled():
-        # Seed-style: float mask tensor multiplied through the graph.
-        mask = (draws >= p).astype(dtype) / (1.0 - p)
-        return x * Tensor(mask, dtype=dtype)
     keep = draws >= p
     scale = 1.0 / (1.0 - p)
     value = x.data * keep
@@ -415,9 +349,6 @@ def scatter_rows(x: Tensor, index, shape) -> Tensor:
 def masked_fill(x: Tensor, mask: np.ndarray, value: float = MASK_VALUE) -> Tensor:
     """Replace entries where ``mask`` is True with ``value``."""
     mask = np.asarray(mask, dtype=bool)
-    if not fused_kernels_enabled():
-        fill = Tensor(np.full(x.shape, value, dtype=x.data.dtype))
-        return where(~mask, x, fill)
     data = np.where(mask, x.data.dtype.type(value), x.data)
     out = x._make_child(data, (x,))
 

@@ -1,18 +1,15 @@
 """Optimisers for the ``repro.nn`` substrate.
 
 The paper trains every model with Adam and optionally L2 weight decay (the
-hyper-parameter grid tunes weight decay in {0, 1e-4, 1e-6}).  SGD is provided
-as a simple reference optimiser for tests.
+hyper-parameter grid tunes weight decay in {0, 1e-4, 1e-6}).
 
-Both optimisers default to **fused, in-place** update kernels: ``param.data``
-and the moment buffers are mutated with ``out=`` ufuncs through a per-
-parameter scratch buffer, so a step allocates nothing after the first call.
-The in-place contract matters to callers: ``param.data`` keeps its identity
-across steps (views/aliases of the array observe the update), whereas the
-``fused=False`` reference path rebinds ``param.data`` to a fresh array each
-step, exactly like the seed implementation.  The two paths are bit-identical
-— the fused kernels execute the same floating-point operations in the same
-order — the reference path is kept as the seed-style benchmark baseline.
+:class:`Adam` has one update kernel, and it works **in place**:
+``param.data`` and the moment buffers are mutated with ``out=`` ufuncs
+through per-parameter scratch buffers, so a step allocates nothing after the
+first call.  The in-place contract matters to callers: ``param.data`` keeps
+its identity across steps, so views/aliases of the array observe the update.
+``tests/`` checks the step bit for bit against the closed-form Adam update
+written in numpy.
 """
 
 from __future__ import annotations
@@ -40,56 +37,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """Plain stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0,
-                 fused: bool = True):
-        super().__init__(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.fused = fused
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-        self._scratch: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-
-    def _step_reference(self) -> None:
-        for index, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                self._velocity[index] = self.momentum * self._velocity[index] + grad
-                grad = self._velocity[index]
-            param.data = param.data - self.lr * grad
-
-    def step(self) -> None:
-        if not self.fused:
-            self._step_reference()
-            return
-        for index, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            buf = self._scratch[index]
-            if buf is None:
-                buf = self._scratch[index] = np.empty_like(param.data)
-            grad = param.grad
-            if self.weight_decay:
-                np.multiply(param.data, self.weight_decay, out=buf)
-                buf += grad
-                grad = buf
-            if self.momentum:
-                velocity = self._velocity[index]
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            np.multiply(grad, self.lr, out=buf)
-            param.data -= buf
-
-
 class Adam(Optimizer):
     """Adam optimiser (Kingma & Ba, 2015) with decoupled-style L2 weight decay.
 
@@ -97,47 +44,26 @@ class Adam(Optimizer):
     matching the behaviour of ``torch.optim.Adam(weight_decay=...)`` that
     RecBole (and therefore the paper) uses.
 
-    The default fused step updates ``param.data``, ``_m`` and ``_v`` in place
-    through two scratch buffers (the seed implementation allocated ~6
-    temporaries per parameter per step); ``fused=False`` keeps the original
-    allocating kernel for reference.
+    The step updates ``param.data``, ``_m`` and ``_v`` in place through two
+    scratch buffers instead of allocating ~6 temporaries per parameter.
     """
 
     def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-3,
                  betas: tuple = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0, fused: bool = True):
+                 weight_decay: float = 0.0):
         super().__init__(parameters)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self.fused = fused
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
         self._scratch: List[Optional[np.ndarray]] = [None] * len(self.parameters)
         self._scratch2: List[Optional[np.ndarray]] = [None] * len(self.parameters)
 
-    def _step_reference(self) -> None:
-        bias_correction1 = 1.0 - self.beta1 ** self._step
-        bias_correction2 = 1.0 - self.beta2 ** self._step
-        for index, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            self._m[index] = self.beta1 * self._m[index] + (1.0 - self.beta1) * grad
-            self._v[index] = self.beta2 * self._v[index] + (1.0 - self.beta2) * grad ** 2
-            m_hat = self._m[index] / bias_correction1
-            v_hat = self._v[index] / bias_correction2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
     def step(self) -> None:
         self._step += 1
-        if not self.fused:
-            self._step_reference()
-            return
         bias_correction1 = 1.0 - self.beta1 ** self._step
         bias_correction2 = 1.0 - self.beta2 ** self._step
         for index, param in enumerate(self.parameters):
@@ -162,9 +88,8 @@ class Adam(Optimizer):
             np.multiply(grad, grad, out=buf)
             buf *= 1.0 - self.beta2
             v += buf
-            # update = lr * (m / bc1) / (sqrt(v / bc2) + eps), evaluated in
-            # the same operation order as the reference kernel so the two
-            # paths stay bit-identical.
+            # update = lr * (m / bc1) / (sqrt(v / bc2) + eps), in this
+            # operation order.
             np.divide(v, bias_correction2, out=buf2)
             np.sqrt(buf2, out=buf2)
             buf2 += self.eps

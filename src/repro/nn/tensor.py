@@ -38,43 +38,9 @@ _DEFAULT_DTYPE = np.dtype(np.float64)
 _ALLOWED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
-#: Global switch between the fused hot-path kernels (default) and the
-#: seed-style reference kernels (allocation-per-op, kept for benchmarking the
-#: optimisation and for gradient cross-checks).
-_FUSED_KERNELS = True
-
-
 def is_grad_enabled() -> bool:
     """Whether operations currently record the autodiff graph."""
     return _GRAD_ENABLED
-
-
-def fused_kernels_enabled() -> bool:
-    """Whether the fused training kernels are active."""
-    return _FUSED_KERNELS
-
-
-def set_fused_kernels(enabled: bool) -> bool:
-    """Toggle the fused kernels; returns the previous setting."""
-    global _FUSED_KERNELS
-    previous = _FUSED_KERNELS
-    _FUSED_KERNELS = bool(enabled)
-    return previous
-
-
-class fused_kernels:
-    """Context manager pinning the fused-kernel switch inside a block."""
-
-    def __init__(self, enabled: bool):
-        self._enabled = bool(enabled)
-
-    def __enter__(self) -> "fused_kernels":
-        self._previous = set_fused_kernels(self._enabled)
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> bool:
-        set_fused_kernels(self._previous)
-        return False
 
 
 def get_default_dtype() -> np.dtype:
@@ -313,24 +279,16 @@ class Tensor:
             return
         if self.grad is None:
             self.grad = grad.copy()
-        elif _FUSED_KERNELS:
-            self.grad += grad
         else:
-            # Seed-style: allocate a fresh sum (the reference baseline).
-            self.grad = self.grad + grad
+            self.grad += grad
 
     def _accumulate_owned(self, grad: np.ndarray) -> None:
-        """Accumulate a gradient buffer the caller owns (fused kernels).
+        """Accumulate a gradient buffer the caller owns.
 
         Skips the defensive copy of :meth:`_accumulate`: the buffer must be a
-        freshly allocated array that the caller will not reuse.  In reference
-        mode this falls back to the copying :meth:`_accumulate` so the
-        seed-style baseline keeps its original allocation behaviour.
+        freshly allocated array that the caller will not reuse.
         """
         if not self.requires_grad:
-            return
-        if not _FUSED_KERNELS:
-            self._accumulate(grad)
             return
         if self.grad is None:
             self.grad = grad
@@ -382,10 +340,6 @@ class Tensor:
         out = self._make_child(self.data + other.data, (self, other))
 
         def _backward(grad: np.ndarray) -> None:
-            if not _FUSED_KERNELS:
-                self._accumulate(_unbroadcast(grad, self.shape))
-                other._accumulate(_unbroadcast(grad, other.shape))
-                return
             if self.requires_grad:
                 ga = _unbroadcast(grad, self.shape)
                 (self._accumulate if ga is grad else self._accumulate_owned)(ga)
@@ -413,10 +367,6 @@ class Tensor:
         out = self._make_child(self.data - other.data, (self, other))
 
         def _backward(grad: np.ndarray) -> None:
-            if not _FUSED_KERNELS:
-                self._accumulate(_unbroadcast(grad, self.shape))
-                other._accumulate(_unbroadcast(-grad, other.shape))
-                return
             if self.requires_grad:
                 ga = _unbroadcast(grad, self.shape)
                 (self._accumulate if ga is grad else self._accumulate_owned)(ga)
@@ -434,10 +384,6 @@ class Tensor:
         out = self._make_child(self.data * other.data, (self, other))
 
         def _backward(grad: np.ndarray) -> None:
-            if not _FUSED_KERNELS:
-                self._accumulate(_unbroadcast(grad * other.data, self.shape))
-                other._accumulate(_unbroadcast(grad * self.data, other.shape))
-                return
             if self.requires_grad:
                 self._accumulate_owned(_unbroadcast(grad * other.data, self.shape))
             if other.requires_grad:
@@ -454,12 +400,6 @@ class Tensor:
         out = self._make_child(self.data / other.data, (self, other))
 
         def _backward(grad: np.ndarray) -> None:
-            if not _FUSED_KERNELS:
-                self._accumulate(_unbroadcast(grad / other.data, self.shape))
-                other._accumulate(
-                    _unbroadcast(-grad * self.data / (other.data ** 2), other.shape)
-                )
-                return
             if self.requires_grad:
                 self._accumulate_owned(_unbroadcast(grad / other.data, self.shape))
             if other.requires_grad:
@@ -501,12 +441,14 @@ class Tensor:
                 if other.requires_grad:
                     other._accumulate_owned(grad * a)
                 return
+            # A 1-D operand is a (1, k) row or (k, 1) column; against a
+            # batched operand its gradient is summed over the batch axes.
             if a.ndim == 1:
                 a_mat = a.reshape(1, -1)
                 grad_mat = np.expand_dims(grad, axis=-2)
                 if self.requires_grad:
-                    ga = (grad_mat @ np.swapaxes(b, -1, -2)).reshape(a.shape)
-                    self._accumulate_owned(_unbroadcast(ga, self.shape))
+                    ga = grad_mat @ np.swapaxes(b, -1, -2)
+                    self._accumulate_owned(_unbroadcast(ga[..., 0, :], self.shape))
                 if other.requires_grad:
                     gb = np.swapaxes(a_mat, -1, -2) @ grad_mat
                     other._accumulate_owned(_unbroadcast(gb, other.shape))
@@ -518,14 +460,8 @@ class Tensor:
                     ga = grad_mat @ np.swapaxes(b_mat, -1, -2)
                     self._accumulate_owned(_unbroadcast(ga, self.shape))
                 if other.requires_grad:
-                    gb = (np.swapaxes(a, -1, -2) @ grad_mat).reshape(b.shape)
-                    other._accumulate_owned(_unbroadcast(np.sum(gb, axis=tuple(range(gb.ndim - 1))) if gb.ndim > 1 else gb, other.shape))
-                return
-            if not _FUSED_KERNELS:
-                ga = grad @ np.swapaxes(b, -1, -2)
-                gb = np.swapaxes(a, -1, -2) @ grad
-                self._accumulate(_unbroadcast(ga, self.shape))
-                other._accumulate(_unbroadcast(gb, other.shape))
+                    gb = np.swapaxes(a, -1, -2) @ grad_mat
+                    other._accumulate_owned(_unbroadcast(gb[..., 0], other.shape))
                 return
             if self.requires_grad:
                 ga = grad @ np.swapaxes(b, -1, -2)
@@ -603,37 +539,23 @@ class Tensor:
         """Gaussian Error Linear Unit (tanh approximation)."""
         x = self.data
         c = np.sqrt(2.0 / np.pi)
-        if _FUSED_KERNELS:
-            # Same math as the reference chain below, evaluated through two
-            # buffers with out= ufuncs (the op is memory-bound).
-            t = np.multiply(x, x)
-            t *= x
-            t *= 0.044715
-            t += x
-            t *= c
-            np.tanh(t, out=t)
-            value = 1.0 + t
-            value *= x
-            value *= 0.5
-        else:
-            # x * x * x instead of x ** 3: np.power with a float64 base goes
-            # through pow() and dominates the transformer forward pass
-            # otherwise.
-            inner = c * (x + 0.044715 * (x * x * x))
-            t = np.tanh(inner)
-            value = 0.5 * x * (1.0 + t)
+        # 0.5 * x * (1 + tanh(c * (x + 0.044715 * x^3))), evaluated through
+        # two buffers with out= ufuncs (the op is memory-bound); x^3 is
+        # x * x * x, because np.power with a float base goes through pow().
+        t = np.multiply(x, x)
+        t *= x
+        t *= 0.044715
+        t += x
+        t *= c
+        np.tanh(t, out=t)
+        value = 1.0 + t
+        value *= x
+        value *= 0.5
         out = self._make_child(value, (self,))
 
         def _backward(grad: np.ndarray) -> None:
-            if not _FUSED_KERNELS:
-                # Seed-style chain of broadcast temporaries.
-                dinner = c * (1.0 + 3 * 0.044715 * (x * x))
-                dt = (1.0 - t * t) * dinner
-                dvalue = 0.5 * (1.0 + t) + 0.5 * x * dt
-                self._accumulate(grad * dvalue)
-                return
-            # Fused: two temporaries instead of the ~10 broadcast temporaries
-            # of the naive chain.  dvalue = 0.5 * ((1 + t) + x * dt) where
+            # Two temporaries instead of the ~10 broadcast temporaries of the
+            # naive chain.  dvalue = 0.5 * ((1 + t) + x * dt) where
             # dt = (1 - t^2) * c * (1 + 3 * 0.044715 * x^2); ``t`` is the
             # saved forward tanh, nothing is recomputed.
             dinner = np.multiply(x, x)
@@ -737,7 +659,7 @@ class Tensor:
 
         def _backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
-            if _FUSED_KERNELS and _is_basic_index(index):
+            if _is_basic_index(index):
                 # Basic indexing never selects an element twice, so the
                 # scatter-add collapses to a plain assignment.
                 full[index] = grad
@@ -760,10 +682,7 @@ class Tensor:
         def _backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
             flat_grad = grad.reshape(-1, self.data.shape[-1])
-            if _FUSED_KERNELS:
-                _scatter_add_rows(full, indices.reshape(-1), flat_grad)
-            else:
-                np.add.at(full, indices.reshape(-1), flat_grad)
+            _scatter_add_rows(full, indices.reshape(-1), flat_grad)
             self._accumulate_owned(full)
 
         out._backward = _backward if out.requires_grad else None

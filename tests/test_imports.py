@@ -1,7 +1,8 @@
-"""What each entry point imports: ``import repro`` loads no subpackage, and
-the training stack loads neither scipy nor the serving, analysis or
-experiment packages.  Checked on ``sys.modules`` in a fresh interpreter, so
-no other test's imports leak in; no clock is read."""
+"""What each entry point imports: ``import repro`` loads no subpackage, the
+training stack loads neither scipy nor the serving, analysis or experiment
+packages, and the CLI loads no command's dependencies before it runs the
+command.  Checked on ``sys.modules`` in a fresh interpreter, so no other
+test's imports leak in; no clock is read."""
 
 from __future__ import annotations
 
@@ -28,6 +29,17 @@ def test_import_repro_loads_no_subpackage():
         "print(json.dumps(sorted(m for m in sys.modules"
         " if m.startswith('repro.'))))")
     assert loaded == []
+
+
+def test_cli_loads_no_command_dependencies():
+    loaded = _fresh_interpreter(
+        "import json, sys, repro.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m.startswith('repro.'))))")
+    for package in ("repro.analysis", "repro.experiments", "repro.training",
+                    "repro.models", "repro.service", "repro.serving"):
+        assert not [m for m in loaded
+                    if m == package or m.startswith(package + ".")], package
 
 
 def test_training_stack_imports_neither_scipy_nor_serving():

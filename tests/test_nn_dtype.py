@@ -1,8 +1,9 @@
 """Tests for the dtype policy, fused kernels and in-place optimiser contract.
 
 Covers the float32 training substrate introduced with the hot-path overhaul:
-``set_default_dtype`` / ``autocast`` semantics, fused-vs-reference kernel
-agreement (bit-identical forward, gradients equal to tight tolerance),
+``set_default_dtype`` / ``autocast`` semantics, each fused kernel against its
+closed-form numpy reference (forward values) and float64 central differences
+(gradients), Adam bit for bit against the closed-form update,
 float32-vs-float64 gradient agreement on a real SASRec step, dtype-preserving
 checkpoints and the float32 evaluation fast path.
 """
@@ -19,13 +20,14 @@ from repro.data.dataloader import make_batch
 from repro.models import ModelConfig, build_model
 from repro.training.evaluation import evaluate_model, target_ranks
 
+from gradcheck import check_gradient
+
 
 @pytest.fixture(autouse=True)
 def _restore_global_modes():
     """Every test leaves the substrate in its default configuration."""
     yield
     nn.set_default_dtype(np.float64)
-    F.set_fused_kernels(True)
 
 
 def small_batch(max_length: int = 8):
@@ -119,53 +121,75 @@ class TestDtypePolicy:
 
 
 # ---------------------------------------------------------------------- #
-# Fused vs reference kernels
+# Fused kernels against closed-form numpy and central differences
 # ---------------------------------------------------------------------- #
-class TestFusedKernels:
-    def test_switch_round_trip(self):
-        assert F.fused_kernels_enabled()
-        with F.fused_kernels(False):
-            assert not F.fused_kernels_enabled()
-            with F.fused_kernels(True):
-                assert F.fused_kernels_enabled()
-            assert not F.fused_kernels_enabled()
-        assert F.fused_kernels_enabled()
+#: tolerances of a float64 central difference (step 1e-6) on these sizes;
+#: a wrong sign or a dropped term is off by O(1)
+GRAD_TOL = dict(atol=1e-7, rtol=1e-6)
 
+
+def _numpy_gelu(x):
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi)
+                                    * (x + 0.044715 * (x * x * x))))
+
+
+def _numpy_layer_norm(x, weight, bias, eps=1e-12):
+    inv_count = 1.0 / x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) * inv_count
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_count
+    return centered / np.sqrt(var + eps) * weight + bias
+
+
+def _dropout_cases():
+    """``(name, apply(x, p, rng), x_shape, draws(rng, dtype))`` for the three
+    dropout entries; ``draws`` is the part of the mask stream ``x`` sees."""
+    full = (3, 5, 4)  # the padded tensor the row variants draw masks for
+    rows = (np.array([0, 0, 2]), np.array([1, 4, 3]))
+    last = (Ellipsis, full[1] - 1, slice(None))
+    return [
+        ("dropout", lambda x, p, rng: F.dropout(x, p, True, rng),
+         (8, 8), lambda rng, dtype: rng.random((8, 8), dtype=dtype)),
+        ("dropout_rows",
+         lambda x, p, rng: F.dropout_rows(x, p, True, rng, full, rows),
+         (3, 4), lambda rng, dtype: rng.random(full, dtype=dtype)[rows]),
+        ("dropout_last",
+         lambda x, p, rng: F.dropout_last(x, p, True, rng, full[1]),
+         (3, 4), lambda rng, dtype: rng.random(full, dtype=dtype)[last]),
+    ]
+
+
+class TestFusedKernels:
     @pytest.mark.parametrize("op", ["softmax", "log_softmax"])
     def test_softmax_family_matches_reference(self, op):
         rng = np.random.default_rng(0)
         data = rng.standard_normal((4, 3, 5))
-        grads = {}
-        values = {}
-        for fused in (True, False):
-            with F.fused_kernels(fused):
-                x = Tensor(data.copy(), requires_grad=True)
-                out = getattr(F, op)(x, axis=-1)
-                (out * Tensor(np.arange(5.0))).sum().backward()
-                values[fused] = out.data.copy()
-                grads[fused] = x.grad.copy()
-        np.testing.assert_array_equal(values[True], values[False])
-        np.testing.assert_allclose(grads[True], grads[False], rtol=1e-12,
-                                   atol=1e-14)
+        for axis in (-1, 1):
+            shifted = data - data.max(axis=axis, keepdims=True)
+            exps = np.exp(shifted)
+            expected = (exps / exps.sum(axis=axis, keepdims=True)
+                        if op == "softmax"
+                        else shifted - np.log(exps.sum(axis=axis, keepdims=True)))
+            value = getattr(F, op)(Tensor(data), axis=axis).data
+            np.testing.assert_array_equal(value, expected)
+            readout = Tensor(rng.standard_normal(data.shape))
+            check_gradient(lambda t: (getattr(F, op)(t, axis=axis)
+                                      * readout).sum(), data, **GRAD_TOL)
 
     def test_layer_norm_matches_reference(self):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((6, 7))
         weight_values = rng.standard_normal(7)
-        results = {}
-        for fused in (True, False):
-            with F.fused_kernels(fused):
-                x = Tensor(data.copy(), requires_grad=True)
-                weight = nn.Parameter(weight_values.copy())
-                bias = nn.Parameter(np.arange(7.0))
-                out = F.layer_norm(x, weight, bias)
-                (out * out).sum().backward()
-                results[fused] = (out.data.copy(), x.grad.copy(),
-                                  weight.grad.copy(), bias.grad.copy())
-        for fused_part, ref_part in zip(results[True], results[False]):
-            np.testing.assert_allclose(fused_part, ref_part, rtol=1e-12,
-                                       atol=1e-12)
-        np.testing.assert_array_equal(results[True][0], results[False][0])
+        bias_values = np.arange(7.0)
+        out = F.layer_norm(Tensor(data), nn.Parameter(weight_values),
+                           nn.Parameter(bias_values))
+        np.testing.assert_array_equal(
+            out.data, _numpy_layer_norm(data, weight_values, bias_values))
+        readout = Tensor(rng.standard_normal((6, 7)))
+        check_gradient(lambda x, w, b: (F.layer_norm(x, w, b) * readout).sum(),
+                       data, weight_values, bias_values, **GRAD_TOL)
+        batched = rng.standard_normal((2, 3, 7))
+        check_gradient(lambda x, w, b: (F.layer_norm(x, w, b) ** 2).sum(),
+                       batched, weight_values, bias_values, **GRAD_TOL)
 
     @pytest.mark.parametrize("reduction", ["mean", "sum", "none"])
     @pytest.mark.parametrize("ignore_index", [None, 0])
@@ -173,90 +197,108 @@ class TestFusedKernels:
         rng = np.random.default_rng(2)
         data = rng.standard_normal((5, 9))
         targets = np.array([1, 0, 3, 8, 2])
-        results = {}
-        for fused in (True, False):
-            with F.fused_kernels(fused):
-                logits = Tensor(data.copy(), requires_grad=True)
-                loss = F.cross_entropy(logits, targets, reduction=reduction,
-                                       ignore_index=ignore_index)
-                if reduction == "none":
-                    (loss * Tensor(np.arange(1.0, 6.0))).sum().backward()
-                else:
-                    loss.backward()
-                results[fused] = (np.asarray(loss.data).copy(),
-                                  logits.grad.copy())
-        np.testing.assert_array_equal(results[True][0], results[False][0])
-        np.testing.assert_allclose(results[True][1], results[False][1],
-                                   rtol=1e-12, atol=1e-14)
+        keep = (np.ones(5, dtype=bool) if ignore_index is None
+                else targets != ignore_index)
+        shifted = data - data.max(axis=-1, keepdims=True)
+        log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        losses = (-(shifted[np.arange(5), np.where(keep, targets, 0)]
+                    - log_norm[:, 0]) * keep.astype(np.float64))
+        expected = {"none": losses, "sum": losses.sum(),
+                    "mean": losses.sum() * (1.0 / keep.sum())}[reduction]
+        loss = F.cross_entropy(Tensor(data), targets, reduction=reduction,
+                               ignore_index=ignore_index)
+        np.testing.assert_array_equal(loss.data, expected)
+        weights = Tensor(np.arange(1.0, 6.0))
+
+        def objective(logits):
+            loss = F.cross_entropy(logits, targets, reduction=reduction,
+                                   ignore_index=ignore_index)
+            return (loss * weights).sum() if reduction == "none" else loss * 1.5
+
+        check_gradient(objective, data, **GRAD_TOL)
 
     def test_gelu_matches_reference(self):
         rng = np.random.default_rng(3)
         data = rng.standard_normal((4, 6)) * 2.0
-        results = {}
-        for fused in (True, False):
-            with F.fused_kernels(fused):
-                x = Tensor(data.copy(), requires_grad=True)
-                out = x.gelu()
-                out.sum().backward()
-                results[fused] = (out.data.copy(), x.grad.copy())
-        np.testing.assert_array_equal(results[True][0], results[False][0])
-        np.testing.assert_allclose(results[True][1], results[False][1],
-                                   rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(Tensor(data).gelu().data,
+                                      _numpy_gelu(data))
+        readout = Tensor(rng.standard_normal((4, 6)))
+        check_gradient(lambda t: (t.gelu() * readout).sum(), data, **GRAD_TOL)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_dropout_matches_reference(self, dtype):
-        """Fused and reference dropout share one RNG stream per dtype."""
-        data = np.random.default_rng(4).standard_normal((8, 8)).astype(dtype)
-        results = {}
-        for fused in (True, False):
-            with F.fused_kernels(fused):
-                x = Tensor(data.copy(), requires_grad=True, dtype=dtype)
-                out = F.dropout(x, p=0.4, training=True,
-                                rng=np.random.default_rng(7))
-                out.sum().backward()
-                results[fused] = (out.data.copy(), x.grad.copy())
-        np.testing.assert_array_equal(results[True][0], results[False][0])
-        np.testing.assert_array_equal(results[True][1], results[False][1])
+        """The mask is the fixed-seed draw; ``dx`` is ``g * mask / (1 - p)``."""
+        p, scale = 0.4, 1.0 / 0.6
+        for name, apply, shape, draw in _dropout_cases():
+            rng = np.random.default_rng(4)
+            data = rng.standard_normal(shape).astype(dtype)
+            readout = rng.standard_normal(shape).astype(dtype)
+            keep = draw(np.random.default_rng(7), dtype) >= p
+            x = Tensor(data, requires_grad=True, dtype=dtype)
+            out = apply(x, p, np.random.default_rng(7))
+            (out * Tensor(readout, dtype=dtype)).sum().backward()
+            np.testing.assert_array_equal(out.data, data * keep * scale,
+                                          err_msg=name)
+            np.testing.assert_array_equal(x.grad, readout * keep * scale,
+                                          err_msg=name)
+            if dtype == np.float64:
+                check_gradient(lambda t: (apply(t, p, np.random.default_rng(7))
+                                          * Tensor(readout)).sum(),
+                               data, **GRAD_TOL)
 
     def test_masked_fill_matches_reference(self):
-        data = np.random.default_rng(5).standard_normal((3, 4))
-        mask = np.array([[True, False, False, True]] * 3)
-        results = {}
-        for fused in (True, False):
-            with F.fused_kernels(fused):
-                x = Tensor(data.copy(), requires_grad=True)
-                out = F.masked_fill(x, mask)
-                out.sum().backward()
-                results[fused] = (out.data.copy(), x.grad.copy())
-        np.testing.assert_array_equal(results[True][0], results[False][0])
-        np.testing.assert_array_equal(results[True][1], results[False][1])
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal((3, 4))
+        # A mask of x's shape, and one broadcast over a new leading axis
+        # (the gradient is then summed back onto x).
+        for mask in (np.array([[True, False, False, True]] * 3),
+                     rng.random((2, 3, 4)) < 0.5):
+            readout = rng.standard_normal(mask.shape)
+            x = Tensor(data, requires_grad=True)
+            out = F.masked_fill(x, mask)
+            np.testing.assert_array_equal(out.data,
+                                          np.where(mask, F.MASK_VALUE, data))
+            (out * Tensor(readout)).sum().backward()
+            expected_grad = readout * ~mask
+            if mask.ndim > data.ndim:
+                expected_grad = expected_grad.sum(axis=0)
+            np.testing.assert_array_equal(x.grad, expected_grad)
+            # A small fill value: -1e9 would drown the difference quotient.
+            check_gradient(lambda t: (F.masked_fill(t, mask, value=-7.0)
+                                      * Tensor(readout)).sum(),
+                           data, **GRAD_TOL)
 
     def test_linear_matches_reference(self):
+        """2-D and 3-D inputs, with and without bias."""
         rng = np.random.default_rng(6)
-        data = rng.standard_normal((3, 5, 4))
-        results = {}
-        for fused in (True, False):
-            with F.fused_kernels(fused):
-                x = Tensor(data.copy(), requires_grad=True)
-                weight = nn.Parameter(np.arange(8.0).reshape(4, 2) / 7.0)
-                bias = nn.Parameter(np.array([0.5, -0.25]))
-                out = F.linear(x, weight, bias)
-                (out * out).sum().backward()
-                results[fused] = (out.data.copy(), x.grad.copy(),
-                                  weight.grad.copy(), bias.grad.copy())
-        for fused_part, ref_part in zip(results[True], results[False]):
-            np.testing.assert_allclose(fused_part, ref_part, rtol=1e-12,
-                                       atol=1e-12)
+        weight = np.arange(8.0).reshape(4, 2) / 7.0
+        bias = np.array([0.5, -0.25])
+        for shape in ((3, 5, 4), (5, 4)):
+            data = rng.standard_normal(shape)
+            readout = Tensor(rng.standard_normal(shape[:-1] + (2,)))
+            out = F.linear(Tensor(data), Tensor(weight), Tensor(bias))
+            np.testing.assert_allclose(out.data, data @ weight + bias,
+                                       rtol=1e-12, atol=1e-12)
+            out = F.linear(Tensor(data), Tensor(weight))
+            np.testing.assert_allclose(out.data, data @ weight,
+                                       rtol=1e-12, atol=1e-12)
+            check_gradient(lambda x, w, b: (F.linear(x, w, b) * readout).sum(),
+                           data, weight, bias, **GRAD_TOL)
+            check_gradient(lambda x, w: (F.linear(x, w) * readout).sum(),
+                           data, weight, **GRAD_TOL)
 
     def test_full_model_loss_bit_identical_across_modes(self):
-        """Fused kernels change only the backward rounding, never the value."""
+        """Recording the graph changes what is kept for backward, never the
+        value: the fused kernels' no-grad early returns compute the same."""
         batch = small_batch()
-        losses = {}
-        for fused in (True, False):
-            with F.fused_kernels(fused):
+        for dtype in ("float64", "float32"):
+            with nn.autocast(dtype):
                 model = build_sasrec(seed=11)
-                losses[fused] = model.loss(batch).item()
-        assert losses[True] == losses[False]
+            recorded = model.loss(batch)
+            with nn.no_grad():
+                plain = model.loss(batch)
+            assert recorded.requires_grad and not plain.requires_grad
+            assert recorded.item() == plain.item()
 
 
 # ---------------------------------------------------------------------- #
@@ -294,33 +336,26 @@ class TestFloat32Gradients:
 class TestFusedOptimizers:
     @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
     def test_adam_fused_matches_reference(self, weight_decay):
+        """The in-place step, bit for bit, against the closed-form update."""
         rng = np.random.default_rng(0)
         start = rng.standard_normal((4, 3))
-        params = {}
-        for fused in (True, False):
-            param = nn.Parameter(start.copy())
-            optimizer = nn.Adam([param], lr=0.05, weight_decay=weight_decay,
-                                fused=fused)
-            for step in range(5):
-                param.grad = np.full_like(param.data, 0.5) * (step + 1)
-                optimizer.step()
-            params[fused] = param.data
-        np.testing.assert_array_equal(params[True], params[False])
-
-    @pytest.mark.parametrize("momentum,weight_decay",
-                             [(0.0, 0.0), (0.9, 0.0), (0.9, 0.05)])
-    def test_sgd_fused_matches_reference(self, momentum, weight_decay):
-        start = np.arange(6.0).reshape(2, 3)
-        params = {}
-        for fused in (True, False):
-            param = nn.Parameter(start.copy())
-            optimizer = nn.SGD([param], lr=0.1, momentum=momentum,
-                               weight_decay=weight_decay, fused=fused)
-            for _ in range(4):
-                param.grad = np.ones_like(param.data)
-                optimizer.step()
-            params[fused] = param.data
-        np.testing.assert_array_equal(params[True], params[False])
+        grads = [rng.standard_normal((4, 3)) for _ in range(5)]
+        lr, beta1, beta2, eps = 0.05, 0.9, 0.999, 1e-8
+        param = nn.Parameter(start.copy())
+        optimizer = nn.Adam([param], lr=lr, betas=(beta1, beta2), eps=eps,
+                            weight_decay=weight_decay)
+        expected, m, v = start.copy(), np.zeros((4, 3)), np.zeros((4, 3))
+        for step, grad in enumerate(grads, start=1):
+            param.grad = grad.copy()
+            optimizer.step()
+            if weight_decay:
+                grad = grad + weight_decay * expected
+            m = beta1 * m + (1.0 - beta1) * grad
+            v = beta2 * v + (1.0 - beta2) * grad ** 2
+            m_hat = m / (1.0 - beta1 ** step)
+            v_hat = v / (1.0 - beta2 ** step)
+            expected = expected - lr * m_hat / (np.sqrt(v_hat) + eps)
+            np.testing.assert_array_equal(param.data, expected)
 
     def test_fused_step_updates_param_in_place(self):
         param = nn.Parameter(np.ones(4))

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
+from gradcheck import check_gradient
+
 
 class TestSoftmax:
     def test_rows_sum_to_one(self):
@@ -166,6 +168,81 @@ class TestNormalizationHelpers:
         assert F.mse_loss(prediction, target).item() == pytest.approx(
             np.mean([0.25, 0.0, 1.0])
         )
+
+
+def _composed_op_cases():
+    """``op -> (forward(*tensors), numpy(*arrays), input arrays)``.
+
+    The ops built from :class:`Tensor` primitives; the fused kernels are
+    checked in ``test_nn_dtype.py::TestFusedKernels``.
+    """
+    rng = np.random.default_rng(11)
+    x, y = rng.standard_normal((4, 5)), rng.standard_normal((4, 5))
+    labels = (rng.random((4, 5)) < 0.5).astype(np.float64)
+    rows = (np.array([0, 2, 3]), np.array([4, 1, 1]))
+
+    def scattered(a):
+        full = np.zeros((4, 5, 2))
+        full[rows] = a
+        return full
+
+    def reduce(losses, reduction):
+        return {"none": losses, "sum": losses.sum(),
+                "mean": losses.mean()}[reduction]
+
+    cases = {
+        "l2_normalize": (
+            lambda t: F.l2_normalize(t, axis=0),
+            lambda a: a / np.sqrt((a * a).sum(axis=0, keepdims=True) + 1e-12),
+            (x,)),
+        "gather_rows": (lambda t: F.gather_rows(t, rows),
+                        lambda a: a[rows], (x,)),
+        "scatter_rows": (
+            lambda t: F.scatter_rows(t, rows, (4, 5, 2)), scattered,
+            (rng.standard_normal((3, 2)),)),
+    }
+    for reduction in ("none", "sum", "mean"):
+        cases[f"bce_with_logits-{reduction}"] = (
+            lambda t, r=reduction: F.binary_cross_entropy_with_logits(
+                t, labels, reduction=r),
+            lambda a, r=reduction: reduce(
+                np.log1p(np.exp(-np.abs(a))) + np.maximum(a, 0.0) - a * labels,
+                r),
+            (x * 3.0,))
+        cases[f"mse_loss-{reduction}"] = (
+            lambda a, b, r=reduction: F.mse_loss(a, b, reduction=r),
+            lambda a, b, r=reduction: reduce((a - b) ** 2, r),
+            (x, y))
+    return cases
+
+
+COMPOSED_OPS = _composed_op_cases()
+
+
+class TestComposedOps:
+    @pytest.mark.parametrize("op", sorted(COMPOSED_OPS))
+    def test_gradient_matches_central_differences(self, op):
+        forward, _, arrays = COMPOSED_OPS[op]
+        value = forward(*[Tensor(a) for a in arrays]).data
+        readout = Tensor(np.random.default_rng(12).standard_normal(value.shape))
+        check_gradient(lambda *ts: (forward(*ts) * readout).sum(), *arrays,
+                       atol=1e-7, rtol=1e-6)
+
+    @pytest.mark.parametrize("op", sorted(COMPOSED_OPS))
+    def test_forward_matches_numpy(self, op):
+        forward, expected, arrays = COMPOSED_OPS[op]
+        np.testing.assert_allclose(forward(*[Tensor(a) for a in arrays]).data,
+                                   expected(*arrays), rtol=1e-12, atol=1e-15)
+
+    def test_catalogue_scores_is_one_cast_gemm(self):
+        rng = np.random.default_rng(13)
+        users, items = rng.standard_normal((3, 4)), rng.standard_normal((6, 4))
+        np.testing.assert_array_equal(
+            F.catalogue_scores(Tensor(users), items),
+            users.astype(np.float32) @ items.astype(np.float32).T)
+        np.testing.assert_array_equal(
+            F.catalogue_scores(users, Tensor(items), dtype=None),
+            users @ items.T)
 
 
 @settings(max_examples=20, deadline=None)

@@ -9,6 +9,8 @@ from repro import nn
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
+from gradcheck import numerical_gradient
+
 
 RNG = np.random.default_rng(0)
 
@@ -322,18 +324,16 @@ class TestLastPositionPruning:
             assert param.grad is not None, name
             _scaled_close(param.grad, reference[name].grad, tolerance, scale)
 
-    @pytest.mark.parametrize("fused", [True, False])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_dropout_consumes_the_all_positions_stream(self, dtype, fused):
+    def test_dropout_consumes_the_all_positions_stream(self, dtype):
         """Same generator state afterwards, and the same masks applied."""
         full, pruned = _encoder_pair(dtype, 2, True, dropout=0.2)
         data = np.random.default_rng(6).standard_normal((3, 5, 8))
         lengths = np.array([5, 3, 1])
         layout = nn.PackedRows(lengths, 3, 5)
-        with F.fused_kernels(fused):
-            out_full = full(Tensor(data, dtype=dtype), lengths)[:, -1]
-            out_pruned = pruned.forward_last(
-                layout.pack(Tensor(data, dtype=dtype)), layout)
+        out_full = full(Tensor(data, dtype=dtype), lengths)[:, -1]
+        out_pruned = pruned.forward_last(
+            layout.pack(Tensor(data, dtype=dtype)), layout)
         generators = [encoder.blocks[-1].feed_forward.dropout._rng
                       for encoder in (full, pruned)]
         assert (generators[0].bit_generator.state
@@ -368,20 +368,12 @@ class TestLastPositionPruning:
         objective(x).backward()
         targets = [(x.grad, data)] + [(param.grad, param.data)
                                       for param in block.parameters()]
-        eps = 1e-6
         for analytic, values in targets:
-            flat = values.reshape(-1)  # a view: edits reach the parameter
-            numeric = np.empty_like(flat)
-            for index in range(flat.size):
-                original = flat[index]
-                flat[index] = original + eps
-                upper = objective(Tensor(data)).item()
-                flat[index] = original - eps
-                lower = objective(Tensor(data)).item()
-                flat[index] = original
-                numeric[index] = (upper - lower) / (2 * eps)
-            np.testing.assert_allclose(analytic.reshape(-1), numeric,
-                                       rtol=1e-4, atol=1e-6)
+            # ``values`` is the input or a parameter's storage, perturbed in
+            # place; the objective reads it from there.
+            numeric = numerical_gradient(
+                lambda _: objective(Tensor(data)).item(), values)
+            np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-6)
 
 
 class TestOptimizers:
@@ -390,16 +382,6 @@ class TestOptimizers:
         target = np.array([3.0, -2.0, 0.5])
         param = nn.Parameter(np.zeros(3))
         return target, param
-
-    def test_sgd_converges_on_quadratic(self):
-        target, param = self._quadratic_problem()
-        optimizer = nn.SGD([param], lr=0.1)
-        for _ in range(200):
-            optimizer.zero_grad()
-            loss = ((param - Tensor(target)) ** 2).sum()
-            loss.backward()
-            optimizer.step()
-        np.testing.assert_allclose(param.data, target, atol=1e-3)
 
     def test_adam_converges_on_quadratic(self):
         target, param = self._quadratic_problem()
@@ -419,19 +401,6 @@ class TestOptimizers:
             (param * 0.0).sum().backward()  # zero task gradient
             optimizer.step()
         assert np.abs(param.data).max() < 10.0
-
-    def test_sgd_momentum_changes_trajectory(self):
-        target = np.array([1.0])
-        param_plain = nn.Parameter(np.zeros(1))
-        param_momentum = nn.Parameter(np.zeros(1))
-        plain = nn.SGD([param_plain], lr=0.01)
-        momentum = nn.SGD([param_momentum], lr=0.01, momentum=0.9)
-        for _ in range(10):
-            for param, optimizer in ((param_plain, plain), (param_momentum, momentum)):
-                optimizer.zero_grad()
-                ((param - Tensor(target)) ** 2).sum().backward()
-                optimizer.step()
-        assert param_momentum.data[0] > param_plain.data[0]
 
     def test_optimizer_requires_parameters(self):
         with pytest.raises(ValueError):

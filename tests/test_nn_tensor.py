@@ -13,35 +13,7 @@ from hypothesis import strategies as st
 
 from repro.nn.tensor import Tensor, concatenate, stack, where
 
-
-def numerical_gradient(func, values: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar-valued function of an array."""
-    grad = np.zeros_like(values, dtype=np.float64)
-    flat = values.reshape(-1)
-    grad_flat = grad.reshape(-1)
-    for index in range(flat.size):
-        original = flat[index]
-        flat[index] = original + eps
-        upper = func(values)
-        flat[index] = original - eps
-        lower = func(values)
-        flat[index] = original
-        grad_flat[index] = (upper - lower) / (2 * eps)
-    return grad
-
-
-def check_gradient(build, values: np.ndarray, atol: float = 1e-5) -> None:
-    """Compare autograd and numerical gradients for ``build(tensor) -> scalar``."""
-    tensor = Tensor(values.copy(), requires_grad=True)
-    output = build(tensor)
-    output.backward()
-    analytic = tensor.grad
-
-    def scalar(vals: np.ndarray) -> float:
-        return float(build(Tensor(vals)).data)
-
-    numeric = numerical_gradient(scalar, values.copy())
-    np.testing.assert_allclose(analytic, numeric, atol=atol, rtol=1e-4)
+from gradcheck import check_gradient
 
 
 class TestBasicProperties:
@@ -121,6 +93,19 @@ class TestArithmeticGradients:
         base = Tensor(self.rng.standard_normal((3, 4)))
         check_gradient(lambda t: (base * t).sum(), x)
 
+    def test_broadcast_operands_both_require_grad(self):
+        """Both sides of each binary op, broadcast, and a reused operand."""
+        x = self.rng.standard_normal((3, 4))
+        row = self.rng.standard_normal((4,))
+        column = self.rng.standard_normal((3, 1)) + 3.0
+        readout = Tensor(self.rng.standard_normal((3, 4)))
+        check_gradient(lambda a, b: ((a + b) * readout).sum(), x, row)
+        check_gradient(lambda a, b: ((b - a) * readout).sum(), x, row)
+        check_gradient(lambda a, b: (a * b * readout).sum(), x, column)
+        check_gradient(lambda a, b: (a / b * readout).sum(), x, column)
+        check_gradient(lambda a, b: ((a + b) * (a - b) * a * readout).sum(),
+                       x, row)
+
     def test_pow_requires_scalar_exponent(self):
         t = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(TypeError):
@@ -136,6 +121,8 @@ class TestMatmulGradients:
         b = self.rng.standard_normal((4, 5))
         check_gradient(lambda t: t.matmul(Tensor(b)).sum(), a)
         check_gradient(lambda t: Tensor(a).matmul(t).sum(), b)
+        readout = Tensor(self.rng.standard_normal((3, 5)))
+        check_gradient(lambda s, t: (s.matmul(t) * readout).sum(), a, b)
 
     def test_batched_matmul(self):
         a = self.rng.standard_normal((2, 3, 4))
@@ -152,6 +139,19 @@ class TestMatmulGradients:
         a = self.rng.standard_normal(6)
         b = self.rng.standard_normal(6)
         check_gradient(lambda t: t.matmul(Tensor(b)), a)
+        check_gradient(lambda s, t: s.matmul(t) * 1.5, a, b)
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((4,), (4, 3)), ((4,), (2, 4, 3)), ((3, 4), (4,)), ((2, 3, 4), (4,)),
+    ])
+    def test_vector_operand_paths(self, a_shape, b_shape):
+        a = self.rng.standard_normal(a_shape)
+        b = self.rng.standard_normal(b_shape)
+        value = Tensor(a).matmul(Tensor(b)).data
+        np.testing.assert_array_equal(value, np.matmul(a, b))
+        readout = Tensor(self.rng.standard_normal(value.shape))
+        check_gradient(lambda s, t: (s.matmul(t) * readout).sum(), a, b,
+                       atol=1e-7, rtol=1e-6)
 
     def test_matmul_value(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -187,6 +187,10 @@ class TestElementwiseGradients:
 
     def test_gelu(self):
         check_gradient(lambda t: t.gelu().sum(), self.rng.standard_normal((3, 3)))
+        readout = Tensor(self.rng.standard_normal((3, 3)))
+        check_gradient(lambda t: (t.gelu() * readout).sum(),
+                       self.rng.standard_normal((3, 3)) * 2.0,
+                       atol=1e-7, rtol=1e-6)
 
     def test_relu_zeroes_negatives(self):
         out = Tensor([-1.0, 0.0, 2.0]).relu()
@@ -237,6 +241,18 @@ class TestReductionsAndShapes:
         check_gradient(lambda t: (t[1:, :2] ** 2).sum(),
                        self.rng.standard_normal((4, 4)))
 
+    def test_getitem_advanced_index_with_duplicates(self):
+        """Integer-array indices may pick an entry twice: scatter-add."""
+        values = self.rng.standard_normal((4, 3))
+        rows, cols = np.array([0, 2, 2, 3, 0]), np.array([1, 1, 1, 0, 2])
+        np.testing.assert_array_equal(Tensor(values)[rows, cols].data,
+                                      values[rows, cols])
+        readout = Tensor(self.rng.standard_normal(5))
+        check_gradient(lambda t: (t[rows, cols] * readout).sum(), values,
+                       atol=1e-7, rtol=1e-6)
+        check_gradient(lambda t: (t[rows] * t[rows]).sum(), values,
+                       atol=1e-7, rtol=1e-6)
+
     def test_take_rows_gradient_accumulates_duplicates(self):
         table = Tensor(self.rng.standard_normal((5, 3)), requires_grad=True)
         indices = np.array([[0, 1], [1, 1]])
@@ -247,6 +263,10 @@ class TestReductionsAndShapes:
         np.testing.assert_allclose(table.grad[0], np.ones(3))
         np.testing.assert_allclose(table.grad[1], 3 * np.ones(3))
         np.testing.assert_allclose(table.grad[2], np.zeros(3))
+        np.testing.assert_array_equal(out.data, table.data[indices])
+        readout = Tensor(self.rng.standard_normal((2, 2, 3)))
+        check_gradient(lambda t: (t.take_rows(indices) * readout).sum(),
+                       table.data, atol=1e-7, rtol=1e-6)
 
 
 class TestCombinators:

@@ -80,11 +80,16 @@ class SequentialRecommender(nn.Module):
     # ------------------------------------------------------------------ #
     # Item encoder interface
     # ------------------------------------------------------------------ #
-    def item_representations(self) -> Tensor:
-        """Return the candidate item matrix ``V`` of shape (num_items+1, d).
+    def item_representations(self, rows: Optional[slice] = None) -> Tensor:
+        """Return the candidate item matrix ``V`` of shape (num_items+1, d),
+        or its row block ``rows``.
 
         Row 0 is the padding item.  Concrete models implement this from ID
-        embeddings, (whitened) text features, or a combination.
+        embeddings, (whitened) text features, or a combination; the item
+        encoder is row-wise, so block ``rows`` equals ``V[rows]``.  Training
+        takes the whole matrix (``rows=None``, the trainable tables
+        themselves); :meth:`inference_item_matrix` evaluates it block by
+        block.
         """
         raise NotImplementedError
 
@@ -159,18 +164,21 @@ class SequentialRecommender(nn.Module):
 
         Whitening is pre-computed (Sec. IV-E) and the projection head is
         frozen at serving time, so this matrix can be computed once and reused
-        for every request.  Returns a ``(num_items + 1, d)`` numpy array,
-        optionally cast to ``dtype`` (e.g. ``np.float32`` for the serving
-        scoring path).
+        for every request.  Returns a new ``(num_items + 1, d)`` numpy array
+        (never a view of a trainable table), optionally in ``dtype`` (e.g.
+        ``np.float32`` for the serving scoring path).  The item encoder runs
+        over :func:`~repro.nn.functional.catalogue_row_blocks` straight into
+        that one output, so no other catalogue-sized array is allocated.
         """
+        matrix = np.empty((self.num_items + 1, self.hidden_dim),
+                          dtype=self.dtype if dtype is None else dtype)
         was_training = self.training
         self.eval()
         with nn.no_grad():
-            matrix = self.item_representations().numpy()
+            for rows in F.catalogue_row_blocks(self.num_items + 1):
+                matrix[rows] = self.item_representations(rows).numpy()
         if was_training:
             self.train()
-        if dtype is not None:
-            matrix = matrix.astype(dtype, copy=False)
         return matrix
 
     def encode_sequences(self, item_ids: np.ndarray, lengths: np.ndarray,
@@ -233,12 +241,7 @@ class SequentialRecommender(nn.Module):
     # ------------------------------------------------------------------ #
     def item_matrix_numpy(self) -> np.ndarray:
         """Projected item embedding matrix as numpy (excludes padding row)."""
-        was_training = self.training
-        self.eval()
-        matrix = self.item_representations().numpy()[1:]
-        if was_training:
-            self.train()
-        return matrix
+        return self.inference_item_matrix()[1:]
 
     def user_matrix_numpy(self, batch: SequenceBatch) -> np.ndarray:
         """User representations for a batch as numpy."""

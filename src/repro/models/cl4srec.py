@@ -83,8 +83,8 @@ class CL4SRec(SequentialRecommender):
         self.temperature = temperature
         self._augment_rng = np.random.default_rng(self.config.seed + 17)
 
-    def item_representations(self) -> Tensor:
-        return self.item_embedding.all_embeddings()
+    def item_representations(self, rows: Optional[slice] = None) -> Tensor:
+        return self.item_embedding.all_embeddings(rows)
 
     def _augmented_views(self, batch: SequenceBatch) -> Tuple[SequenceBatch, SequenceBatch]:
         """Create two independently augmented copies of the batch histories."""

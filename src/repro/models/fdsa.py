@@ -26,7 +26,7 @@ class FDSA(SequentialRecommender):
     def __init__(self, num_items: int, feature_table: np.ndarray,
                  config: Optional[ModelConfig] = None):
         super().__init__(num_items, config)
-        feature_table = np.asarray(feature_table, dtype=np.float64)
+        feature_table = np.asarray(feature_table)
         if feature_table.shape[0] != num_items + 1:
             raise ValueError("feature table rows must equal num_items + 1")
         self.feature_dim = feature_table.shape[1]
@@ -54,9 +54,9 @@ class FDSA(SequentialRecommender):
         # standard inner-product prediction layer can be reused.
         self.fusion = nn.Linear(2 * self.hidden_dim, self.hidden_dim, rng=self._rng)
 
-    def item_representations(self) -> Tensor:
+    def item_representations(self, rows: Optional[slice] = None) -> Tensor:
         """Candidate items are scored against their ID embeddings (as in FDSA)."""
-        return self.item_embedding.all_embeddings()
+        return self.item_embedding.all_embeddings(rows)
 
     def encode_sequence(self, batch: SequenceBatch,
                         item_matrix: Optional[Tensor] = None) -> Tensor:

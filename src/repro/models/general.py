@@ -69,7 +69,7 @@ class GRCN(_MeanPoolingRecommender):
         smoothed = self._graph_refine(
             feature_table, train_sequences or {}, num_neighbors
         )
-        self.features = nn.FrozenEmbedding(smoothed, padding_idx=0)
+        self.features = nn.FrozenEmbedding.adopt(smoothed, padding_idx=0)
         self.projection = nn.MLPProjectionHead(
             in_dim=self.feature_dim, out_dim=self.hidden_dim,
             num_hidden_layers=1, rng=self._rng,
@@ -117,8 +117,8 @@ class GRCN(_MeanPoolingRecommender):
         refined[0] = 0.0
         return refined
 
-    def item_representations(self) -> Tensor:
-        return self.projection(self.features.all_embeddings())
+    def item_representations(self, rows: Optional[slice] = None) -> Tensor:
+        return self.projection(self.features.all_embeddings(rows))
 
 
 class BM3(_MeanPoolingRecommender):
@@ -130,7 +130,7 @@ class BM3(_MeanPoolingRecommender):
                  config: Optional[ModelConfig] = None,
                  bootstrap_weight: float = 0.1, view_dropout: float = 0.3):
         super().__init__(num_items, config)
-        feature_table = np.asarray(feature_table, dtype=np.float64)
+        feature_table = np.asarray(feature_table)
         if feature_table.shape[0] != num_items + 1:
             raise ValueError("feature table rows must equal num_items + 1")
         self.feature_dim = feature_table.shape[1]
@@ -143,8 +143,8 @@ class BM3(_MeanPoolingRecommender):
         self.view_dropout = nn.Dropout(view_dropout, rng=self._rng)
         self.bootstrap_weight = bootstrap_weight
 
-    def item_representations(self) -> Tensor:
-        return self.projection(self.features.all_embeddings())
+    def item_representations(self, rows: Optional[slice] = None) -> Tensor:
+        return self.projection(self.features.all_embeddings(rows))
 
     def bootstrap_loss(self, batch: SequenceBatch) -> Tensor:
         """BYOL-style loss between two dropout-perturbed item views."""

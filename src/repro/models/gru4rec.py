@@ -57,8 +57,8 @@ class GRU4Rec(SequentialRecommender):
         self.cell = GRUCell(self.hidden_dim, self.hidden_dim, rng=self._rng)
         self.output_dropout = nn.Dropout(self.config.dropout, rng=self._rng)
 
-    def item_representations(self) -> Tensor:
-        return self.item_embedding.all_embeddings()
+    def item_representations(self, rows: Optional[slice] = None) -> Tensor:
+        return self.item_embedding.all_embeddings(rows)
 
     def encode_sequence(self, batch: SequenceBatch,
                         item_matrix: Optional[Tensor] = None) -> Tensor:

@@ -36,7 +36,7 @@ class S3Rec(SequentialRecommender):
                  config: Optional[ModelConfig] = None,
                  auxiliary_weight: float = 0.2):
         super().__init__(num_items, config)
-        feature_table = np.asarray(feature_table, dtype=np.float64)
+        feature_table = np.asarray(feature_table)
         if feature_table.shape[0] != num_items + 1:
             raise ValueError("feature table rows must equal num_items + 1")
         self.feature_dim = feature_table.shape[1]
@@ -47,8 +47,8 @@ class S3Rec(SequentialRecommender):
         self.content_head = nn.Linear(self.hidden_dim, self.feature_dim, rng=self._rng)
         self.auxiliary_weight = auxiliary_weight
 
-    def item_representations(self) -> Tensor:
-        return self.item_embedding.all_embeddings()
+    def item_representations(self, rows: Optional[slice] = None) -> Tensor:
+        return self.item_embedding.all_embeddings(rows)
 
     def auxiliary_loss(self, batch: SequenceBatch, user: Tensor) -> Tensor:
         """Content-alignment loss: predict the target item's text feature."""

@@ -29,8 +29,8 @@ class SASRecID(SequentialRecommender):
             num_items + 1, self.hidden_dim, padding_idx=0, rng=self._rng
         )
 
-    def item_representations(self) -> Tensor:
-        return self.item_embedding.all_embeddings()
+    def item_representations(self, rows: Optional[slice] = None) -> Tensor:
+        return self.item_embedding.all_embeddings(rows)
 
 
 class SASRecText(SequentialRecommender):
@@ -47,7 +47,7 @@ class SASRecText(SequentialRecommender):
                  config: Optional[ModelConfig] = None,
                  projection_hidden_layers: Optional[int] = None):
         super().__init__(num_items, config)
-        feature_table = np.asarray(feature_table, dtype=np.float64)
+        feature_table = np.asarray(feature_table)
         if feature_table.shape[0] != num_items + 1:
             raise ValueError(
                 f"feature table must have num_items + 1 = {num_items + 1} rows, "
@@ -67,8 +67,8 @@ class SASRecText(SequentialRecommender):
             rng=self._rng,
         )
 
-    def item_representations(self) -> Tensor:
-        return self.projection(self.features.all_embeddings())
+    def item_representations(self, rows: Optional[slice] = None) -> Tensor:
+        return self.projection(self.features.all_embeddings(rows))
 
 
 class SASRecTextID(SequentialRecommender):
@@ -83,7 +83,7 @@ class SASRecTextID(SequentialRecommender):
     def __init__(self, num_items: int, feature_table: np.ndarray,
                  config: Optional[ModelConfig] = None):
         super().__init__(num_items, config)
-        feature_table = np.asarray(feature_table, dtype=np.float64)
+        feature_table = np.asarray(feature_table)
         if feature_table.shape[0] != num_items + 1:
             raise ValueError("feature table rows must equal num_items + 1")
         self.feature_dim = feature_table.shape[1]
@@ -98,6 +98,6 @@ class SASRecTextID(SequentialRecommender):
             num_items + 1, self.hidden_dim, padding_idx=0, rng=self._rng
         )
 
-    def item_representations(self) -> Tensor:
-        text_part = self.projection(self.features.all_embeddings())
-        return text_part + self.item_embedding.all_embeddings()
+    def item_representations(self, rows: Optional[slice] = None) -> Tensor:
+        text_part = self.projection(self.features.all_embeddings(rows))
+        return text_part + self.item_embedding.all_embeddings(rows)

@@ -39,7 +39,7 @@ class UniSRec(SequentialRecommender):
                  contrastive_weight: float = 0.1,
                  temperature: float = 0.07):
         super().__init__(num_items, config)
-        feature_table = np.asarray(feature_table, dtype=np.float64)
+        feature_table = np.asarray(feature_table)
         if feature_table.shape[0] != num_items + 1:
             raise ValueError("feature table rows must equal num_items + 1")
         self.feature_dim = feature_table.shape[1]
@@ -60,11 +60,11 @@ class UniSRec(SequentialRecommender):
         self.contrastive_weight = contrastive_weight
         self.temperature = temperature
 
-    def item_representations(self) -> Tensor:
-        whitened = self.parametric_whitening(self.features.all_embeddings())
+    def item_representations(self, rows: Optional[slice] = None) -> Tensor:
+        whitened = self.parametric_whitening(self.features.all_embeddings(rows))
         representation = self.adaptor(whitened)
         if self.use_id_embeddings:
-            representation = representation + self.item_embedding.all_embeddings()
+            representation = representation + self.item_embedding.all_embeddings(rows)
         return representation
 
     def loss(self, batch: SequenceBatch) -> Tensor:

@@ -84,10 +84,11 @@ class VQRec(SequentialRecommender):
             for _ in range(num_code_groups)
         ]
 
-    def item_representations(self) -> Tensor:
+    def item_representations(self, rows: Optional[slice] = None) -> Tensor:
+        codes = self._codes if rows is None else self._codes[rows]
         representation: Optional[Tensor] = None
         for group_index, embedding in enumerate(self.code_embeddings):
-            group_codes = self._codes[:, group_index]
+            group_codes = codes[:, group_index]
             part = embedding(group_codes)
             representation = part if representation is None else representation + part
         return representation

@@ -28,19 +28,18 @@ from .base import ModelConfig, SequentialRecommender
 
 
 def _whiten_feature_table(feature_table: np.ndarray, method: str,
-                          num_groups: GroupSpec, eps: float) -> np.ndarray:
-    """Whiten the item rows of a padded feature table.
+                          num_groups: GroupSpec, eps: float,
+                          dtype=np.float64) -> np.ndarray:
+    """Whiten the item rows of a padded feature table into a new ``dtype``
+    table (see :meth:`~repro.whitening.WhiteningTransform.transform_padded`).
 
-    The padding row (index 0) is excluded from the statistics and reset to
-    zero afterwards, so the padding item never leaks into the whitening.
+    The padding row (index 0) is excluded from the statistics and zero in
+    the output, so the padding item never leaks into the whitening.  The
+    statistics are float64 whatever ``dtype`` is.
     """
-    feature_table = np.asarray(feature_table, dtype=np.float64)
-    items_only = feature_table[1:]
     transform = build_whitening(method, num_groups, eps)
-    whitened_items = transform.fit_transform(items_only)
-    output = np.zeros_like(feature_table, dtype=np.float64)
-    output[1:] = whitened_items
-    return output
+    transform.fit(feature_table[1:])
+    return transform.transform_padded(feature_table, dtype)
 
 
 class WhitenRec(SequentialRecommender):
@@ -71,7 +70,7 @@ class WhitenRec(SequentialRecommender):
                  whitening_eps: float = 1e-5,
                  use_id_embeddings: bool = False):
         super().__init__(num_items, config)
-        feature_table = np.asarray(feature_table, dtype=np.float64)
+        feature_table = np.asarray(feature_table)
         if feature_table.shape[0] != num_items + 1:
             raise ValueError("feature table rows must equal num_items + 1")
         self.feature_dim = feature_table.shape[1]
@@ -79,10 +78,9 @@ class WhitenRec(SequentialRecommender):
         self.whitening_method = whitening_method
         self.whitening_eps = whitening_eps
 
-        whitened = _whiten_feature_table(
-            feature_table, whitening_method, num_groups, whitening_eps
-        )
-        self.features = nn.FrozenEmbedding(whitened, padding_idx=0)
+        self.features = nn.FrozenEmbedding.adopt(_whiten_feature_table(
+            feature_table, whitening_method, num_groups, whitening_eps,
+            nn.get_default_dtype()), padding_idx=0)
         self.projection = nn.MLPProjectionHead(
             in_dim=self.feature_dim,
             out_dim=self.hidden_dim,
@@ -95,10 +93,10 @@ class WhitenRec(SequentialRecommender):
                 num_items + 1, self.hidden_dim, padding_idx=0, rng=self._rng
             )
 
-    def item_representations(self) -> Tensor:
-        representation = self.projection(self.features.all_embeddings())
+    def item_representations(self, rows: Optional[slice] = None) -> Tensor:
+        representation = self.projection(self.features.all_embeddings(rows))
         if self.use_id_embeddings:
-            representation = representation + self.item_embedding.all_embeddings()
+            representation = representation + self.item_embedding.all_embeddings(rows)
         return representation
 
 
@@ -157,7 +155,7 @@ class WhitenRecPlus(SequentialRecommender):
                  whitening_eps: float = 1e-5,
                  use_id_embeddings: bool = False):
         super().__init__(num_items, config)
-        feature_table = np.asarray(feature_table, dtype=np.float64)
+        feature_table = np.asarray(feature_table)
         if feature_table.shape[0] != num_items + 1:
             raise ValueError("feature table rows must equal num_items + 1")
         if ensemble not in {"sum", "concat", "attn"}:
@@ -179,14 +177,13 @@ class WhitenRecPlus(SequentialRecommender):
                 self.feature_dim, self.feature_dim, rng=self._rng
             )
         else:
-            full_table = _whiten_feature_table(
-                feature_table, whitening_method, full_groups, whitening_eps
-            )
-            relaxed_table = _whiten_feature_table(
-                feature_table, whitening_method, relaxed_groups, whitening_eps
-            )
-            self.features_full = nn.FrozenEmbedding(full_table, padding_idx=0)
-            self.features_relaxed = nn.FrozenEmbedding(relaxed_table, padding_idx=0)
+            dtype = nn.get_default_dtype()
+            self.features_full = nn.FrozenEmbedding.adopt(_whiten_feature_table(
+                feature_table, whitening_method, full_groups, whitening_eps,
+                dtype), padding_idx=0)
+            self.features_relaxed = nn.FrozenEmbedding.adopt(_whiten_feature_table(
+                feature_table, whitening_method, relaxed_groups, whitening_eps,
+                dtype), padding_idx=0)
 
         self.projection_kind = projection
         self.projection_head = self._build_projection(projection)
@@ -233,16 +230,17 @@ class WhitenRecPlus(SequentialRecommender):
     # ------------------------------------------------------------------ #
     # Item encoder (Eqn. 6)
     # ------------------------------------------------------------------ #
-    def _branch_inputs(self) -> List[Tensor]:
-        full = self.features_full.all_embeddings()
-        relaxed = self.features_relaxed.all_embeddings()
+    def _branch_inputs(self, rows: Optional[slice]) -> List[Tensor]:
+        full = self.features_full.all_embeddings(rows)
+        relaxed = self.features_relaxed.all_embeddings(rows)
         if self.use_parametric_whitening:
             full = self.parametric_whitening(full)
             relaxed = self.parametric_whitening(relaxed)
         return [full, relaxed]
 
-    def item_representations(self) -> Tensor:
-        branch_outputs = [self.projection_head(branch) for branch in self._branch_inputs()]
+    def item_representations(self, rows: Optional[slice] = None) -> Tensor:
+        branch_outputs = [self.projection_head(branch)
+                          for branch in self._branch_inputs(rows)]
         if self.ensemble == "sum":
             combined = branch_outputs[0] + branch_outputs[1]
         elif self.ensemble == "concat":
@@ -250,5 +248,5 @@ class WhitenRecPlus(SequentialRecommender):
         else:  # "attn"
             combined = self.attention_combiner(branch_outputs)
         if self.use_id_embeddings:
-            combined = combined + self.item_embedding.all_embeddings()
+            combined = combined + self.item_embedding.all_embeddings(rows)
         return combined

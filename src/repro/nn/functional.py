@@ -16,7 +16,7 @@ central differences.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -396,6 +396,28 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
 #: sequence rows.  (float64 GEMMs are not row-stable across batch sizes in
 #: general; bit-identical coalescing is a float32-path property.)
 MIN_SCORING_ROWS = 4
+
+#: rows per block of every full-catalogue derivation (the whitened feature
+#: table, the inference item matrix): each is filled block by block into
+#: one preallocated output, so its temporaries are a few blocks (~1 MiB
+#: each at d = 32, float64), never a catalogue-sized copy.
+CATALOGUE_BLOCK_ROWS = 4096
+
+
+def catalogue_row_blocks(num_rows: int) -> Iterator[slice]:
+    """Consecutive row slices of :data:`CATALOGUE_BLOCK_ROWS` covering
+    ``range(num_rows)``.
+
+    A tail shorter than :data:`MIN_SCORING_ROWS` joins the block before it,
+    so no block's GEMM drops to the small-``m`` kernels; the per-row results
+    then equal those of one full-table GEMM (``tests/`` checks every family
+    bit for bit).
+    """
+    starts = list(range(0, num_rows, CATALOGUE_BLOCK_ROWS))
+    if len(starts) > 1 and num_rows - starts[-1] < MIN_SCORING_ROWS:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [num_rows]):
+        yield slice(start, stop)
 
 
 def catalogue_scores(users, item_matrix, dtype=np.float32) -> np.ndarray:

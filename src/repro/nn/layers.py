@@ -60,9 +60,11 @@ class Embedding(Module):
     def forward(self, indices: np.ndarray) -> Tensor:
         return self.weight.take_rows(np.asarray(indices, dtype=np.int64))
 
-    def all_embeddings(self) -> Tensor:
-        """Return the full table as a tensor (rows are items)."""
-        return self.weight
+    def all_embeddings(self, rows: Optional[slice] = None) -> Tensor:
+        """The full table as a tensor (rows are items), or its block
+        ``rows``; the whole table is the parameter itself, so the training
+        graph is unchanged."""
+        return self.weight if rows is None else self.weight[rows]
 
 
 class FrozenEmbedding(Module):
@@ -74,12 +76,29 @@ class FrozenEmbedding(Module):
 
     def __init__(self, table: np.ndarray, padding_idx: Optional[int] = None):
         super().__init__()
-        # The table follows the substrate's default dtype at construction
-        # time: models built under autocast("float32") store single-precision
+        # One private copy, in the substrate's default dtype at construction
+        # time: a caller mutating its array later changes nothing here, and
+        # models built under autocast("float32") store single-precision
         # features (whitening statistics upstream stay float64).
-        table = np.asarray(table, dtype=get_default_dtype())
+        self._hold(np.array(table, dtype=get_default_dtype()), padding_idx)
+
+    @classmethod
+    def adopt(cls, table: np.ndarray,
+              padding_idx: Optional[int] = None) -> "FrozenEmbedding":
+        """A frozen embedding over ``table`` itself instead of a copy.
+
+        For a table built for this module alone (the whitened tables of
+        :mod:`repro.models.whitenrec`, GRCN's refined features), which no
+        caller keeps: it is only converted when it is not in the default
+        dtype, and its padding row is zeroed in place.
+        """
+        module = cls.__new__(cls)
+        Module.__init__(module)
+        module._hold(np.asarray(table, dtype=get_default_dtype()), padding_idx)
+        return module
+
+    def _hold(self, table: np.ndarray, padding_idx: Optional[int]) -> None:
         if padding_idx is not None:
-            table = table.copy()
             table[padding_idx] = 0.0
         self._table = Tensor(table, requires_grad=False, dtype=table.dtype)
         self.num_embeddings, self.embedding_dim = table.shape
@@ -88,21 +107,19 @@ class FrozenEmbedding(Module):
     def forward(self, indices: np.ndarray) -> Tensor:
         return self._table.take_rows(np.asarray(indices, dtype=np.int64))
 
-    def all_embeddings(self) -> Tensor:
-        return self._table
+    def all_embeddings(self, rows: Optional[slice] = None) -> Tensor:
+        """The whole table, or its block ``rows``."""
+        return self._table if rows is None else self._table[rows]
 
     def replace_table(self, table: np.ndarray) -> None:
         """Swap in a new feature matrix (used when re-whitening)."""
-        table = np.asarray(table, dtype=self._table.data.dtype)
+        table = np.array(table, dtype=self._table.data.dtype)
         if table.shape != (self.num_embeddings, self.embedding_dim):
             raise ValueError(
                 f"replacement table shape {table.shape} does not match "
                 f"({self.num_embeddings}, {self.embedding_dim})"
             )
-        if self.padding_idx is not None:
-            table = table.copy()
-            table[self.padding_idx] = 0.0
-        self._table = Tensor(table, requires_grad=False, dtype=table.dtype)
+        self._hold(table, self.padding_idx)
 
 
 class LayerNorm(Module):

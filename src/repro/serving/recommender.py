@@ -131,12 +131,15 @@ def full_sort_topk(scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """Brute-force top-K via a full sort (the reference the fast path must match).
 
     Ties are broken towards the smaller item id, matching
-    :meth:`Recommender.topk`.
+    :meth:`Recommender.topk`.  Each row is lexsorted on ``(-score, id)`` on
+    its own, so the temporaries are one row's, not the whole block's.
     """
     scores = np.asarray(scores)
     k = min(k, scores.shape[1])
-    ids = np.broadcast_to(np.arange(scores.shape[1]), scores.shape)
-    order = np.lexsort((ids, -scores), axis=1)[:, :k]
+    ids = np.arange(scores.shape[1])
+    order = np.empty((scores.shape[0], k), dtype=np.intp)
+    for row, values in enumerate(scores):
+        order[row] = np.lexsort((ids, -values))[:k]
     return order, np.take_along_axis(scores, order, axis=1)
 
 

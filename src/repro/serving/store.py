@@ -46,13 +46,14 @@ class EmbeddingStore:
     """
 
     def __init__(self, feature_table: np.ndarray, eps: float = 1e-5):
-        feature_table = np.asarray(feature_table, dtype=np.float64)
+        # one private float64 copy: the caller's array may change later
+        feature_table = np.array(feature_table, dtype=np.float64)
         if feature_table.ndim != 2:
             raise ValueError("feature_table must be a 2-D (num_items + 1, d_t) matrix")
         if feature_table.shape[0] < 3:
             raise ValueError("feature_table needs a padding row and at least two items")
-        self._feature_table = feature_table.copy()
-        self._feature_table.setflags(write=False)
+        feature_table.setflags(write=False)
+        self._feature_table = feature_table
         self.default_eps = eps
         #: one stamp governs every memo derived from the feature table; a
         #: catalogue update (:meth:`refresh_feature_table`) advances it once
@@ -97,7 +98,7 @@ class EmbeddingStore:
         must keep the padded ``(num_items + 1, d_t)`` convention; the
         catalogue may grow but never shrink (serving ids stay valid).
         """
-        feature_table = np.asarray(feature_table, dtype=np.float64)
+        feature_table = np.array(feature_table, dtype=np.float64)
         if feature_table.ndim != 2 or feature_table.shape[1] != self.feature_dim:
             raise ValueError(
                 f"replacement feature table must have shape (m, {self.feature_dim})"
@@ -107,9 +108,8 @@ class EmbeddingStore:
                 "replacement feature table cannot shrink the catalogue "
                 f"({feature_table.shape[0] - 1} < {self.num_items} items)"
             )
-        table = feature_table.copy()
-        table.setflags(write=False)
-        self._feature_table = table
+        feature_table.setflags(write=False)
+        self._feature_table = feature_table
         self.clock.advance()
 
     def cache_key(self, method: str = "zca", num_groups: GroupSpec = 1,
@@ -148,14 +148,16 @@ class EmbeddingStore:
         """Padded whitened item matrix for a spec, computed at most once.
 
         The returned array is cached and marked read-only; every call with the
-        same specification returns the same object.
+        same specification returns the same object.  It is built by the
+        :meth:`~repro.whitening.WhiteningTransform.transform_padded` the
+        models whiten their tables with, so it holds the bytes the model
+        trained against.
         """
         key = self.cache_key(method, num_groups, eps)
 
         def whiten_table() -> np.ndarray:
             transform = self.transform(method, num_groups, eps)
-            table = np.zeros_like(self._feature_table)
-            table[1:] = transform.transform(self._feature_table[1:])
+            table = transform.transform_padded(self._feature_table)
             table.setflags(write=False)
             return table
 

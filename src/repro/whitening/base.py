@@ -19,6 +19,8 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from ..nn.functional import catalogue_row_blocks
+
 
 class WhiteningTransform:
     """Base class for non-parametric whitening transforms.
@@ -63,6 +65,26 @@ class WhiteningTransform:
 
     def fit_transform(self, embeddings: np.ndarray) -> np.ndarray:
         return self.fit(embeddings).transform(embeddings)
+
+    def transform_padded(self, table: np.ndarray, dtype=np.float64) -> np.ndarray:
+        """Whiten the item rows of a padded ``(num_items + 1, d)`` table.
+
+        Returns a new ``dtype`` table whose padding row 0 is zero and whose
+        rows ``1..`` are :meth:`transform` of the table's, evaluated over
+        :func:`~repro.nn.functional.catalogue_row_blocks` of the items
+        straight into the output: besides the output, no temporary larger
+        than a block is allocated.  The one place the models
+        (:mod:`repro.models.whitenrec`) and the serving store
+        (:class:`repro.serving.EmbeddingStore`) build a whitened table, so
+        both whiten into the same bytes.
+        """
+        self._require_fitted()
+        output = np.empty(table.shape, dtype=dtype)
+        output[0] = 0.0
+        items, whitened = table[1:], output[1:]
+        for rows in catalogue_row_blocks(items.shape[0]):
+            whitened[rows] = self.transform(items[rows])
+        return output
 
     def _require_fitted(self) -> None:
         if not self._fitted:

@@ -151,8 +151,8 @@ class TestPlanBitIdentity:
                 self.item_embedding = nn.Embedding(
                     num_items + 1, self.hidden_dim, padding_idx=0, rng=self._rng)
 
-            def item_representations(self):
-                return self.item_embedding.all_embeddings()
+            def item_representations(self, rows=None):
+                return self.item_embedding.all_embeddings(rows)
 
             def encode_sequence(self, batch, item_matrix=None):
                 return super().encode_sequence(batch, item_matrix) * 2.0

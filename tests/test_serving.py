@@ -329,21 +329,10 @@ class TestCacheReuse:
     def test_item_matrix_computed_once(self, serving_setup):
         _, split, features, model = serving_setup
         recommender = Recommender(model, store=EmbeddingStore(features))
-        calls = {"count": 0}
-        original = model.item_representations
-
-        def counting():
-            calls["count"] += 1
-            return original()
-
-        model.item_representations = counting
-        try:
-            histories = [case.history for case in split.test[:4]]
-            recommender.topk(histories, k=3)
-            recommender.topk(histories, k=3)
-        finally:
-            model.item_representations = original
-        assert calls["count"] == 1
+        histories = [case.history for case in split.test[:4]]
+        recommender.topk(histories, k=3)
+        recommender.topk(histories, k=3)
+        assert recommender.build_counts()["matrix"] == 1
 
     def test_refresh_drops_cache(self, serving_setup):
         _, split, features, model = serving_setup

@@ -658,17 +658,14 @@ def _command_index_build(args) -> int:
         model = load_model(checkpoint, feature_table=features)
         table = model.inference_item_matrix()
         space = f"item matrix of {args.checkpoint}"
-        index = build_index(args.kind, **index_params)
-        index.build(table[1:], ids=np.arange(1, table.shape[0], dtype=np.int64))
     else:
         dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
         features = encode_items(dataset.items, embedding_dim=args.dim,
                                 seed=args.seed)
-        store = EmbeddingStore(features)
-        table = store.whitened(args.whitening, args.groups)
+        table = EmbeddingStore(features).whitened(args.whitening, args.groups)
         space = f"{args.whitening} whitened text embeddings (groups={args.groups})"
-        index = store.index(args.whitening, args.groups, kind=args.kind,
-                            **index_params)
+    index = build_index(args.kind, **index_params)
+    index.build(table[1:], ids=np.arange(1, table.shape[0], dtype=np.int64))
 
     # Recall self-check: indexed vectors perturbed into nearby queries must
     # retrieve their own neighbourhood like the exact scan does.  Sizes come

@@ -17,7 +17,7 @@ prediction/loss plumbing once; concrete models only override
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -25,6 +25,13 @@ from .. import nn
 from ..data.dataloader import SequenceBatch
 from ..nn import functional as F
 from ..nn.tensor import Tensor
+from ..whitening.base import WhiteningTransform
+from ..whitening.group import GroupSpec
+
+#: a whitening specification, ``(method, groups, eps)``
+WhiteningSpec = Tuple[str, GroupSpec, float]
+#: a fitted transform and the padded whitened table it built
+FittedWhitening = Tuple[WhiteningTransform, np.ndarray]
 
 
 @dataclass
@@ -159,6 +166,16 @@ class SequentialRecommender(nn.Module):
     # ------------------------------------------------------------------ #
     # Inference API (used by repro.serving)
     # ------------------------------------------------------------------ #
+    def fitted_whitenings(self) -> Dict[WhiteningSpec, FittedWhitening]:
+        """Every whitening this model fitted on its feature table, by
+        specification, with the padded whitened table the model holds.
+
+        A serving store adopts these instead of refitting
+        (:meth:`repro.serving.EmbeddingStore.adopt`), so a deployment has
+        one fit per specification.  Families that whiten nothing have none.
+        """
+        return {}
+
     def inference_item_matrix(self, dtype=None) -> np.ndarray:
         """Candidate item matrix ``V`` computed in eval mode without autodiff.
 

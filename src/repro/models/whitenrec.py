@@ -14,32 +14,38 @@ embedding by element-wise summation.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import nn
 from ..nn import functional as F
 from ..nn.tensor import Tensor, concatenate, stack
-from ..whitening import build_whitening
+from ..whitening import WhiteningTransform, build_whitening
 from ..whitening.group import GroupSpec
 from ..whitening.parametric import ParametricWhitening
-from .base import ModelConfig, SequentialRecommender
+from .base import (FittedWhitening, ModelConfig, SequentialRecommender,
+                   WhiteningSpec)
 
 
-def _whiten_feature_table(feature_table: np.ndarray, method: str,
-                          num_groups: GroupSpec, eps: float,
-                          dtype=np.float64) -> np.ndarray:
-    """Whiten the item rows of a padded feature table into a new ``dtype``
-    table (see :meth:`~repro.whitening.WhiteningTransform.transform_padded`).
+def _whitened_features(feature_table: np.ndarray, method: str,
+                       num_groups: GroupSpec, eps: float
+                       ) -> Tuple[WhiteningTransform, nn.FrozenEmbedding]:
+    """Fit a whitening on the item rows of a padded feature table and hold
+    the whitened table (see
+    :meth:`~repro.whitening.WhiteningTransform.transform_padded`) in the
+    default dtype.
 
     The padding row (index 0) is excluded from the statistics and zero in
     the output, so the padding item never leaks into the whitening.  The
-    statistics are float64 whatever ``dtype`` is.
+    statistics are float64 whatever the default dtype is.  The fitted
+    transform is returned too: it is what whitens a row the way the model
+    did, and what a serving store adopts instead of refitting.
     """
     transform = build_whitening(method, num_groups, eps)
     transform.fit(feature_table[1:])
-    return transform.transform_padded(feature_table, dtype)
+    table = transform.transform_padded(feature_table, nn.get_default_dtype())
+    return transform, nn.FrozenEmbedding.adopt(table, padding_idx=0)
 
 
 class WhitenRec(SequentialRecommender):
@@ -78,9 +84,8 @@ class WhitenRec(SequentialRecommender):
         self.whitening_method = whitening_method
         self.whitening_eps = whitening_eps
 
-        self.features = nn.FrozenEmbedding.adopt(_whiten_feature_table(
-            feature_table, whitening_method, num_groups, whitening_eps,
-            nn.get_default_dtype()), padding_idx=0)
+        self.whitening, self.features = _whitened_features(
+            feature_table, whitening_method, num_groups, whitening_eps)
         self.projection = nn.MLPProjectionHead(
             in_dim=self.feature_dim,
             out_dim=self.hidden_dim,
@@ -92,6 +97,10 @@ class WhitenRec(SequentialRecommender):
             self.item_embedding = nn.Embedding(
                 num_items + 1, self.hidden_dim, padding_idx=0, rng=self._rng
             )
+
+    def fitted_whitenings(self) -> Dict[WhiteningSpec, FittedWhitening]:
+        return {(self.whitening_method, self.num_groups, self.whitening_eps):
+                (self.whitening, self.features.all_embeddings().data)}
 
     def item_representations(self, rows: Optional[slice] = None) -> Tensor:
         representation = self.projection(self.features.all_embeddings(rows))
@@ -177,13 +186,10 @@ class WhitenRecPlus(SequentialRecommender):
                 self.feature_dim, self.feature_dim, rng=self._rng
             )
         else:
-            dtype = nn.get_default_dtype()
-            self.features_full = nn.FrozenEmbedding.adopt(_whiten_feature_table(
-                feature_table, whitening_method, full_groups, whitening_eps,
-                dtype), padding_idx=0)
-            self.features_relaxed = nn.FrozenEmbedding.adopt(_whiten_feature_table(
-                feature_table, whitening_method, relaxed_groups, whitening_eps,
-                dtype), padding_idx=0)
+            self.whitening_full, self.features_full = _whitened_features(
+                feature_table, whitening_method, full_groups, whitening_eps)
+            self.whitening_relaxed, self.features_relaxed = _whitened_features(
+                feature_table, whitening_method, relaxed_groups, whitening_eps)
 
         self.projection_kind = projection
         self.projection_head = self._build_projection(projection)
@@ -226,6 +232,16 @@ class WhitenRecPlus(SequentialRecommender):
             num_hidden_layers=hidden_layers,
             rng=self._rng,
         )
+
+    def fitted_whitenings(self) -> Dict[WhiteningSpec, FittedWhitening]:
+        if self.use_parametric_whitening:
+            return {}
+        return {(self.whitening_method, groups, self.whitening_eps):
+                (transform, features.all_embeddings().data)
+                for groups, transform, features in (
+                    (self.full_groups, self.whitening_full, self.features_full),
+                    (self.relaxed_groups, self.whitening_relaxed,
+                     self.features_relaxed))}
 
     # ------------------------------------------------------------------ #
     # Item encoder (Eqn. 6)

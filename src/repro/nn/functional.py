@@ -143,24 +143,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     return out
 
 
-def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray,
-                                     reduction: str = "mean") -> Tensor:
-    """Numerically stable BCE-with-logits (used by S3-Rec style objectives)."""
-    targets_t = Tensor(np.asarray(targets), dtype=logits.data.dtype)
-    # log(1 + exp(-|x|)) + max(x, 0) - x * y, with |x| = max(x, 0) + max(-x, 0)
-    # so that every term stays on the graph.
-    positive = logits.relu()
-    log_term = ((-(positive + (-logits).relu())).exp() + 1.0).log()
-    losses = log_term + positive - logits * targets_t
-    if reduction == "none":
-        return losses
-    if reduction == "sum":
-        return losses.sum()
-    if reduction == "mean":
-        return losses.mean()
-    raise ValueError(f"unknown reduction: {reduction!r}")
-
-
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine map ``x @ weight + bias`` with a fused flattened-GEMM kernel.
 

@@ -3,9 +3,9 @@
 This package turns a trained :class:`repro.models.base.SequentialRecommender`
 into a cache-backed top-K service:
 
-* :class:`EmbeddingStore` — fits each whitening specification exactly once
-  and memoises the resulting whitened item tables (Sec. IV-E: whitening is a
-  pre-computable pre-processing step);
+* :class:`EmbeddingStore` — fits each whitening specification at most once,
+  or adopts the model's fit, and memoises the resulting whitened item tables
+  (Sec. IV-E: whitening is a pre-computable pre-processing step);
 * :class:`Recommender`   — vectorised ``topk(user_sequences, k)``: one
   matmul scores a whole batch against the full catalogue, ``argpartition``
   extracts the top K, seen items are masked, and histories the sequence

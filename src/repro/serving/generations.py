@@ -2,15 +2,17 @@
 
 Serving keeps state *derived* from a deployment's model and catalogue: the
 inference item matrix and its scoring cast, the int8 codes, the compiled
-inference plan, per-backend ANN indexes, the whitened fallback table, the
-shard client, and the :class:`~repro.serving.store.EmbeddingStore`'s fitted
-transforms, whitened tables and index memos.  All of it lives in
-:class:`GenerationalCache` entries, so one mechanism governs its lifetime:
+inference plan, per-backend ANN indexes, the whitened fallback table and the
+shard client.  All of it lives in :class:`GenerationalCache` entries, so one
+mechanism governs its lifetime (the
+:class:`~repro.serving.store.EmbeddingStore` memoises its fitted transforms
+and whitened tables in one too, for its single-flight builds; its feature
+table never changes, so its clock never advances):
 
 * :class:`GenerationClock` — a monotonically increasing stamp owned by the
-  thing the caches are derived *from* (a model's catalogue, a store's
-  feature table).  Publishing a model update advances the clock exactly
-  once; nothing else is required.
+  thing the caches are derived *from* (a deployment's model).  Publishing
+  a model update advances the clock exactly once; nothing else is
+  required.
 * :class:`GenerationalCache` — a key → value memo whose entries lapse
   together the first time it is touched after the clock advanced.  Builds
   are single-flight per key, counted per key, and a build that straddles

@@ -152,7 +152,11 @@ class Recommender:
         A trained :class:`repro.models.base.SequentialRecommender`.
     store:
         Optional :class:`EmbeddingStore` providing whitened text embeddings
-        for the cold-start fallback (and for projecting new items).
+        for the cold-start fallback (and for projecting new items).  It must
+        hold the features ``model`` was built from: when its table has the
+        model's padded shape, it adopts the model's fitted whitenings
+        (:meth:`~repro.models.base.SequentialRecommender.fitted_whitenings`)
+        instead of fitting them again.
     train_sequences:
         Optional per-user training sequences; used to estimate the popularity
         prior that serves requests with no usable history at all.
@@ -194,6 +198,11 @@ class Recommender:
                 f"{self.num_items}; the cold-start fallback needs an embedding "
                 f"for every catalogue item"
             )
+        if store is not None:
+            for (method, groups, eps), (transform, table) in (
+                    model.fitted_whitenings().items()):
+                if table.shape == store.feature_table.shape:
+                    store.adopt(transform, method, groups, eps, table=table)
         #: everything derived from the model — item matrix, its cast, int8
         #: codes, compiled engine, ANN indexes, fallback table, shard client
         #: — is an entry of this one memo on the deployment's clock

@@ -12,7 +12,10 @@ table, hands out whitened variants keyed by ``(method, groups, eps)``, and
 keeps the fitted :class:`~repro.whitening.base.WhiteningTransform` objects
 around so that items added to the catalogue *after* fitting can be projected
 into the same whitened space without re-estimating any statistics
-(:meth:`encode_new_items`).
+(:meth:`encode_new_items`).  A deployment's model has usually fitted the
+same specification already: a :class:`~repro.serving.Recommender` makes the
+store :meth:`adopt` the model's transforms and tables, so one deployment
+holds one fit per specification.
 """
 
 from __future__ import annotations
@@ -21,18 +24,21 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..index import ItemIndex, build_index
 from ..whitening import build_whitening
 from ..whitening.base import WhiteningTransform
 from ..whitening.group import GroupSpec
 from .generations import GenerationClock, GenerationalCache
 
 CacheKey = Tuple[str, str, float]
-IndexKey = Tuple[CacheKey, str, Tuple[Tuple[str, str], ...]]
 
 
 class EmbeddingStore:
     """Pre-computes and memoises whitened item matrices for serving.
+
+    A store handed to a :class:`~repro.serving.Recommender` holds the
+    features that recommender's model was built from: the recommender has
+    the store adopt the model's fitted whitenings (:meth:`adopt`) rather
+    than refit them.
 
     Parameters
     ----------
@@ -40,14 +46,18 @@ class EmbeddingStore:
         Padded ``(num_items + 1, d_t)`` matrix of frozen pre-trained text
         embeddings; row 0 is the padding item and is excluded from the
         whitening statistics (mirroring the training-time convention in
-        :mod:`repro.models.whitenrec`).
+        :mod:`repro.models.whitenrec`).  The store keeps one private,
+        read-only copy in the table's float dtype; every fit and transform
+        computes in float64 whatever that dtype is.
     eps:
         Default covariance ridge used when a request does not specify one.
     """
 
     def __init__(self, feature_table: np.ndarray, eps: float = 1e-5):
-        # one private float64 copy: the caller's array may change later
-        feature_table = np.array(feature_table, dtype=np.float64)
+        # one private copy: the caller's array may change later
+        feature_table = np.array(feature_table)
+        if not np.issubdtype(feature_table.dtype, np.floating):
+            feature_table = feature_table.astype(np.float64)
         if feature_table.ndim != 2:
             raise ValueError("feature_table must be a 2-D (num_items + 1, d_t) matrix")
         if feature_table.shape[0] < 3:
@@ -55,13 +65,10 @@ class EmbeddingStore:
         feature_table.setflags(write=False)
         self._feature_table = feature_table
         self.default_eps = eps
-        #: one stamp governs every memo derived from the feature table; a
-        #: catalogue update (:meth:`refresh_feature_table`) advances it once
-        #: and the transforms, whitened tables and ANN indexes all lapse.
-        self.clock = GenerationClock()
-        self._transforms: GenerationalCache = GenerationalCache(self.clock)
-        self._tables: GenerationalCache = GenerationalCache(self.clock)
-        self._indexes: GenerationalCache = GenerationalCache(self.clock)
+        #: fitted transforms under ``("transform", key)`` and whitened
+        #: tables under ``("table", key)``; builds are single-flight, and
+        #: the feature table never changes, so no generation lapses them
+        self._memo = GenerationalCache(GenerationClock())
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -81,36 +88,9 @@ class EmbeddingStore:
 
     @property
     def num_fits(self) -> int:
-        """Number of fits held by the current catalogue generation."""
-        return sum(transform.fit_count for transform in self._transforms.values())
-
-    @property
-    def generation(self) -> int:
-        """The catalogue generation every cached table/index belongs to."""
-        return self.clock.value
-
-    def refresh_feature_table(self, feature_table: np.ndarray) -> None:
-        """Swap in an updated catalogue (new or drifted item embeddings).
-
-        Used by the online-learning loop after an exact whitening refit: one
-        clock advance lapses every fitted transform, whitened table and ANN
-        index, which rebuild lazily against the new table.  The replacement
-        must keep the padded ``(num_items + 1, d_t)`` convention; the
-        catalogue may grow but never shrink (serving ids stay valid).
-        """
-        feature_table = np.array(feature_table, dtype=np.float64)
-        if feature_table.ndim != 2 or feature_table.shape[1] != self.feature_dim:
-            raise ValueError(
-                f"replacement feature table must have shape (m, {self.feature_dim})"
-            )
-        if feature_table.shape[0] < self._feature_table.shape[0]:
-            raise ValueError(
-                "replacement feature table cannot shrink the catalogue "
-                f"({feature_table.shape[0] - 1} < {self.num_items} items)"
-            )
-        feature_table.setflags(write=False)
-        self._feature_table = feature_table
-        self.clock.advance()
+        """Number of fits held by the store, adopted ones included."""
+        return sum(value.fit_count for value in self._memo.values()
+                   if isinstance(value, WhiteningTransform))
 
     def cache_key(self, method: str = "zca", num_groups: GroupSpec = 1,
                   eps: Optional[float] = None) -> CacheKey:
@@ -130,6 +110,22 @@ class EmbeddingStore:
     # ------------------------------------------------------------------ #
     # Fitting and retrieval
     # ------------------------------------------------------------------ #
+    def adopt(self, transform: WhiteningTransform, method: str,
+              num_groups: GroupSpec, eps: float,
+              table: Optional[np.ndarray] = None) -> None:
+        """Serve a spec from a transform already fitted on this store's
+        features, and from the padded ``table`` it whitened them into.
+
+        Only seeds the memo: nothing is built or copied, and a spec the
+        store already holds keeps its entry.  ``table`` is adopted only in
+        the store's float64, the dtype :meth:`whitened` builds in; a table
+        in any other dtype is left to be built from ``transform``.
+        """
+        key = self.cache_key(method, num_groups, eps)
+        self._memo.get_or_build(("transform", key), lambda: transform)
+        if table is not None and table.dtype == np.float64:
+            self._memo.get_or_build(("table", key), lambda: table)
+
     def transform(self, method: str = "zca", num_groups: GroupSpec = 1,
                   eps: Optional[float] = None) -> WhiteningTransform:
         """Return the fitted transform for a spec, fitting it at most once."""
@@ -141,17 +137,19 @@ class EmbeddingStore:
             transform.fit(self._feature_table[1:])
             return transform
 
-        return self._transforms.get_or_build(key, fit_transform)
+        return self._memo.get_or_build(("transform", key), fit_transform)
 
     def whitened(self, method: str = "zca", num_groups: GroupSpec = 1,
                  eps: Optional[float] = None) -> np.ndarray:
-        """Padded whitened item matrix for a spec, computed at most once.
+        """Padded float64 whitened item matrix for a spec, computed at most
+        once.
 
-        The returned array is cached and marked read-only; every call with the
-        same specification returns the same object.  It is built by the
+        Every call with the same specification returns the same object.  It
+        is built by the
         :meth:`~repro.whitening.WhiteningTransform.transform_padded` the
         models whiten their tables with, so it holds the bytes the model
-        trained against.
+        trained against; a built table is read-only, an adopted one is the
+        model's own frozen table.
         """
         key = self.cache_key(method, num_groups, eps)
 
@@ -161,48 +159,7 @@ class EmbeddingStore:
             table.setflags(write=False)
             return table
 
-        return self._tables.get_or_build(key, whiten_table)
-
-    # ------------------------------------------------------------------ #
-    # ANN indexes over whitened tables
-    # ------------------------------------------------------------------ #
-    def index_cache_key(self, kind: str, method: str = "zca",
-                        num_groups: GroupSpec = 1,
-                        eps: Optional[float] = None, **index_params) -> IndexKey:
-        """Hashable key for an index spec, nested inside the whitening key.
-
-        The whitening :meth:`cache_key` identifies the embedding space; the
-        index kind and its (sorted, repr-ed) constructor parameters identify
-        the index built on top of it.
-        """
-        return (
-            self.cache_key(method, num_groups, eps),
-            str(kind).strip().lower(),
-            tuple(sorted((str(name), repr(value))
-                         for name, value in index_params.items())),
-        )
-
-    def index(self, method: str = "zca", num_groups: GroupSpec = 1,
-              eps: Optional[float] = None, kind: str = "ivf",
-              **index_params) -> ItemIndex:
-        """ANN index over a whitened item table, built at most once per spec.
-
-        Mirrors :meth:`whitened`: the first request for a
-        ``(whitening spec, index kind, index params)`` combination builds the
-        index over rows ``1..num_items`` of the whitened table (padding row
-        excluded, item ids preserved) and memoises it; later requests return
-        the same object.
-        """
-        key = self.index_cache_key(kind, method, num_groups, eps, **index_params)
-
-        def build() -> ItemIndex:
-            table = self.whitened(method, num_groups, eps)
-            index = build_index(kind, **index_params)
-            index.build(table[1:], ids=np.arange(1, table.shape[0],
-                                                 dtype=np.int64))
-            return index
-
-        return self._indexes.get_or_build(key, build)
+        return self._memo.get_or_build(("table", key), whiten_table)
 
     def encode_new_items(self, embeddings: np.ndarray, method: str = "zca",
                          num_groups: GroupSpec = 1,

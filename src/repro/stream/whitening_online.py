@@ -20,8 +20,11 @@ same statistics incrementally:
   exact refit over the full table and the anchor resets.
 * **Transform compatibility.**  :meth:`transform` materialises a fitted
   :class:`repro.whitening.linear` transform (same eigh / clipping path), so
-  downstream consumers — :class:`~repro.serving.store.EmbeddingStore`,
-  WhitenRec's table builder — cannot tell an online fit from a batch fit.
+  it cannot be told from a batch fit on the same statistics.  Nothing in
+  the serving path consumes it yet: :class:`~repro.stream.Publisher` only
+  runs the drift-triggered :meth:`refit` and reports it
+  (``whitening_refit``), and the reloaded model whitens by fitting its own
+  transform on the checkpoint's feature table.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from repro.data.synthetic import load_dataset
 from repro.models import ModelConfig, available_models, build_model
 from repro.nn import functional as F
 from repro.nn.functional import CATALOGUE_BLOCK_ROWS, MIN_SCORING_ROWS
-from repro.serving import EmbeddingStore, full_sort_topk
+from repro.serving import EmbeddingStore, Recommender, full_sort_topk
 from repro.text.features import encode_items
 from repro.whitening import build_whitening
 
@@ -188,14 +188,9 @@ def test_store_keeps_a_private_read_only_copy(dtype):
     features = _catalogue(2).astype(dtype)
     store = EmbeddingStore(features)
     table = store.feature_table
-    assert table.dtype == np.float64 and not table.flags.writeable
+    assert table.dtype == dtype and not table.flags.writeable
     features[1:] = 0.0
     assert np.all(table[1:] != 0.0)
-    replacement = np.array(table)
-    store.refresh_feature_table(replacement)
-    replacement[:] = 7.0
-    assert not store.feature_table.flags.writeable
-    np.testing.assert_array_equal(store.feature_table, table)
 
 
 # ---------------------------------------------------------------------- #
@@ -265,6 +260,30 @@ def test_whitenrec_build_and_item_matrix_hold_one_table_each():
     block = CATALOGUE_BLOCK_ROWS * DIM * 8
     assert peak <= outputs + SLACK_BLOCKS * block, (
         f"peak {peak / 2**20:.1f} MiB for {outputs / 2**20:.1f} MiB of output")
+
+
+def test_store_and_cold_request_hold_no_second_whitened_table():
+    """A store over float32 features keeps them in float32, and adopts the
+    whitened table and transform of the model it serves: a cold request
+    adds only the fallback's scoring cast, where a float64 copy of the
+    features and a refitted whitened table used to be held."""
+    features = np.random.default_rng(0).standard_normal(
+        (NUM_ITEMS + 1, DIM)).astype(np.float32)
+    model = build_model("whitenrec", NUM_ITEMS, feature_table=features,
+                        config=ModelConfig(hidden_dim=DIM, num_layers=1,
+                                           num_heads=2, seed=0))
+
+    def deploy_and_serve_cold():
+        recommender = Recommender(model, store=EmbeddingStore(features),
+                                  cold_items=[1, 2])
+        return recommender, recommender.topk([[1, 2]], k=10)
+
+    (_, result), peak = _traced_peak(deploy_and_serve_cold)
+    assert result.cold.all()
+    float64_table = (NUM_ITEMS + 1) * DIM * 8
+    assert peak < 2 * float64_table, (
+        f"peak {peak / 2**20:.1f} MiB, the float64 copy plus the whitened "
+        f"table are {2 * float64_table / 2**20:.1f} MiB")
 
 
 def test_full_sort_topk_sorts_one_row_at_a_time():

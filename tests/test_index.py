@@ -4,7 +4,7 @@ Covers: minibatch k-means edge cases (k > n, duplicate points, empty-cluster
 re-seeding determinism), exactness of the flat reference, IVF full-probe
 equivalence and partial-probe pruning, `.npz` persistence round trips,
 incremental `add`, the serving backends (`Recommender.topk(backend=...)`)
-and the `EmbeddingStore` index cache.
+and the `repro index build` command.
 """
 
 from __future__ import annotations
@@ -313,26 +313,6 @@ class TestServingBackends:
             self._recommender(serving_setup, backend="faiss")
 
 
-class TestEmbeddingStoreIndexCache:
-    def test_index_built_once_per_spec(self, serving_setup):
-        _, _, features, _ = serving_setup
-        store = EmbeddingStore(features)
-        first = store.index(kind="ivf", n_lists=4, seed=0)
-        assert store.index(kind="ivf", n_lists=4, seed=0) is first
-        assert store.index(kind="ivf", n_lists=8, seed=0) is not first
-        assert store.index("zca", 4, kind="ivf", n_lists=4, seed=0) is not first
-        # One whitening fit serves every index over the same space.
-        assert store.transform("zca", 1).fit_count == 1
-
-    def test_index_covers_catalogue_ids(self, serving_setup):
-        _, _, features, _ = serving_setup
-        store = EmbeddingStore(features)
-        index = store.index(kind="flat")
-        assert len(index) == store.num_items
-        ids, _ = index.search(store.whitened()[1:4], 1)
-        assert ids.ravel().tolist() == [1, 2, 3]
-
-
 class TestIndexCLI:
     def test_index_build_writes_npz(self, tmp_path, capsys):
         output = tmp_path / "arts_index"
@@ -346,6 +326,20 @@ class TestIndexCLI:
         restored = load_index(output.with_suffix(".npz"))
         assert isinstance(restored, IVFFlatIndex)
         assert len(restored) == 400
+
+    def test_flat_index_over_whitened_rows_returns_catalogue_ids(
+            self, tmp_path, capsys):
+        output = tmp_path / "arts_flat"
+        assert cli_main(["index", "build", "arts", "--kind", "flat",
+                         "--queries", "4", "--output", str(output)]) == 0
+        capsys.readouterr()
+        dataset = load_dataset("arts", scale="tiny", seed=7)
+        features = encode_items(dataset.items, embedding_dim=32, seed=7)
+        whitened = EmbeddingStore(features).whitened("zca", 1)
+        index = load_index(output.with_suffix(".npz"))
+        assert len(index) == dataset.num_items
+        ids, _ = index.search(whitened[1:4], 1)
+        assert ids.ravel().tolist() == [1, 2, 3]
 
     def test_index_build_from_checkpoint(self, tmp_path, capsys, serving_setup):
         from repro.experiments.persistence import save_checkpoint

@@ -29,8 +29,7 @@ from repro.experiments.persistence import (
 )
 from repro.index import IVFFlatIndex, build_index
 from repro.models import ModelConfig, SASRecID, build_model
-from repro.models.whitenrec import _whiten_feature_table
-from repro.nn import Tensor, is_grad_enabled, no_grad
+from repro.nn import Tensor, autocast, is_grad_enabled, no_grad
 from repro.resilience import FaultAction, FaultPlan
 from repro.serving import (
     STRUCTURAL_FIELDS,
@@ -42,6 +41,7 @@ from repro.serving import (
     per_sequence_topk,
 )
 from repro.text import encode_items
+from repro.whitening import build_whitening
 
 
 def _untrained_setup(num_users, num_items):
@@ -91,10 +91,10 @@ class TestEmbeddingStore:
 
     def test_matches_training_time_whitening(self, serving_setup):
         """The served table must equal what the model trained against."""
-        _, _, features, _ = serving_setup
+        _, _, features, model = serving_setup
         store = EmbeddingStore(features)
-        expected = _whiten_feature_table(features, "zca", 1, 1e-5)
-        assert np.allclose(store.whitened("zca", 1, eps=1e-5), expected)
+        np.testing.assert_array_equal(store.whitened("zca", 1, eps=1e-5),
+                                      model.features.all_embeddings().data)
 
     def test_padding_row_stays_zero(self, serving_setup):
         _, _, features, _ = serving_setup
@@ -372,6 +372,88 @@ class TestCacheReuse:
         table_first = recommender._fallback_table()
         recommender.topk(cold_history, k=3)
         assert recommender._fallback_table() is table_first
+
+
+#: the models a deployment's store may adopt a whitening from, or not:
+#: ``(family, build precision)``
+_FALLBACK_MODELS = [("whitenrec", "float64"), ("whitenrec", "float32"),
+                    ("whitenrec_plus", "float64"), ("sasrec_t", "float64")]
+#: declared-cold items: histories of them take the content fallback
+_COLD_HISTORIES = [[3, 7], [11], [7, 11, 3]]
+
+
+def _fresh_fit_fallback_topk(features, histories, k, dtype):
+    """The cold fallback rebuilt from a whitening fitted here: ZCA on the
+    item rows, the padded table in float64 cast to ``dtype``, each row
+    scored against the mean of its history's rows, history and padding
+    masked."""
+    transform = build_whitening("zca", 1, 1e-5)
+    transform.fit(np.asarray(features, dtype=np.float64)[1:])
+    table = transform.transform_padded(features).astype(dtype)
+    scores = np.zeros((len(histories), table.shape[0]), dtype=dtype)
+    for row, history in enumerate(histories):
+        scores[row] = table @ table[history].mean(axis=0)
+        scores[row, [0] + history] = -np.inf
+    return full_sort_topk(scores, k)
+
+
+class TestOneWhiteningFit:
+    """A deployment's store adopts the whitenings its model fitted: the
+    cold fallback serves the model's own transform, unchanged bytes."""
+
+    @staticmethod
+    def _deployment(serving_setup, family, precision, score_dtype="float32"):
+        dataset, _, features, _ = serving_setup
+        config = ModelConfig(hidden_dim=16, num_layers=1, num_heads=2,
+                             max_seq_length=12, seed=0)
+        with autocast(precision):
+            model = build_model(family, dataset.num_items,
+                                feature_table=features, config=config)
+        store = EmbeddingStore(features)
+        recommender = Recommender(
+            model, store=store, cold_items=[3, 7, 11],
+            config=ServingConfig(score_dtype=score_dtype))
+        return model, store, recommender
+
+    @pytest.mark.parametrize("score_dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("family,precision", _FALLBACK_MODELS)
+    def test_cold_fallback_matches_a_fresh_fit(self, serving_setup, family,
+                                               precision, score_dtype):
+        _, _, features, _ = serving_setup
+        _, _, recommender = self._deployment(serving_setup, family,
+                                             precision, score_dtype)
+        result = recommender.topk(_COLD_HISTORIES, k=10)
+        assert result.cold.all()
+        ids, scores = _fresh_fit_fallback_topk(features, _COLD_HISTORIES, 10,
+                                               np.dtype(score_dtype))
+        np.testing.assert_array_equal(result.items, ids)
+        np.testing.assert_array_equal(result.scores, scores)
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_a_cold_request_fits_nothing(self, serving_setup, precision):
+        model, store, recommender = self._deployment(
+            serving_setup, "whitenrec", precision)
+        fits = store.num_fits
+        recommender.topk(_COLD_HISTORIES, k=5)
+        assert store.transform("zca", 1) is model.whitening
+        assert model.whitening.fit_count == 1
+        assert store.num_fits == fits == 1
+        if precision == "float64":  # the model's own table, not a copy
+            assert (store.whitened("zca", 1)
+                    is model.features.all_embeddings().data)
+
+    def test_construction_builds_nothing(self, serving_setup):
+        _, _, recommender = self._deployment(serving_setup, "whitenrec",
+                                             "float64")
+        assert recommender.build_counts() == {}
+
+    def test_a_larger_store_fits_its_own(self, serving_setup):
+        """Only a store over the model's own padded table adopts."""
+        _, _, features, model = serving_setup
+        store = EmbeddingStore(np.vstack([features, features[-2:]]))
+        Recommender(model, store=store)
+        assert store.num_fits == 0
+        assert store.transform("zca", 1) is not model.whitening
 
 
 #: IVF settings of the generational-memo tests: every list probed, so a

@@ -1,15 +1,15 @@
 """Tests for the online-learning loop (`repro.stream`) and its substrate.
 
 Covers: the unified generation-stamp mechanism (`repro.serving.generations`
-— clock and memo semantics and the EmbeddingStore + item-matrix
-integration), the crash-safe interaction log (round-trip, segment rolling,
-replay-from-offset, torn-tail truncation, fsync'd commit offsets), the
-online whitening statistics (exactness against the batch fit, drift-
-triggered refits), the detached-snapshot discipline (`Checkpoint.snapshot`,
-aliasing asserts, fine-tune-after-publish isolation), the incremental
-trainer (micro-epochs, at-least-once offsets), the publisher (version
-bumps, warm-up, in-place refresh), hot-swap under concurrent batched /
-sharded / session-cached traffic (old-or-new, never torn).
+— clock and memo semantics and the item-matrix integration), the
+crash-safe interaction log (round-trip, segment rolling, replay-from-offset,
+torn-tail truncation, fsync'd commit offsets), the online whitening
+statistics (exactness against the batch fit, drift-triggered refits), the
+detached-snapshot discipline (`Checkpoint.snapshot`, aliasing asserts,
+fine-tune-after-publish isolation), the incremental trainer (micro-epochs,
+at-least-once offsets), the publisher (version bumps, warm-up, in-place
+refresh), hot-swap under concurrent batched / sharded / session-cached
+traffic (old-or-new, never torn).
 """
 
 from __future__ import annotations
@@ -190,32 +190,6 @@ class TestGenerations:
         cache.reconcile()
         assert lapsed == [("b", 2), ("a", 1)]
         assert cache.build_counts() == {"a": 1, "b": 1}
-
-    def test_store_refresh_feature_table_lapses_derived_state(self,
-                                                              stream_setup):
-        _, _, features, _ = stream_setup
-        store = EmbeddingStore(features)
-        before = store.whitened("zca", num_groups=1)
-        assert store.whitened("zca", num_groups=1) is before
-        generation = store.generation
-
-        rng = np.random.default_rng(0)
-        shifted = features.copy()
-        shifted[1:] += rng.normal(scale=0.5, size=shifted[1:].shape)
-        store.refresh_feature_table(shifted)
-        assert store.generation == generation + 1
-        after = store.whitened("zca", num_groups=1)
-        assert after is not before
-        assert not np.allclose(after, before)
-
-    def test_store_refresh_accepts_growth_rejects_shrink(self, stream_setup):
-        _, _, features, _ = stream_setup
-        store = EmbeddingStore(features)
-        grown = np.vstack([features, features[-3:]])
-        store.refresh_feature_table(grown)
-        assert store.num_items == features.shape[0] - 1 + 3
-        with pytest.raises(ValueError, match="shrink"):
-            store.refresh_feature_table(features[:-5])
 
     def test_item_matrix_refresh_drives_every_consumer(self, stream_setup):
         _, split, features, make_model = stream_setup

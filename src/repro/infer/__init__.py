@@ -1,7 +1,7 @@
 """Graph-free compiled inference engine.
 
 Training needs the autodiff substrate; serving does not.  This package
-compiles a trained :class:`~repro.models.base.SequentialRecommender` into a
+compiles a trained :class:`~repro.models.base.NextItemRecommender` into a
 pure-numpy forward plan — weights snapshotted as contiguous arrays,
 intermediates written into a preallocated shape-bucketed buffer arena — and
 wraps it in an :class:`InferenceEngine`.

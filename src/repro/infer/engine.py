@@ -30,7 +30,7 @@ class InferenceEngine:
     Parameters
     ----------
     model:
-        A trained :class:`repro.models.base.SequentialRecommender`; compiled
+        A trained :class:`repro.models.base.NextItemRecommender`; compiled
         immediately (raises :class:`UnsupportedModelError` when no plan
         matches its encode path).
     max_programs:

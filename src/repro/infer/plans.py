@@ -372,7 +372,7 @@ class InferencePlan:
     Sub-classes snapshot family-specific weights in ``_snapshot`` and build a
     ``run(item_ids, lengths, item_matrix) -> (batch, hidden)`` program per
     ``(batch, seq)`` bucket in ``_build_program``.  The public
-    :meth:`encode` mirrors ``SequentialRecommender.encode_sequences`` and is
+    :meth:`encode` mirrors ``NextItemRecommender.encode_sequences`` and is
     bit-identical to it at equal dtype.
     """
 
@@ -727,4 +727,4 @@ def compile_plan(model, max_programs: int = 8,
                 f"compiled plan matches its forward")
         return TransformerPlan(model, **kwargs)
     raise UnsupportedModelError(
-        f"cannot compile {type(model).__name__}: not a SequentialRecommender")
+        f"cannot compile {type(model).__name__}: no plan matches its encoder")

@@ -1,6 +1,6 @@
 """Recommendation models: the paper's proposals and every compared baseline."""
 
-from .base import ModelConfig, SequentialRecommender
+from .base import ModelConfig, NextItemRecommender, SequentialRecommender
 from .cl4srec import CL4SRec
 from .fdsa import FDSA
 from .general import BM3, GRCN
@@ -30,6 +30,7 @@ __all__ = [
     "GRU4Rec",
     "GRUCell",
     "ModelConfig",
+    "NextItemRecommender",
     "PAPER_MODEL_ORDER",
     "S3Rec",
     "SASRecID",

@@ -9,9 +9,13 @@ The paper's general framework (Fig. 1, Sec. III-A) has three parts:
 * a *prediction layer* scoring every candidate item by the inner product
   ``V s`` trained with full softmax cross-entropy (Eqn. 1-2).
 
-:class:`SequentialRecommender` implements the sequence encoder and the
-prediction/loss plumbing once; concrete models only override
-:meth:`item_representations` (and optionally add auxiliary losses).
+:class:`NextItemRecommender` implements the prediction/loss layer and the
+inference API once; a family supplies :meth:`item_representations` and
+:meth:`encode_sequence`.  :class:`SequentialRecommender` adds the causal
+Transformer sequence encoder, so the thirteen Transformer families only
+override :meth:`item_representations` (and optionally add auxiliary
+losses).  GRU4Rec, GRCN and BM3 derive from :class:`NextItemRecommender`
+alone and build no Transformer weights.
 """
 
 from __future__ import annotations
@@ -55,8 +59,8 @@ class ModelConfig:
     extra: Dict[str, float] = field(default_factory=dict)
 
 
-class SequentialRecommender(nn.Module):
-    """Shared Transformer sequence encoder + softmax prediction layer."""
+class NextItemRecommender(nn.Module):
+    """Softmax prediction layer and inference API over a family's encoders."""
 
     #: registry label; concrete models override it
     model_name = "base"
@@ -68,21 +72,6 @@ class SequentialRecommender(nn.Module):
         self.hidden_dim = self.config.hidden_dim
         self.max_seq_length = self.config.max_seq_length
         self._rng = np.random.default_rng(self.config.seed)
-
-        self.position_embedding = nn.Embedding(
-            self.max_seq_length, self.hidden_dim, rng=self._rng
-        )
-        self.input_layernorm = nn.LayerNorm(self.hidden_dim)
-        self.input_dropout = nn.Dropout(self.config.dropout, rng=self._rng)
-        self.encoder = nn.TransformerEncoder(
-            num_layers=self.config.num_layers,
-            hidden_dim=self.hidden_dim,
-            num_heads=self.config.num_heads,
-            inner_dim=self.config.inner_dim,
-            dropout=self.config.dropout,
-            causal=True,
-            rng=self._rng,
-        )
 
     # ------------------------------------------------------------------ #
     # Item encoder interface
@@ -101,42 +90,13 @@ class SequentialRecommender(nn.Module):
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
-    # Sequence encoder
+    # Sequence encoder interface
     # ------------------------------------------------------------------ #
     def encode_sequence(self, batch: SequenceBatch,
                         item_matrix: Optional[Tensor] = None) -> Tensor:
-        """Compute user representations ``s`` for a batch of histories.
-
-        The user representation is the hidden state at the last position
-        (sequences are left-padded, so the last position is always real).
-        Only the positions that hold an item are computed: they are packed
-        at the embedding lookup (:class:`repro.nn.attention.PackedRows`) and
-        stay packed through the input layer norm, dropout and every
-        position-wise op of :meth:`TransformerEncoder.forward_last`.
-        """
-        item_matrix = item_matrix if item_matrix is not None else self.item_representations()
-        layout = self._packed_rows(batch)
-        return self._encode_rows(item_matrix, batch, layout,
-                                 self.input_layernorm, self.encoder)
-
-    def _packed_rows(self, batch: SequenceBatch) -> nn.PackedRows:
-        batch_size, seq_len = batch.item_ids.shape
-        if seq_len > self.max_seq_length:
-            raise ValueError(
-                f"batch sequence length {seq_len} exceeds max_seq_length "
-                f"{self.max_seq_length}"
-            )
-        return nn.PackedRows(batch.lengths, batch_size, seq_len)
-
-    def _encode_rows(self, table: Tensor, batch: SequenceBatch,
-                     layout: nn.PackedRows, layernorm: nn.LayerNorm,
-                     encoder: nn.TransformerEncoder) -> Tensor:
-        """Look up the packed rows of ``batch`` in ``table`` and encode them."""
-        hidden = (table.take_rows(batch.item_ids[layout.rows])
-                  + self.position_embedding(layout.rows[1]))
-        hidden = layernorm(hidden)
-        hidden = self.input_dropout.forward_rows(hidden, layout)
-        return encoder.forward_last(hidden, layout)
+        """User representations ``s`` (batch, d) of left-padded histories,
+        looked up in ``item_matrix`` (default :meth:`item_representations`)."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------ #
     # Prediction & loss
@@ -268,3 +228,63 @@ class SequentialRecommender(nn.Module):
         if was_training:
             self.train()
         return users
+
+
+class SequentialRecommender(NextItemRecommender):
+    """The paper's causal Transformer sequence encoder (Fig. 1, ``f_theta2``),
+    drawn from the seeded generator before the family's own weights."""
+
+    def __init__(self, num_items: int, config: Optional[ModelConfig] = None):
+        super().__init__(num_items, config)
+        self.position_embedding = nn.Embedding(
+            self.max_seq_length, self.hidden_dim, rng=self._rng
+        )
+        self.input_layernorm = nn.LayerNorm(self.hidden_dim)
+        self.input_dropout = nn.Dropout(self.config.dropout, rng=self._rng)
+        self.encoder = nn.TransformerEncoder(
+            num_layers=self.config.num_layers,
+            hidden_dim=self.hidden_dim,
+            num_heads=self.config.num_heads,
+            inner_dim=self.config.inner_dim,
+            dropout=self.config.dropout,
+            causal=True,
+            rng=self._rng,
+        )
+
+    # ------------------------------------------------------------------ #
+    # Sequence encoder
+    # ------------------------------------------------------------------ #
+    def encode_sequence(self, batch: SequenceBatch,
+                        item_matrix: Optional[Tensor] = None) -> Tensor:
+        """Compute user representations ``s`` for a batch of histories.
+
+        The user representation is the hidden state at the last position
+        (sequences are left-padded, so the last position is always real).
+        Only the positions that hold an item are computed: they are packed
+        at the embedding lookup (:class:`repro.nn.attention.PackedRows`) and
+        stay packed through the input layer norm, dropout and every
+        position-wise op of :meth:`TransformerEncoder.forward_last`.
+        """
+        item_matrix = item_matrix if item_matrix is not None else self.item_representations()
+        layout = self._packed_rows(batch)
+        return self._encode_rows(item_matrix, batch, layout,
+                                 self.input_layernorm, self.encoder)
+
+    def _packed_rows(self, batch: SequenceBatch) -> nn.PackedRows:
+        batch_size, seq_len = batch.item_ids.shape
+        if seq_len > self.max_seq_length:
+            raise ValueError(
+                f"batch sequence length {seq_len} exceeds max_seq_length "
+                f"{self.max_seq_length}"
+            )
+        return nn.PackedRows(batch.lengths, batch_size, seq_len)
+
+    def _encode_rows(self, table: Tensor, batch: SequenceBatch,
+                     layout: nn.PackedRows, layernorm: nn.LayerNorm,
+                     encoder: nn.TransformerEncoder) -> Tensor:
+        """Look up the packed rows of ``batch`` in ``table`` and encode them."""
+        hidden = (table.take_rows(batch.item_ids[layout.rows])
+                  + self.position_embedding(layout.rows[1]))
+        hidden = layernorm(hidden)
+        hidden = self.input_dropout.forward_rows(hidden, layout)
+        return encoder.forward_last(hidden, layout)

@@ -30,10 +30,10 @@ from .. import nn
 from ..data.dataloader import SequenceBatch
 from ..nn import functional as F
 from ..nn.tensor import Tensor
-from .base import ModelConfig, SequentialRecommender
+from .base import ModelConfig, NextItemRecommender
 
 
-class _MeanPoolingRecommender(SequentialRecommender):
+class _MeanPoolingRecommender(NextItemRecommender):
     """Shared machinery: order-free mean pooling of history item embeddings."""
 
     def encode_sequence(self, batch: SequenceBatch,

@@ -18,7 +18,7 @@ import numpy as np
 from .. import nn
 from ..data.dataloader import SequenceBatch
 from ..nn.tensor import Tensor
-from .base import ModelConfig, SequentialRecommender
+from .base import ModelConfig, NextItemRecommender
 
 
 class GRUCell(nn.Module):
@@ -44,7 +44,7 @@ class GRUCell(nn.Module):
         return (one - update) * hidden + update * candidate
 
 
-class GRU4Rec(SequentialRecommender):
+class GRU4Rec(NextItemRecommender):
     """GRU-based sequential recommender with ID embeddings."""
 
     model_name = "gru4rec"

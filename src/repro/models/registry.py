@@ -13,7 +13,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .base import ModelConfig, SequentialRecommender
+from .base import ModelConfig, NextItemRecommender
 from .cl4srec import CL4SRec
 from .fdsa import FDSA
 from .general import BM3, GRCN
@@ -144,7 +144,7 @@ def build_model(name: str, num_items: int,
                 feature_table: Optional[np.ndarray] = None,
                 train_sequences: Optional[Dict[int, List[int]]] = None,
                 config: Optional[ModelConfig] = None,
-                **kwargs) -> SequentialRecommender:
+                **kwargs) -> NextItemRecommender:
     """Construct a model by (alias) name.
 
     Parameters

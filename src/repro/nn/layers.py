@@ -111,16 +111,6 @@ class FrozenEmbedding(Module):
         """The whole table, or its block ``rows``."""
         return self._table if rows is None else self._table[rows]
 
-    def replace_table(self, table: np.ndarray) -> None:
-        """Swap in a new feature matrix (used when re-whitening)."""
-        table = np.array(table, dtype=self._table.data.dtype)
-        if table.shape != (self.num_embeddings, self.embedding_dim):
-            raise ValueError(
-                f"replacement table shape {table.shape} does not match "
-                f"({self.num_embeddings}, {self.embedding_dim})"
-            )
-        self._hold(table, self.padding_idx)
-
 
 class LayerNorm(Module):
     """Layer normalisation over the last dimension."""

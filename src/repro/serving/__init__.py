@@ -1,6 +1,6 @@
 """Batched recommendation serving on top of trained models.
 
-This package turns a trained :class:`repro.models.base.SequentialRecommender`
+This package turns a trained :class:`repro.models.base.NextItemRecommender`
 into a cache-backed top-K service:
 
 * :class:`EmbeddingStore` — fits each whitening specification at most once,

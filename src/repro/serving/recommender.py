@@ -149,13 +149,13 @@ class Recommender:
     Parameters
     ----------
     model:
-        A trained :class:`repro.models.base.SequentialRecommender`.
+        A trained :class:`repro.models.base.NextItemRecommender`.
     store:
         Optional :class:`EmbeddingStore` providing whitened text embeddings
         for the cold-start fallback (and for projecting new items).  It must
         hold the features ``model`` was built from: when its table has the
         model's padded shape, it adopts the model's fitted whitenings
-        (:meth:`~repro.models.base.SequentialRecommender.fitted_whitenings`)
+        (:meth:`~repro.models.base.NextItemRecommender.fitted_whitenings`)
         instead of fitting them again.
     train_sequences:
         Optional per-user training sequences; used to estimate the popularity

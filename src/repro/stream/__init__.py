@@ -8,8 +8,8 @@ The closed loop that keeps served recommendations fresh (ROADMAP item 3):
   in-place fused optimisers, against a deep-copied working model that
   never aliases serving tensors (train);
 * :class:`OnlineWhitener` — the paper's whitening statistics maintained by
-  batched rank-k updates, with a drift threshold triggering exact refits
-  (the transform made production-incremental);
+  batched rank-k updates, with a drift threshold for exact refits (a
+  stand-alone tool: the loop below does not call it);
 * :class:`Publisher` — detached checkpoint, atomic
   :meth:`ModelRegistry.reload` hot-swap, warm-up of the new deployment,
   and cache coherence through the single generation-stamp mechanism of

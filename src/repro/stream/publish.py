@@ -24,11 +24,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from ..experiments.persistence import Checkpoint, save_checkpoint
 from .trainer import IncrementalTrainer
-from .whitening_online import OnlineWhitener
 
 PathLike = Union[str, Path]
 
@@ -45,7 +44,6 @@ class PublishReport:
     save_ms: float
     reload_ms: float
     warm_ms: float
-    whitening_refit: bool = False
 
     @property
     def total_ms(self) -> float:
@@ -60,7 +58,6 @@ class PublishReport:
             "reload_ms": round(self.reload_ms, 3),
             "warm_ms": round(self.warm_ms, 3),
             "total_ms": round(self.total_ms, 3),
-            "whitening_refit": self.whitening_refit,
         }
 
 
@@ -78,10 +75,6 @@ class Publisher:
         Optional :class:`repro.service.RecommenderService` wrapping the
         registry; when given, reloads go through the service so the retired
         version's micro-batcher is drained and closed.
-    whitener:
-        Optional :class:`OnlineWhitener` tracking catalogue drift; when its
-        threshold trips during a publish the exact refit runs here (and is
-        recorded in the report).
     metrics:
         Optional :class:`repro.observability.MetricsRegistry`; exports
         ``repro_stream_publishes_total``, ``repro_stream_publish_ms`` and
@@ -92,13 +85,11 @@ class Publisher:
     """
 
     def __init__(self, registry, directory: PathLike, *,
-                 service=None, whitener: Optional[OnlineWhitener] = None,
-                 metrics=None, warm: bool = True):
+                 service=None, metrics=None, warm: bool = True):
         self.registry = registry
         self.service = service
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.whitener = whitener
         self.warm = bool(warm)
         self.publishes = 0
         self.metrics = metrics
@@ -143,14 +134,6 @@ class Publisher:
                 f"got {type(source).__name__}"
             )
 
-        whitening_refit = False
-        if (self.whitener is not None and checkpoint.feature_table is not None
-                and self.whitener.needs_refit):
-            # Drift past threshold: one exact refit over the live catalogue
-            # (padding row excluded), anchoring the online statistics.
-            self.whitener.refit(checkpoint.feature_table[1:])
-            whitening_refit = True
-
         current_version = 0
         if name in self.registry:
             current_version = self.registry.get(name).version
@@ -190,7 +173,6 @@ class Publisher:
             save_ms=(saved - started) * 1000.0,
             reload_ms=(swapped - saved) * 1000.0,
             warm_ms=(warmed - swapped) * 1000.0,
-            whitening_refit=whitening_refit,
         )
         if self._counter is not None:
             self._counter.labels(deployment=name).inc()

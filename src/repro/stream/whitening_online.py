@@ -20,11 +20,11 @@ same statistics incrementally:
   exact refit over the full table and the anchor resets.
 * **Transform compatibility.**  :meth:`transform` materialises a fitted
   :class:`repro.whitening.linear` transform (same eigh / clipping path), so
-  it cannot be told from a batch fit on the same statistics.  Nothing in
-  the serving path consumes it yet: :class:`~repro.stream.Publisher` only
-  runs the drift-triggered :meth:`refit` and reports it
-  (``whitening_refit``), and the reloaded model whitens by fitting its own
-  transform on the checkpoint's feature table.
+  it cannot be told from a batch fit on the same statistics.
+
+Nothing in the online loop uses this class: :class:`~repro.stream.Publisher`
+neither ingests into it nor refits it, and each reloaded model whitens by
+fitting its own transform on the checkpoint's feature table.
 """
 
 from __future__ import annotations

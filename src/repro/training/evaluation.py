@@ -143,7 +143,7 @@ def evaluate_model(model, cases: Sequence[EvaluationCase],
     Parameters
     ----------
     model:
-        Any :class:`repro.models.base.SequentialRecommender`.
+        Any :class:`repro.models.base.NextItemRecommender`.
     cases:
         Evaluation cases (history + ground-truth target).
     ks:

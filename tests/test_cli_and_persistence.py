@@ -11,12 +11,15 @@ from repro.analysis.plots import histogram, line_plot, sparkline
 from repro.cli import main as cli_main
 from repro.data.splits import EvaluationCase
 from repro.experiments.persistence import (
+    Checkpoint,
+    load_model,
     load_result,
     result_to_json,
     save_all,
+    save_checkpoint,
     save_result,
 )
-from repro.models import ModelConfig, SASRecID
+from repro.models import GRU4Rec, ModelConfig, SASRecID
 from repro.training import evaluate_model, evaluate_model_sampled, mrr_at_k
 
 
@@ -61,6 +64,26 @@ class TestPersistence:
 
         payload = json.loads(result_to_json({"model": Opaque()}))
         assert payload["model"] == "<opaque>"
+
+    def test_gru4rec_checkpoint_with_transformer_weights_is_refused(
+            self, tmp_path):
+        """A GRU4Rec checkpoint saved while every family still built the
+        Transformer sequence encoder carries its weights; loading names them."""
+        config = ModelConfig(hidden_dim=8, num_layers=1, num_heads=2,
+                             max_seq_length=6, seed=0)
+        checkpoint = Checkpoint.snapshot(GRU4Rec(20, config))
+        transformer_state = {
+            name: values for name, values in SASRecID(20, config).state_dict().items()
+            if name.startswith(("position_embedding.", "input_layernorm.", "encoder."))}
+        assert len(transformer_state) > 3
+        checkpoint.state.update(transformer_state)
+        path = save_checkpoint(checkpoint, tmp_path / "gru4rec-old.npz")
+        with pytest.raises(KeyError) as refused:
+            load_model(path)
+        message = str(refused.value)
+        assert "missing=[]" in message
+        for name in transformer_state:
+            assert repr(name) in message
 
 
 class TestPlots:

@@ -19,7 +19,7 @@ from repro.infer import (
     compile_plan,
 )
 from repro.models import ModelConfig, available_models, build_model, requires_text_features
-from repro.models.base import SequentialRecommender
+from repro.models.base import NextItemRecommender, SequentialRecommender
 from repro.nn.functional import catalogue_scores
 from repro.serving import Recommender, ServingConfig
 from repro.serving.recommender import full_sort_topk
@@ -138,10 +138,10 @@ class TestPlanBitIdentity:
             model = _build(name, features, train_sequences)
             assert compile_plan(model).family == family
 
-    def test_unknown_encode_override_is_rejected(self, infer_setup):
-        features, train_sequences, _ = infer_setup
-
-        class Exotic(SequentialRecommender):
+    @pytest.mark.parametrize("base", [SequentialRecommender,
+                                      NextItemRecommender])
+    def test_unknown_encode_override_is_rejected(self, base):
+        class Exotic(base):
             model_name = "exotic"
 
             def __init__(self, num_items):
@@ -155,7 +155,9 @@ class TestPlanBitIdentity:
                 return self.item_embedding.all_embeddings(rows)
 
             def encode_sequence(self, batch, item_matrix=None):
-                return super().encode_sequence(batch, item_matrix) * 2.0
+                if item_matrix is None:
+                    item_matrix = self.item_representations()
+                return item_matrix.take_rows(batch.item_ids[:, -1]) * 2.0
 
         model = Exotic(NUM_ITEMS)
         model.eval()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -376,12 +378,6 @@ class TestRegistryAPI:
 # ---------------------------------------------------------------------- #
 # Every family x {arts, food} tiny: one parametrised smoke grid
 # ---------------------------------------------------------------------- #
-#: families whose ``SequentialRecommender.__init__`` builds a position
-#: embedding, input layer norm and Transformer encoder that the family's
-#: forward never runs, so those parameters never receive a gradient
-UNUSED_ENCODER_FAMILIES = {"bm3", "grcn", "gru4rec"}
-
-
 @pytest.fixture(scope="module")
 def tiny_domains():
     """``name -> (num_items, features, train_sequences, batch)``, built once."""
@@ -423,13 +419,7 @@ class TestFamilySmoke:
             losses.append(loss.item())
         assert model.loss(batch).item() < losses[0]
 
-    def test_every_parameter_gets_a_gradient(self, family, domain, tiny_domains,
-                                             request):
-        if family in UNUSED_ENCODER_FAMILIES:
-            request.applymarker(pytest.mark.xfail(strict=True, reason=(
-                "SequentialRecommender.__init__ builds the position "
-                "embedding, input layer norm and Transformer encoder for "
-                f"every family; {family} never runs them")))
+    def test_every_parameter_gets_a_gradient(self, family, domain, tiny_domains):
         model, batch = self._build(family, domain, tiny_domains)
         model.loss(batch).backward()
         missing = [name for name, param in model.named_parameters()
@@ -437,3 +427,46 @@ class TestFamilySmoke:
         assert not missing, f"{family}: no gradient for {missing}"
         assert all(np.isfinite(param.grad).all()
                    for param in model.parameters())
+
+
+# ---------------------------------------------------------------------- #
+# Construction-time weights of every family, pinned by digest
+# ---------------------------------------------------------------------- #
+#: sha256 of each family's ``state_dict()`` straight after construction with
+#: the module's tiny ``config`` (seed 0), 40 items and 12-d features.  The
+#: thirteen Transformer families draw the sequence-encoder weights first and
+#: then their own; GRU4Rec, GRCN and BM3 build no Transformer and draw only
+#: their own weights.
+INITIAL_STATE_DIGESTS = {
+    "bm3": "6597feaec17d94e0d549687daac9722c1ca079831c3d1dc8d70c468ec9f4a784",
+    "cl4srec": "6b4b5c90abd67b1fde9fb6752b311aa1176db6365bd74bc26ba159622d4d5907",
+    "fdsa": "393220d91f99511a0ef0981d2c135dddf9c8003dd2d62d7ece16de2c55a914d9",
+    "grcn": "3b8622ab885f052840b181615312c8c3ac8fea54c4791f3670cd5d3a4bd1ae3c",
+    "gru4rec": "8824452194a02e55206ddfc32261be5251317a43bcc849846e3e2fe6a5fa42cf",
+    "s3rec": "85a4d01c0f472fae160970aef3bbfb102112945fa07e36150013f84882c17775",
+    "sasrec_id": "6b4b5c90abd67b1fde9fb6752b311aa1176db6365bd74bc26ba159622d4d5907",
+    "sasrec_t": "572dc9d32c5cf025b9869a912f2d76c477a7fdaa158919eb98a881f409c5e836",
+    "sasrec_t_id": "2b3bab4b7b4473d32a5f5ce4e77a4942010a98f2049774871ba1a2ccf90942f0",
+    "unisrec_t": "41aca08b7708c3de1d2250484f06ce339743e2ec8eb200a2be46e06a8278bece",
+    "unisrec_t_id": "f662e9162a5d09a4000fcb74582f7924d93b211bc99a9f302f31eed121b8e6ae",
+    "vqrec": "5248c8c5b57f05702cf09ea5e616b9e30a3b4431a837ebc3268cb8e92ff9a94d",
+    "whitenrec": "572dc9d32c5cf025b9869a912f2d76c477a7fdaa158919eb98a881f409c5e836",
+    "whitenrec_id": "2b3bab4b7b4473d32a5f5ce4e77a4942010a98f2049774871ba1a2ccf90942f0",
+    "whitenrec_plus": "2f05620cd62fcb2ee2c4268385099593ced492b7058b1e454a157c35f976c0b2",
+    "whitenrec_plus_id": "1c735413aa1d9064d4b0643a02f02bd7e0f9d12beef89d2b33546937c25b1d62",
+}
+
+
+def state_digest(model) -> str:
+    digest = hashlib.sha256()
+    for name, array in sorted(model.state_dict().items()):
+        digest.update(f"{name}:{array.dtype.str}:{array.shape}".encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("family", available_models())
+def test_initial_weights_are_pinned(family, config, num_items, features):
+    model = build_model(family, num_items, feature_table=features,
+                        train_sequences={}, config=config)
+    assert state_digest(model) == INITIAL_STATE_DIGESTS[family]

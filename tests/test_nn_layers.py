@@ -66,12 +66,6 @@ class TestEmbedding:
         np.testing.assert_allclose(frozen.all_embeddings().data[0], np.zeros(4))
         np.testing.assert_allclose(frozen.all_embeddings().data[1:], table[1:])
 
-    def test_frozen_embedding_replace_table_validates_shape(self):
-        frozen = nn.FrozenEmbedding(RNG.standard_normal((7, 4)))
-        with pytest.raises(ValueError):
-            frozen.replace_table(RNG.standard_normal((6, 4)))
-        frozen.replace_table(RNG.standard_normal((7, 4)))
-
 
 class TestNormalizationAndActivation:
     def test_layernorm_module(self):

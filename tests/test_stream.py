@@ -535,27 +535,6 @@ class TestPublisher:
                                             "Checkpoint"):
             publisher.publish(object(), "arts")
 
-    def test_publish_runs_drifted_whitening_refit(self, stream_setup,
-                                                  tmp_path):
-        _, split, features, make_model = stream_setup
-        whitener = OnlineWhitener(dim=features.shape[1],
-                                  drift_threshold=0.2)
-        whitener.ingest(features[1:])
-        whitener.ingest(features[1:] + 6.0)  # force drift past threshold
-        assert whitener.needs_refit
-        registry = ModelRegistry()
-        with _log(tmp_path) as log:
-            trainer = IncrementalTrainer(
-                make_model(0), log, feature_table=features,
-                train_sequences=split.train_sequences)
-            publisher = Publisher(registry, tmp_path / "ckpt",
-                                  whitener=whitener)
-            report = publisher.publish(trainer, "arts")
-        assert report.whitening_refit
-        assert whitener.refit_count == 1
-        assert not whitener.needs_refit
-        registry.close_all()
-
     def test_refresh_advances_the_shared_clock(self, stream_setup, tmp_path):
         _, split, features, make_model = stream_setup
         registry = ModelRegistry()

@@ -424,7 +424,7 @@ class InferencePlan:
         lengths = np.asarray(lengths, dtype=np.int64)
         seq = item_ids.shape[1]
         if seq > self.max_seq_length:
-            # Mirror the graph path's contract (SequentialRecommender).
+            # Mirror the graph path (NextItemRecommender._check_sequence_length).
             raise ValueError(
                 f"batch sequence length {seq} exceeds max_seq_length "
                 f"{self.max_seq_length}"

@@ -98,6 +98,21 @@ class NextItemRecommender(nn.Module):
         looked up in ``item_matrix`` (default :meth:`item_representations`)."""
         raise NotImplementedError
 
+    def _check_sequence_length(self, batch: SequenceBatch) -> int:
+        """The batch's window, refused when wider than ``max_seq_length``.
+
+        Every family's graph encoder calls this, and the compiled plans of
+        :mod:`repro.infer` refuse the same batches, so graph and plan agree
+        on an over-long history.
+        """
+        seq_len = batch.item_ids.shape[1]
+        if seq_len > self.max_seq_length:
+            raise ValueError(
+                f"batch sequence length {seq_len} exceeds max_seq_length "
+                f"{self.max_seq_length}"
+            )
+        return seq_len
+
     # ------------------------------------------------------------------ #
     # Prediction & loss
     # ------------------------------------------------------------------ #
@@ -271,13 +286,8 @@ class SequentialRecommender(NextItemRecommender):
                                  self.input_layernorm, self.encoder)
 
     def _packed_rows(self, batch: SequenceBatch) -> nn.PackedRows:
-        batch_size, seq_len = batch.item_ids.shape
-        if seq_len > self.max_seq_length:
-            raise ValueError(
-                f"batch sequence length {seq_len} exceeds max_seq_length "
-                f"{self.max_seq_length}"
-            )
-        return nn.PackedRows(batch.lengths, batch_size, seq_len)
+        seq_len = self._check_sequence_length(batch)
+        return nn.PackedRows(batch.lengths, len(batch.item_ids), seq_len)
 
     def _encode_rows(self, table: Tensor, batch: SequenceBatch,
                      layout: nn.PackedRows, layernorm: nn.LayerNorm,

@@ -38,6 +38,7 @@ class _MeanPoolingRecommender(NextItemRecommender):
 
     def encode_sequence(self, batch: SequenceBatch,
                         item_matrix: Optional[Tensor] = None) -> Tensor:
+        self._check_sequence_length(batch)
         item_matrix = item_matrix if item_matrix is not None else self.item_representations()
         item_emb = item_matrix.take_rows(batch.item_ids)  # (batch, seq, dim)
         # Padding items embed to ~0 (their row is zero for frozen tables and

@@ -62,9 +62,10 @@ class GRU4Rec(NextItemRecommender):
 
     def encode_sequence(self, batch: SequenceBatch,
                         item_matrix: Optional[Tensor] = None) -> Tensor:
+        seq_len = self._check_sequence_length(batch)
         item_matrix = item_matrix if item_matrix is not None else self.item_representations()
         item_emb = item_matrix.take_rows(batch.item_ids)  # (batch, seq, dim)
-        batch_size, seq_len = batch.item_ids.shape
+        batch_size = len(batch.item_ids)
 
         dtype = item_emb.data.dtype
         hidden = Tensor(np.zeros((batch_size, self.hidden_dim), dtype=dtype),

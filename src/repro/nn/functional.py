@@ -16,6 +16,7 @@ central differences.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Optional
 
 import numpy as np
@@ -271,14 +272,7 @@ def _dropout(x: Tensor, p: float, rng: Optional[np.random.Generator],
     if p >= 1.0:
         raise ValueError("dropout probability must be < 1")
     rng = rng or np.random.default_rng()
-    dtype = x.data.dtype
-    if dtype == np.float32:
-        # Single-precision draws halve the generator work; the float64 path
-        # keeps the historical bit stream.
-        draws = rng.random(shape, dtype=np.float32)[index]
-    else:
-        draws = rng.random(shape)[index]
-    keep = draws >= p
+    keep = _keep_mask(rng, p, shape, x.data.dtype)[index]
     scale = 1.0 / (1.0 - p)
     value = x.data * keep
     value *= scale
@@ -291,6 +285,53 @@ def _dropout(x: Tensor, p: float, rng: Optional[np.random.Generator],
 
     out._backward = _backward if out.requires_grad else None
     return out
+
+
+def _keep_mask(rng: np.random.Generator, p: float, shape,
+               dtype) -> np.ndarray:
+    """``rng.random(shape, dtype) >= p``, compared on the generator's words.
+
+    ``Generator.random`` spends most of its time turning words into floats.
+    A float64 draw is ``(word >> 11) * 2**-53`` and a float32 draw
+    ``(half >> 8) * 2**-24``, where the halves of each 64-bit word are read
+    low first and the high one waits in PCG64's ``has_uint32``/``uinteger``
+    buffer.  So the mask compares the raw words against an integer threshold,
+    and leaves the generator's state exactly as ``rng.random`` would.
+    """
+    bit_generator = rng.bit_generator
+    if not isinstance(bit_generator, np.random.PCG64):
+        raise TypeError("dropout draws its masks from a PCG64 generator, "
+                        f"got {type(bit_generator).__name__}")
+    float32 = np.dtype(dtype) == np.float32
+    bits = 24 if float32 else 53
+    # The smallest draw that passes is ceil(p * 2**bits) * 2**-bits, or the
+    # one below it where numpy's comparison rounds p to float32 (a Python
+    # float p against float32 draws): ask numpy's own array comparison.
+    ceiling = math.ceil(float(p) * 2.0 ** bits)
+    candidates = (np.array([ceiling - 1, ceiling], dtype=dtype)
+                  * np.dtype(dtype).type(2.0 ** -bits))
+    threshold = ceiling - 1 if (candidates >= p)[0] else ceiling
+    count = math.prod(shape)
+    if not float32:
+        words = bit_generator.random_raw(count)
+        return (words > np.uint64((threshold << 11) - 1)).reshape(shape)
+    state = bit_generator.state
+    buffered = 1 if state["has_uint32"] and count else 0
+    fresh = count - buffered
+    words = bit_generator.random_raw((fresh + 1) // 2)
+    halves = words.astype("<u8", copy=False).view("<u4")
+    limit = np.uint32((threshold << 8) - 1)
+    keep = np.empty(count, dtype=bool)
+    if buffered:
+        keep[0] = state["uinteger"] > limit
+    np.greater(halves[:fresh], limit, out=keep[buffered:])
+    if buffered or words.size:
+        state = bit_generator.state
+        state["has_uint32"] = fresh % 2
+        if words.size:
+            state["uinteger"] = int(words[-1] >> 32)
+        bit_generator.state = state
+    return keep.reshape(shape)
 
 
 def gather_rows(x: Tensor, index) -> Tensor:

@@ -139,6 +139,14 @@ def _scatter_add_rows(full: np.ndarray, indices: np.ndarray,
     full[sorted_idx[starts]] = np.add.reduceat(sorted_grad, starts, axis=0)
 
 
+def _released(grad: np.ndarray) -> None:
+    """Closure of a node whose graph an earlier backward() already consumed."""
+    raise RuntimeError(
+        "backward() reached a node whose graph was released by an earlier "
+        "backward(); rebuild the graph with a new forward pass"
+    )
+
+
 def _is_basic_index(index) -> bool:
     """True when ``index`` uses only basic (non-repeating) numpy indexing."""
     items = index if isinstance(index, tuple) else (index,)
@@ -300,6 +308,14 @@ class Tensor:
 
         If ``grad`` is omitted, ``self`` must be a scalar and the seed
         gradient is 1.0 (the usual loss.backward() convention).
+
+        The walk releases the graph as it consumes it, as ``torch`` does by
+        default: once a non-leaf node has passed its gradient on, its
+        ``grad``, parents and closure (and with them every activation the
+        closure saved) are dropped, so a training step never holds more than
+        one graph.  Leaves keep and accumulate ``grad``.  A released node
+        cannot pass a gradient on again: a second ``backward()`` through it,
+        or through a new graph built on it, raises ``RuntimeError``.
         """
         if grad is None:
             if self.size != 1:
@@ -328,9 +344,16 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        # Popping drops the walk's own reference to each node it is done with.
+        while topo:
+            node = topo.pop()
+            if node._backward is None:  # a leaf
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._prev = ()
+            node._backward = _released
 
     # ------------------------------------------------------------------ #
     # Arithmetic

@@ -170,12 +170,20 @@ class TestPlanBitIdentity:
         result = recommender.topk([[1, 2, 3]], k=5)
         assert result.engine == "graph"
 
-    def test_sequence_length_contract_matches_graph(self, infer_setup):
+    @pytest.mark.parametrize("name", ["sasrec_id", "fdsa", "gru4rec", "grcn",
+                                      "bm3"])
+    def test_sequence_length_contract_matches_graph(self, infer_setup, name):
+        """A history wider than the window is refused by graph and plan."""
         features, train_sequences, _ = infer_setup
-        model = _build("sasrec_id", features, train_sequences)
+        model = _build(name, features, train_sequences)
         plan = compile_plan(model)
         too_long = np.ones((1, MAX_SEQ + 3), dtype=np.int64)
         lengths = np.array([MAX_SEQ + 3])
+        batch = SequenceBatch(item_ids=too_long, lengths=lengths,
+                              targets=np.zeros(1, dtype=np.int64),
+                              users=np.zeros(1, dtype=np.int64))
+        with pytest.raises(ValueError, match="exceeds max_seq_length"):
+            model.encode_sequence(batch)
         with pytest.raises(ValueError, match="exceeds max_seq_length"):
             plan.encode(too_long, lengths, model.inference_item_matrix())
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import functional as F
+from repro.nn.attention import PackedRows
 from repro.nn.tensor import Tensor
 
 from gradcheck import check_gradient
@@ -120,6 +121,59 @@ class TestDropoutAndMasks:
     def test_dropout_rejects_p_one(self):
         with pytest.raises(ValueError):
             F.dropout(Tensor(np.ones(3)), p=1.0, training=True)
+
+    @pytest.mark.parametrize("p", [0.1, 1e-9, 0.9999999, np.float64(0.3),
+                                   np.float32(0.3)], ids=repr)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dropout_mask_is_the_float_draw_comparison(self, dtype, p):
+        """The mask and the generator state afterwards equal
+        ``rng.random(shape, dtype)[index] >= p`` and its state, for 0, 1, odd
+        and even draw counts from an empty or a half-word-buffered entry."""
+        shapes = {"zero": (0, 3, 2), "one": (1, 1, 1), "odd": (3, 5, 3),
+                  "even": (3, 5, 4)}
+        for draws, shape in shapes.items():
+            batch, seq_len = shape[:2]
+            lengths = np.minimum(np.arange(1, batch + 1), seq_len)
+            indices = {"all": Ellipsis,
+                       "last": (Ellipsis, seq_len - 1, slice(None)),
+                       "packed": PackedRows(lengths, batch, seq_len).rows}
+            for buffered in (False, True):
+                for name, index in indices.items():
+                    case = f"{draws} draws, {name}, buffered={buffered}"
+                    expected_rng = np.random.default_rng(17)
+                    rng = np.random.default_rng(17)
+                    if buffered:  # leaves a 32-bit half in PCG64's buffer
+                        expected_rng.random(1, dtype=np.float32)
+                        rng.random(1, dtype=np.float32)
+                    expected = expected_rng.random(shape, dtype)[index] >= p
+                    x = Tensor(np.ones(expected.shape, dtype=dtype),
+                               dtype=dtype)
+                    out = F._dropout(x, p, rng, shape, index)
+                    np.testing.assert_array_equal(out.data != 0, expected,
+                                                  err_msg=case)
+                    assert (rng.bit_generator.state
+                            == expected_rng.bit_generator.state), case
+                    np.testing.assert_array_equal(
+                        rng.random(3, dtype=np.float32),
+                        expected_rng.random(3, dtype=np.float32), err_msg=case)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dropout_threshold_at_a_drawn_value(self, dtype):
+        """``p`` on and one float64 step beside a draw: a Python float
+        compares in the draws' dtype and an ``np.float64`` in float64."""
+        drawn = float(np.random.default_rng(5).random(64, dtype)[40])
+        for p in (drawn, np.nextafter(drawn, 1.0), np.nextafter(drawn, 0.0)):
+            for p in (float(p), np.float64(p)):
+                expected = np.random.default_rng(5).random(64, dtype) >= p
+                out = F.dropout(Tensor(np.ones(64, dtype=dtype), dtype=dtype),
+                                p, True, np.random.default_rng(5))
+                np.testing.assert_array_equal(out.data != 0, expected,
+                                              err_msg=repr(p))
+
+    def test_dropout_masks_need_a_pcg64_generator(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(TypeError, match="PCG64"):
+            F.dropout(Tensor(np.ones(4)), 0.5, True, rng)
 
     def test_causal_mask(self):
         mask = F.causal_mask(4)

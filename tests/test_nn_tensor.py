@@ -333,6 +333,49 @@ class TestGraphBehaviour:
         np.testing.assert_allclose(x.grad, [1.01 ** 50], rtol=1e-10)
 
 
+class TestGraphLifetime:
+    """backward() releases the graph it consumes; leaves keep their grads."""
+
+    @staticmethod
+    def _graph():
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        w = Tensor([0.5, 0.25, 2.0], requires_grad=True)
+        h = x * w  # shared by both branches
+        branches = [h.tanh(), h * h]
+        loss = (branches[0] + branches[1]).sum()
+        return x, w, h, branches, loss
+
+    def test_backward_releases_every_non_leaf(self):
+        x, w, h, branches, loss = self._graph()
+        loss.backward()
+        for node in (h, *branches, loss):
+            assert node.grad is None
+            assert node._prev == ()
+        dh = 1.0 - np.tanh(x.data * w.data) ** 2 + 2.0 * x.data * w.data
+        np.testing.assert_allclose(x.grad, dh * w.data)
+        np.testing.assert_allclose(w.grad, dh * x.data)
+
+    def test_second_backward_raises(self):
+        x, _, _, _, loss = self._graph()
+        loss.backward()
+        grad = x.grad.copy()
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, grad)
+
+    def test_new_graph_on_a_released_node_raises(self):
+        _, _, h, _, loss = self._graph()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            (h * 3.0).sum().backward()
+
+    def test_separate_graphs_sum_into_a_leaf(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        (x * 3.0).sum().backward()
+        (x * x).sum().backward()
+        np.testing.assert_allclose(x.grad, 3.0 + 2.0 * x.data)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     rows=st.integers(min_value=1, max_value=5),

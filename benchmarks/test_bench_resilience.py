@@ -45,9 +45,9 @@ from conftest import run_once, write_bench_result
 
 from repro.data import leave_one_out_split, load_dataset
 from repro.models import ModelConfig, build_model
-from repro.observability import (find_max_sustainable_rps, poisson_offsets,
-                                 run_open_loop, service_sender,
-                                 session_requests)
+from repro.observability.loadgen import (find_max_sustainable_rps,
+                                         poisson_offsets, run_open_loop,
+                                         service_sender, session_requests)
 from repro.resilience import CircuitBreaker, FaultAction, FaultPlan
 from repro.serving import EmbeddingStore, Recommender, ServingConfig
 from repro.service import Deployment, RecommenderService

@@ -203,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stream_run_parser.add_argument("--log", default=None, metavar="PATH",
                                    help="interaction log directory (default: "
                                         "a temporary one seeded with "
-                                        "synthetic events)")
+                                        "synthetic events, removed on exit)")
     stream_run_parser.add_argument("--events", type=int, default=256,
                                    help="synthetic events to ingest when no "
                                         "--log is given (default: 256)")
@@ -215,7 +215,8 @@ def _build_parser() -> argparse.ArgumentParser:
     stream_run_parser.add_argument("--checkpoints", default=None,
                                    metavar="DIR",
                                    help="where versioned checkpoints go "
-                                        "(default: alongside the log)")
+                                        "(default: alongside the log, so a "
+                                        "temporary log takes them with it)")
     stream_run_parser.add_argument("--json", action="store_true",
                                    help="emit one JSON object per publish "
                                         "cycle instead of tables")
@@ -361,8 +362,8 @@ def _dataset_model(args, dropout: float = 0.1, checkpoint=None):
     from ``checkpoint`` when given and otherwise built untrained at the
     CLI's one model shape.  Returns ``(dataset, split, features, model)``."""
     from .data.splits import leave_one_out_split
-    from .experiments.persistence import load_checkpoint, load_model
     from .models import ModelConfig, build_model
+    from .models.checkpoint import load_checkpoint, load_model
 
     dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     split = leave_one_out_split(dataset.interactions)
@@ -391,12 +392,11 @@ def _dataset_model(args, dropout: float = 0.1, checkpoint=None):
 
 
 def _command_serve(args) -> int:
-    from .experiments.persistence import save_checkpoint
     from .models import display_label
+    from .models.checkpoint import save_checkpoint
     from .serving import EmbeddingStore, Recommender, ServingConfig
     from .service import (Deployment, ModelRegistry, RecommenderService,
                           RequestError, serve_http, serve_jsonl)
-    from .training import quick_train
 
     if args.loop and args.http is not None:
         return _fail("--loop and --http are mutually exclusive; run one "
@@ -434,6 +434,8 @@ def _command_serve(args) -> int:
             print(f"loaded {display_label(model.model_name)} from {args.checkpoint}",
                   file=log)
         else:
+            from .training import quick_train
+
             print(f"training {display_label(args.model)} for {args.epochs} epoch(s) ...",
                   file=log)
             outcome = quick_train(model, split, num_epochs=args.epochs,
@@ -569,6 +571,7 @@ def _command_stream(args) -> int:
 def _command_stream_run(args) -> int:
     import json as json_module
     import random as random_module
+    import shutil
     import tempfile
 
     from .service import ModelRegistry, RecommenderService
@@ -587,12 +590,12 @@ def _command_stream_run(args) -> int:
     registry = ModelRegistry()
     service = RecommenderService(registry)
     log = InteractionLog(log_dir, durable=False)
-    trainer = IncrementalTrainer(model, log, feature_table=features,
-                                 train_sequences=split.train_sequences,
-                                 learning_rate=args.lr, seed=args.seed)
-    publisher = Publisher(registry, checkpoint_dir, service=service)
     users = sorted(split.train_sequences)
     try:
+        trainer = IncrementalTrainer(model, log, feature_table=features,
+                                     train_sequences=split.train_sequences,
+                                     learning_rate=args.lr, seed=args.seed)
+        publisher = Publisher(registry, checkpoint_dir, service=service)
         report = publisher.publish(trainer, args.dataset)
         if not args.json:
             print(f"published {args.dataset} v{report.version} "
@@ -631,6 +634,8 @@ def _command_stream_run(args) -> int:
         service.close()
         registry.close_all()
         log.close()
+        if synthesize:  # the log directory is ours, not a --log path
+            shutil.rmtree(log_dir, ignore_errors=True)
     return 0
 
 
@@ -647,7 +652,7 @@ def _command_index_build(args) -> int:
                         "seed": args.seed}
 
     if args.checkpoint:
-        from .experiments.persistence import load_checkpoint, load_model
+        from .models.checkpoint import load_checkpoint, load_model
 
         checkpoint = load_checkpoint(args.checkpoint)
         features = checkpoint.feature_table

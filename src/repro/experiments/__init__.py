@@ -1,14 +1,7 @@
 """Experiment runners and registry reproducing every table/figure of the paper."""
 
 from . import runners
-from .persistence import (
-    Checkpoint,
-    load_checkpoint,
-    load_model,
-    load_result,
-    save_checkpoint,
-    save_result,
-)
+from .persistence import load_result, save_result
 from .presets import (
     ExperimentScale,
     ExperimentSetup,
@@ -20,7 +13,6 @@ from .registry import ExperimentSpec, get_experiment, list_experiments, run_expe
 from .runners import ModelRunRecord, train_model
 
 __all__ = [
-    "Checkpoint",
     "ExperimentScale",
     "ExperimentSetup",
     "ExperimentSpec",
@@ -29,13 +21,10 @@ __all__ = [
     "get_experiment",
     "get_scale",
     "list_experiments",
-    "load_checkpoint",
-    "load_model",
     "load_result",
     "prepare_experiment",
     "run_experiment",
     "runners",
-    "save_checkpoint",
     "save_result",
     "train_model",
 ]

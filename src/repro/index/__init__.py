@@ -16,7 +16,7 @@ The paper's whitened embedding spaces (Sec. IV-E) are isotropic and
 well-conditioned — the geometry in which k-means partitions stay balanced —
 which is what lets the IVF index retain high recall at small scan fractions.
 Indexes persist to single ``.npz`` files (same conventions as
-``experiments.persistence`` checkpoints) and are constructible by name
+``repro.models.checkpoint``) and are constructible by name
 through :func:`build_index`.
 """
 

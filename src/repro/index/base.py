@@ -7,7 +7,7 @@ metrics — **higher is better**: the raw inner product for ``metric="ip"``
 (the serving layer's ``V s`` scoring, Eqn. 1) and the *negated* squared
 euclidean distance for ``metric="l2"``.
 
-Persistence mirrors the ``experiments.persistence`` checkpoint conventions:
+Persistence mirrors the ``repro.models.checkpoint`` conventions:
 one ``.npz`` per index holding the state arrays plus a JSON metadata blob
 under ``__metadata__``, written atomically through a temporary file.  Loading
 dispatches on the recorded ``kind`` through the registry, so
@@ -205,7 +205,7 @@ class ItemIndex:
         return -pairwise_sq_distances(queries, vectors)
 
     # ------------------------------------------------------------------ #
-    # Persistence (experiments.persistence conventions: npz + JSON metadata,
+    # Persistence (repro.models.checkpoint conventions: npz + JSON metadata,
     # atomic temporary-file write)
     # ------------------------------------------------------------------ #
     def _state_arrays(self) -> Dict[str, np.ndarray]:

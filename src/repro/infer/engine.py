@@ -3,9 +3,9 @@
 :class:`InferenceEngine` is what the serving layer holds instead of calling
 ``model.encode_sequences`` directly.  Its :meth:`encode_sequences` mirrors
 that method's signature (padded ids + lengths + item matrix in, user matrix
-out) so it drops into
-:func:`repro.training.evaluation.inference_catalogue_scores` as the
-``encoder=`` argument.  Every call runs the compiled plan on the full batch —
+out), and the serving layer scores its output with
+:func:`repro.nn.functional.padded_catalogue_scores`, the kernel evaluation
+uses.  Every call runs the compiled plan on the full batch —
 bit-identical to the ``no_grad`` graph path at equal dtype.
 
 The engine serialises encodes with a lock: compiled programs write into

@@ -468,6 +468,32 @@ def catalogue_scores(users, item_matrix, dtype=np.float32) -> np.ndarray:
     return users_arr @ items_arr.T
 
 
+def pad_scoring_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` topped up to :data:`MIN_SCORING_ROWS` by repeating its last
+    row, so a tiny batch's GEMM stays off the GEMV kernels; callers trim the
+    scores back to ``rows.shape[0]``.  An empty batch is returned as is.
+    Every catalogue scan pads here: the dense path, the shard partitions and
+    the int8 re-rank."""
+    if rows.ndim != 2:
+        raise ValueError(f"queries must be 2-D (batch, dim), got shape "
+                         f"{rows.shape}")
+    padding = MIN_SCORING_ROWS - rows.shape[0]
+    if padding > 0 and rows.shape[0] > 0:
+        rows = np.concatenate([rows, np.repeat(rows[-1:], padding, axis=0)])
+    return rows
+
+
+def padded_catalogue_scores(users: np.ndarray, scoring_matrix: np.ndarray,
+                            score_dtype=np.float32) -> np.ndarray:
+    """``users @ scoring_matrix.T`` in ``score_dtype`` through
+    :func:`pad_scoring_rows` — the one full-catalogue scoring call
+    evaluation and serving share, so a row's scores never depend on its
+    batchmates."""
+    scores = catalogue_scores(pad_scoring_rows(users), scoring_matrix,
+                              dtype=score_dtype)
+    return scores[:users.shape[0]]
+
+
 def mse_loss(prediction: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
     """Mean squared error."""
     diff = prediction - target

@@ -129,17 +129,6 @@ class Module:
         """Return a name → array snapshot of all parameters."""
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
-    def export_weights(self, prefix: str = "") -> Dict[str, np.ndarray]:
-        """Name → contiguous detached snapshot of every parameter.
-
-        Unlike :meth:`state_dict` (whose copies inherit the parameter's
-        memory layout) the exported arrays are guaranteed C-contiguous, which
-        is what the compiled inference plans of :mod:`repro.infer` feed
-        straight into BLAS calls.
-        """
-        return {name: export_array(param)
-                for name, param in self.named_parameters(prefix)}
-
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         """Load parameter values saved by :meth:`state_dict`."""
         own = dict(self.named_parameters())

@@ -10,7 +10,8 @@ Three pieces, layered bottom-up:
   merge -> respond) shared by every serving path;
 * :mod:`repro.observability.loadgen` — an open-loop load generator
   (Poisson arrival schedules, session-replay request streams) and a
-  max-sustainable-RPS ramp search under a p95 SLO.
+  max-sustainable-RPS ramp search under a p95 SLO.  The package does not
+  import it, so a serving process never loads it: import it by name.
 
 The :class:`~repro.service.RecommenderService` wires the first two in by
 default (``GET /metrics`` on the HTTP front-end, ``metrics`` in the JSONL
@@ -20,21 +21,13 @@ default (``GET /metrics`` on the HTTP front-end, ``metrics`` in the JSONL
 from .metrics import (BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_MS, MetricFamily,
                       MetricsRegistry, quantile)
 from .tracing import STAGES, RequestTrace
-from .loadgen import (LoadReport, find_max_sustainable_rps, poisson_offsets,
-                      run_open_loop, service_sender, session_requests)
 
 __all__ = [
     "BATCH_SIZE_BUCKETS",
     "LATENCY_BUCKETS_MS",
-    "LoadReport",
     "MetricFamily",
     "MetricsRegistry",
     "RequestTrace",
     "STAGES",
-    "find_max_sustainable_rps",
-    "poisson_offsets",
     "quantile",
-    "run_open_loop",
-    "service_sender",
-    "session_requests",
 ]

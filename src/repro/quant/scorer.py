@@ -32,8 +32,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..index.base import topk_best_first
+from ..nn.functional import pad_scoring_rows
 from ..shard.partition import DEFAULT_BLOCK_ROWS
-from ..shard.scoring import _mask_excluded, _padded_queries
+from ..shard.scoring import _mask_excluded
 from .codec import INT8_LEVELS, QuantizedMatrix
 
 # Shortlist over-fetch: the scan keeps the top ``refine_factor * k`` score
@@ -147,9 +148,10 @@ def quantized_topk(queries: np.ndarray, matrix: np.ndarray,
     if lo == hi or k == 0:
         return (np.empty((batch, 0), dtype=np.int64),
                 np.empty((batch, 0), dtype=matrix.dtype))
-    padded, real = _padded_queries(queries, matrix.dtype)
+    padded = pad_scoring_rows(np.asarray(queries).astype(matrix.dtype,
+                                                         copy=False))
     kk = min(int(k), hi - lo)
-    if real == 0:
+    if batch == 0:
         return (np.empty((0, kk), dtype=np.int64),
                 np.empty((0, kk), dtype=matrix.dtype))
 
@@ -159,7 +161,7 @@ def quantized_topk(queries: np.ndarray, matrix: np.ndarray,
     dim = quantized.dim
     m = int(refine_factor) * int(k)
 
-    scaled_q, coeff_a, coeff_b = _query_bounds(padded[:real])
+    scaled_q, coeff_a, coeff_b = _query_bounds(padded[:batch])
 
     cast_buf = np.empty((min(chunk_rows, hi - lo), dim), dtype=np.float32)
     survivor_rows = []
@@ -190,7 +192,7 @@ def quantized_topk(queries: np.ndarray, matrix: np.ndarray,
             if top.shape[1] >= m:
                 trun = top.min(axis=1) - radius_max
             else:
-                trun = np.full(real, -np.inf, dtype=np.float32)
+                trun = np.full(batch, -np.inf, dtype=np.float32)
         keep = (approx >= (trun - radius_max)[:, None]).any(axis=0)
         kept = np.nonzero(keep)[0]
         if kept.size:
@@ -224,7 +226,7 @@ def quantized_topk(queries: np.ndarray, matrix: np.ndarray,
             final_t = np.maximum(
                 trun, np.partition(lower, kth, axis=1)[:, kth:].min(axis=1))
         else:
-            final_t = np.full(real, -np.inf, dtype=np.float32)
+            final_t = np.full(batch, -np.inf, dtype=np.float32)
         candidates = rows[(upper >= final_t[:, None]).any(axis=0)]
     else:
         candidates = rows
@@ -252,9 +254,9 @@ def quantized_topk(queries: np.ndarray, matrix: np.ndarray,
                   out=panel[:, offset:offset + width])
         panel_ids[offset:offset + width] = np.arange(
             block_start, block_stop, dtype=np.int64)
-        _mask_excluded(panel[:real, offset:offset + width],
+        _mask_excluded(panel[:batch, offset:offset + width],
                        block_start, block_stop, exclude)
         offset += width
 
-    ids = np.broadcast_to(panel_ids, (real, total))
-    return topk_best_first(ids, panel[:real], kk)
+    ids = np.broadcast_to(panel_ids, (batch, total))
+    return topk_best_first(ids, panel[:batch], kk)

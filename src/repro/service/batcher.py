@@ -13,8 +13,8 @@ load.  A positive ``max_wait_ms`` adds a fixed window after the first
 pending request, for callers that need deterministic batch compositions.
 
 Losslessness: the exact float32 scoring path is batch-composition independent
-(see ``repro.training.evaluation.MIN_SCORING_ROWS`` — tiny batches are padded
-onto the same GEMM kernel family as large ones), each row of a batched call
+(see ``repro.nn.functional.pad_scoring_rows`` — tiny batches are padded onto
+the same GEMM kernel family as large ones), each row of a batched call
 is computed independently, and requests asking for different ``k`` are served
 from one call at ``max(k)`` and trimmed per row (the top-k of a sorted
 top-max-k *is* the top-k, because the ordering — score descending, then

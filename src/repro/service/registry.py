@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..experiments.persistence import PathLike, load_checkpoint, load_model
+from ..models.checkpoint import PathLike, load_checkpoint, load_model
 from ..serving import (STRUCTURAL_FIELDS, EmbeddingStore, Recommender,
                        ServingConfig)
 
@@ -103,7 +103,7 @@ class Deployment:
                         version: int = 1,
                         **recommender_kwargs: Any) -> "Deployment":
         """Build a deployment from a checkpoint saved by
-        :func:`repro.experiments.persistence.save_checkpoint`.
+        :func:`repro.models.checkpoint.save_checkpoint`.
 
         The checkpoint is read once; its feature table (when present) seeds
         both the rebuilt model and the cold-start :class:`EmbeddingStore`.

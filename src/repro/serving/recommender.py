@@ -36,10 +36,10 @@ from ..data.dataloader import pad_sequences
 from ..index import ItemIndex, build_index
 from ..index.base import topk_best_first
 from ..infer import InferenceEngine, UnsupportedModelError
+from ..nn.functional import padded_catalogue_scores
 from ..resilience.deadline import expired, remaining_s
 from ..resilience.errors import DeadlineExceeded
 from ..shard.scoring import ann_shard_topk
-from ..training.evaluation import padded_catalogue_scores
 from .config import SERVING_BACKENDS, STRUCTURAL_FIELDS, ServingConfig
 from .generations import GenerationClock, GenerationalCache
 from .store import EmbeddingStore
@@ -169,8 +169,6 @@ class Recommender:
         defaults (k, backend, seen-item masking) and the structural choices
         (scoring dtype, catalogue codec, shard layout) the caches are built
         for.
-    fallback_method / fallback_groups:
-        Whitening specification used for the content-based fallback space.
     index_params:
         Extra constructor kwargs for :func:`repro.index.build_index` when an
         ANN backend builds its index (e.g. ``{"n_lists": 64, "nprobe": 8}``).
@@ -179,7 +177,6 @@ class Recommender:
     def __init__(self, model, store: Optional[EmbeddingStore] = None,
                  train_sequences: Optional[Dict[int, List[int]]] = None,
                  cold_items: Optional[Iterable[int]] = None,
-                 fallback_method: str = "zca", fallback_groups=1,
                  index_params: Optional[Dict] = None,
                  config: Optional[ServingConfig] = None):
         config = config if config is not None else ServingConfig()
@@ -187,8 +184,6 @@ class Recommender:
         self.model = model
         self.store = store
         self.dtype = config.np_dtype
-        self.fallback_method = fallback_method
-        self.fallback_groups = fallback_groups
         self.index_params = dict(index_params or {})
         self.cold_items = frozenset(int(item) for item in cold_items) if cold_items else frozenset()
         self.num_items = model.num_items
@@ -396,7 +391,7 @@ class Recommender:
         return self._memo.get_or_build(f"index:{backend}", build)
 
     def _cast_fallback_table(self) -> np.ndarray:
-        table = self.store.whitened(self.fallback_method, self.fallback_groups)
+        table = self.store.whitened("zca", 1)
         return table[: self.num_items + 1].astype(self.dtype, copy=False)
 
     def _fallback_table(self) -> np.ndarray:
@@ -566,7 +561,7 @@ class Recommender:
            duplicate-score selection boundaries — so exact results carry the
            same ids and score bits for every codec, shard count and shard
            backend, independent of batch composition (see
-           :data:`repro.training.evaluation.MIN_SCORING_ROWS`).
+           :func:`repro.nn.functional.pad_scoring_rows`).
 
         ``deadline`` (an absolute :func:`time.monotonic` timestamp, see
         :mod:`repro.resilience.deadline`) bounds the call: it is checked on
@@ -644,26 +639,3 @@ class Recommender:
             merge_ms=round(clock.ms["merge"], 3),
             degraded=any(info.get("degraded", False) for info in infos),
             shard_retries=sum(info.get("retries", 0) for info in infos))
-
-    # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_checkpoint(cls, path, train_sequences: Optional[Dict[int, List[int]]] = None,
-                        feature_table: Optional[np.ndarray] = None,
-                        **kwargs) -> "Recommender":
-        """Build a serving stack from a checkpoint saved by
-        :func:`repro.experiments.persistence.save_checkpoint`.
-
-        The checkpoint's feature table (when present) seeds both the rebuilt
-        model and the :class:`EmbeddingStore` used for cold-start fallback.
-        """
-        from ..experiments.persistence import load_checkpoint, load_model
-
-        checkpoint = load_checkpoint(path)
-        if feature_table is None:
-            feature_table = checkpoint.feature_table
-        model = load_model(checkpoint, feature_table=feature_table,
-                           train_sequences=train_sequences)
-        store = EmbeddingStore(feature_table) if feature_table is not None else None
-        return cls(model, store=store, train_sequences=train_sequences, **kwargs)

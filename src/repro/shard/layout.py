@@ -1,8 +1,8 @@
 """Memmap-friendly on-disk layout of the candidate item matrix.
 
-The ``.npz`` checkpoints of :mod:`repro.experiments.persistence` are
-compact but must be decompressed into private memory by every reader — the
-wrong trade for a worker pool where N processes all want the same
+The ``.npz`` checkpoints of :mod:`repro.models.checkpoint` are compact
+but must be decompressed into private memory by every reader — the wrong
+trade for a worker pool where N processes all want the same
 multi-hundred-megabyte matrix.  An :class:`ItemMatrixLayout` is the
 memmap-friendly variant: a directory holding
 

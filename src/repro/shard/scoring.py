@@ -4,8 +4,8 @@ Scores here are the serving layer's plain inner products ``q · v`` (Eqn. 1)
 computed in fixed ``block_rows``-aligned GEMMs.  The block grid is absolute
 (multiples of ``block_rows`` from row 0), shard boundaries are aligned to it
 (:func:`repro.shard.partition.partition_ranges`), and the query batch is
-padded to :data:`repro.training.evaluation.MIN_SCORING_ROWS` exactly like
-the dense serving path — so every sharding of a given layout executes the
+padded by :func:`repro.nn.functional.pad_scoring_rows` exactly like the
+dense serving path — so every sharding of a given layout executes the
 identical sequence of BLAS calls per block and the resulting scores are
 bit-identical for *every* shard count, on any BLAS, by construction rather
 than by vendor luck.  (Narrow row-slices of a catalogue GEMM really do
@@ -25,29 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..index.base import ItemIndex, topk_best_first
-from ..training.evaluation import MIN_SCORING_ROWS
+from ..nn.functional import pad_scoring_rows
 from .partition import DEFAULT_BLOCK_ROWS
-
-
-def _padded_queries(queries: np.ndarray, dtype: np.dtype) -> Tuple[np.ndarray, int]:
-    """Cast queries to the scoring dtype and pad tiny batches.
-
-    Mirrors :func:`repro.training.evaluation.inference_catalogue_scores`:
-    batches below ``MIN_SCORING_ROWS`` repeat their last row so the GEMM
-    never routes through the GEMV-ish kernels whose accumulation order
-    differs from the blocked ones (the float32 row-stability contract).
-    """
-    queries = np.asarray(queries)
-    if queries.ndim != 2:
-        raise ValueError(f"queries must be 2-D (batch, dim), got shape "
-                         f"{queries.shape}")
-    queries = queries.astype(dtype, copy=False)
-    real = queries.shape[0]
-    padding = MIN_SCORING_ROWS - real
-    if padding > 0 and real > 0:
-        queries = np.concatenate(
-            [queries, np.repeat(queries[-1:], padding, axis=0)])
-    return queries, real
 
 
 def partition_scores(queries: np.ndarray, matrix: np.ndarray,
@@ -65,7 +44,9 @@ def partition_scores(queries: np.ndarray, matrix: np.ndarray,
     if lo % block_rows != 0:
         raise ValueError(f"partition start {lo} is not aligned to "
                          f"block_rows={block_rows}")
-    padded, real = _padded_queries(queries, matrix.dtype)
+    queries = np.asarray(queries).astype(matrix.dtype, copy=False)
+    padded = pad_scoring_rows(queries)
+    real = queries.shape[0]
     if real == 0 or lo == hi:
         return np.empty((real, hi - lo), dtype=matrix.dtype)
     scores = np.empty((padded.shape[0], hi - lo), dtype=matrix.dtype)

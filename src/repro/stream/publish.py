@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from ..experiments.persistence import Checkpoint, save_checkpoint
+from ..models.checkpoint import Checkpoint, save_checkpoint
 from .trainer import IncrementalTrainer
 
 PathLike = Union[str, Path]

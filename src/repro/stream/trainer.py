@@ -3,15 +3,15 @@
 :class:`IncrementalTrainer` closes the gap between the batch
 :class:`repro.training.Trainer` and the serving loop: it consumes *new*
 events from an :class:`~repro.stream.log.InteractionLog` in micro-epochs,
-updating a **private deep-copied working model** with the in-place fused
-optimisers of :mod:`repro.nn.optim`.
+updating a **private deep-copied working model** with
+:class:`repro.nn.optim.Adam`, which steps in place.
 
-The deep copy is load-bearing, not defensive style: the fused optimisers
-mutate ``param.data`` through ``out=`` ufuncs, so a parameter array keeps
-its identity across every step.  If the trainer shared arrays with the
+The deep copy is load-bearing, not defensive style: Adam mutates
+``param.data`` through ``out=`` ufuncs, so a parameter array keeps its
+identity across every step.  If the trainer shared arrays with the
 serving model, every micro-epoch would mutate live deployments mid-request
 — the torn-serving hazard.  The working model is therefore rebuilt from a
-:meth:`Checkpoint.snapshot <repro.experiments.persistence.Checkpoint.snapshot>`
+:meth:`Checkpoint.snapshot <repro.models.checkpoint.Checkpoint.snapshot>`
 (detached C-contiguous copies) at construction, and every published
 snapshot is detached again on the way out; ``save_checkpoint`` asserts both.
 
@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..data.dataloader import make_batch
-from ..experiments.persistence import Checkpoint, load_model
+from ..models.checkpoint import Checkpoint, load_model
 from ..nn.optim import Adam, clip_grad_norm
 from .log import InteractionLog, StreamEvent
 

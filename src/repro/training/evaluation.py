@@ -13,20 +13,7 @@ import numpy as np
 
 from ..data.dataloader import evaluation_batches
 from ..data.splits import EvaluationCase
-from ..nn.functional import MIN_SCORING_ROWS, catalogue_scores
-
-
-def padded_catalogue_scores(users: np.ndarray, scoring_matrix: np.ndarray,
-                            score_dtype=np.float32) -> np.ndarray:
-    """``users @ scoring_matrix.T`` in ``score_dtype``, with batches below
-    :data:`MIN_SCORING_ROWS` padded (last row repeated) for the GEMM and
-    trimmed after — the one full-catalogue scoring call evaluation and
-    serving share, so a row's scores never depend on its batchmates."""
-    padding = MIN_SCORING_ROWS - users.shape[0]
-    if padding > 0:  # see MIN_SCORING_ROWS: keep tiny batches off GEMV kernels
-        users = np.concatenate([users, np.repeat(users[-1:], padding, axis=0)])
-    scores = catalogue_scores(users, scoring_matrix, dtype=score_dtype)
-    return scores[:-padding] if padding > 0 else scores
+from ..nn.functional import padded_catalogue_scores
 
 
 def inference_catalogue_scores(model, item_ids: np.ndarray, lengths: np.ndarray,
@@ -39,10 +26,11 @@ def inference_catalogue_scores(model, item_ids: np.ndarray, lengths: np.ndarray,
     Encodes a left-padded history batch through the model's inference API and
     scores it against the full catalogue with one matmul in ``score_dtype``
     (``None`` keeps the model's native precision); the padding column is
-    masked to ``-inf``.  Both the full-ranking evaluator and
-    :class:`repro.serving.Recommender` route warm requests through this
-    function, so an evaluation rank and a served recommendation can never
-    disagree about how a history is scored.
+    masked to ``-inf``.  The full-ranking evaluator scores through this
+    function and :class:`repro.serving.Recommender` scores warm requests
+    through the same :func:`~repro.nn.functional.padded_catalogue_scores`,
+    so an evaluation rank and a served recommendation can never disagree
+    about how a history is scored.
 
     ``item_matrix`` (model precision, for the embedding lookups) and
     ``scoring_matrix`` (cast to ``score_dtype``, for the matmul) let callers

@@ -10,16 +10,10 @@ import pytest
 from repro.analysis.plots import histogram, line_plot, sparkline
 from repro.cli import main as cli_main
 from repro.data.splits import EvaluationCase
-from repro.experiments.persistence import (
-    Checkpoint,
-    load_model,
-    load_result,
-    result_to_json,
-    save_all,
-    save_checkpoint,
-    save_result,
-)
+from repro.experiments.persistence import (load_result, result_to_json,
+                                           save_result)
 from repro.models import GRU4Rec, ModelConfig, SASRecID
+from repro.models.checkpoint import Checkpoint, load_model, save_checkpoint
 from repro.training import evaluate_model, evaluate_model_sampled, mrr_at_k
 
 
@@ -50,12 +44,6 @@ class TestPersistence:
         path.write_text(json.dumps({"something": 1}))
         with pytest.raises(ValueError):
             load_result(path)
-
-    def test_save_all(self, tmp_path):
-        written = save_all({"fig2": {"a": 1}, "tab2": {"b": 2}}, tmp_path)
-        assert set(written) == {"fig2", "tab2"}
-        for path in written.values():
-            assert path.exists()
 
     def test_unserialisable_objects_become_repr(self):
         class Opaque:

@@ -342,7 +342,7 @@ class TestIndexCLI:
         assert ids.ravel().tolist() == [1, 2, 3]
 
     def test_index_build_from_checkpoint(self, tmp_path, capsys, serving_setup):
-        from repro.experiments.persistence import save_checkpoint
+        from repro.models.checkpoint import save_checkpoint
 
         dataset = load_dataset("arts", scale="tiny", seed=7)
         features = encode_items(dataset.items, embedding_dim=32, seed=7)

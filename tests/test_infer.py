@@ -20,10 +20,9 @@ from repro.infer import (
 )
 from repro.models import ModelConfig, available_models, build_model, requires_text_features
 from repro.models.base import NextItemRecommender, SequentialRecommender
-from repro.nn.functional import catalogue_scores
+from repro.nn.functional import catalogue_scores, padded_catalogue_scores
 from repro.serving import Recommender, ServingConfig
 from repro.serving.recommender import full_sort_topk
-from repro.training.evaluation import padded_catalogue_scores
 
 NUM_ITEMS = 70
 MAX_SEQ = 10

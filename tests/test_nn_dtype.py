@@ -387,8 +387,7 @@ class TestFusedOptimizers:
 # ---------------------------------------------------------------------- #
 class TestCheckpointDtype:
     def test_float32_checkpoint_round_trip(self, tmp_path):
-        from repro.experiments.persistence import (load_model,
-                                                   save_checkpoint)
+        from repro.models.checkpoint import load_model, save_checkpoint
 
         with nn.autocast("float32"):
             model = build_sasrec(seed=9)
@@ -406,9 +405,8 @@ class TestCheckpointDtype:
             np.testing.assert_array_equal(loaded.data, original.data)
 
     def test_float64_checkpoint_unchanged(self, tmp_path):
-        from repro.experiments.persistence import (load_checkpoint,
-                                                   load_model,
-                                                   save_checkpoint)
+        from repro.models.checkpoint import (load_checkpoint, load_model,
+                                             save_checkpoint)
 
         model = build_sasrec(seed=9)
         path = save_checkpoint(model, tmp_path / "model.npz")

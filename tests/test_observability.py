@@ -27,17 +27,19 @@ import pytest
 from repro.cli import main as cli_main
 from repro.data import load_dataset
 from repro.data.splits import leave_one_out_split
-from repro.experiments.persistence import save_checkpoint
 from repro.models import ModelConfig, build_model
+from repro.models.checkpoint import save_checkpoint
 from repro.observability import (
     BATCH_SIZE_BUCKETS,
     LATENCY_BUCKETS_MS,
     MetricsRegistry,
     RequestTrace,
     STAGES,
+    quantile,
+)
+from repro.observability.loadgen import (
     find_max_sustainable_rps,
     poisson_offsets,
-    quantile,
     run_open_loop,
     service_sender,
     session_requests,

@@ -28,8 +28,8 @@ import pytest
 from repro.data import load_dataset
 from repro.data.splits import leave_one_out_split
 from repro.models import ModelConfig, build_model
-from repro.observability import (find_max_sustainable_rps, run_open_loop,
-                                 session_requests)
+from repro.observability.loadgen import (find_max_sustainable_rps,
+                                         run_open_loop, session_requests)
 from repro.resilience import (BREAKER_STATE_CODES, BatcherCrashed,
                               CircuitBreaker, DeadlineExceeded, FaultAction,
                               FaultPlan, InflightGate, OverloadError,

@@ -30,8 +30,8 @@ import pytest
 from repro.cli import _build_parser, main as cli_main
 from repro.data import load_dataset
 from repro.data.splits import leave_one_out_split
-from repro.experiments.persistence import save_checkpoint
 from repro.models import ModelConfig, build_model
+from repro.models.checkpoint import save_checkpoint
 from repro.service import (
     Deployment,
     DynamicBatcher,
@@ -211,7 +211,8 @@ class TestRegistry:
         history = split.test[0].history
         assert np.array_equal(
             fresh.recommender.topk([history], k=5).items,
-            Recommender.from_checkpoint(path).topk([history], k=5).items,
+            Deployment.from_checkpoint("m", path).recommender.topk(
+                [history], k=5).items,
         )
 
     def test_reload_without_source_requires_path(self, deployment):

@@ -22,15 +22,16 @@ import pytest
 from repro.cli import main as cli_main
 from repro.data import load_dataset
 from repro.data.splits import leave_one_out_split
-from repro.experiments.persistence import (
+from repro.index import IVFFlatIndex, build_index
+from repro.models import ModelConfig, SASRecID, build_model
+from repro.models.checkpoint import (
     load_checkpoint,
     load_model,
     save_checkpoint,
 )
-from repro.index import IVFFlatIndex, build_index
-from repro.models import ModelConfig, SASRecID, build_model
 from repro.nn import Tensor, autocast, is_grad_enabled, no_grad
 from repro.resilience import FaultAction, FaultPlan
+from repro.service import Deployment
 from repro.serving import (
     STRUCTURAL_FIELDS,
     EmbeddingStore,
@@ -241,7 +242,7 @@ class TestServingConfig:
 
         This is the contract dynamic micro-batching relies on: tiny scoring
         batches are padded onto the same GEMM kernel family as larger ones
-        (see repro.training.evaluation.MIN_SCORING_ROWS), so a request
+        (see repro.nn.functional.pad_scoring_rows), so a request
         served alone is bit-identical — ids *and* scores — to the same
         request inside any coalesced batch.
         """
@@ -629,9 +630,9 @@ class TestCheckpoints:
         path = save_checkpoint(model, tmp_path / "model.npz", feature_table=features)
         histories = [case.history for case in split.test[:8]]
         direct = Recommender(model, store=EmbeddingStore(features)).topk(histories, k=5)
-        served = Recommender.from_checkpoint(
-            path, train_sequences=split.train_sequences
-        ).topk(histories, k=5)
+        served = Deployment.from_checkpoint(
+            "model", path, train_sequences=split.train_sequences
+        ).recommender.topk(histories, k=5)
         assert np.array_equal(direct.items, served.items)
 
     def test_checkpoint_metadata(self, serving_setup, tmp_path):

@@ -16,16 +16,18 @@ from __future__ import annotations
 
 import json
 import sys
+import tempfile
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.cli import main as cli_main
 from repro.data import load_dataset
 from repro.data.splits import leave_one_out_split
-from repro.experiments.persistence import Checkpoint, save_checkpoint
 from repro.models import ModelConfig, build_model
+from repro.models.checkpoint import Checkpoint, save_checkpoint
 from repro.service import Deployment, ModelRegistry, RecommenderService
 from repro.serving import (
     EmbeddingStore,
@@ -672,3 +674,23 @@ class TestHotSwapUnderTraffic:
                 err_msg=f"torn scores: version {version}, row {row}")
         service.close()
         registry.close_all()
+
+
+class TestStreamCommand:
+    def test_temporary_log_is_removed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert cli_main(["stream", "run", "arts", "--cycles", "1"]) == 0
+        assert "cycle 1:" in capsys.readouterr().out
+        assert list(tmp_path.glob("repro-stream-*")) == []
+
+    def test_given_log_and_checkpoints_are_kept(self, tmp_path, capsys):
+        log_dir, checkpoints = tmp_path / "log", tmp_path / "ckpt"
+        with InteractionLog(log_dir, durable=False) as log:
+            log.append_many([(1, 2, 0.0), (2, 3, 0.0)])
+        assert cli_main(["stream", "run", "arts", "--cycles", "1",
+                         "--log", str(log_dir),
+                         "--checkpoints", str(checkpoints)]) == 0
+        capsys.readouterr()
+        assert log_dir.is_dir()
+        assert sorted(path.name for path in checkpoints.iterdir()) == [
+            "arts-v000001.npz", "arts-v000002.npz"]

@@ -10,9 +10,6 @@ from .anisotropy import (
 )
 from .conditioning import (
     ConditioningTrace,
-    condition_number_of_model,
-    convergence_epoch,
-    summarize_traces,
     trace_from_result,
 )
 from .reporting import (
@@ -29,8 +26,6 @@ __all__ = [
     "alignment_and_uniformity",
     "alignment_loss",
     "analyze_embeddings",
-    "condition_number_of_model",
-    "convergence_epoch",
     "cosine_cdf_by_group",
     "format_metric_table",
     "format_table",
@@ -39,7 +34,6 @@ __all__ = [
     "pca_projection",
     "relative_improvement",
     "singular_value_spectrum",
-    "summarize_traces",
     "trace_from_result",
     "tsne",
     "uniformity_loss",

@@ -3,19 +3,15 @@
 The trainer records the condition number of the projected item embedding
 matrix and the training loss per epoch when asked to
 (``TrainingConfig.track_condition_number``).  This module extracts those
-series and provides a convenience routine that runs the analysis for a set of
-models on one dataset, matching the structure of Fig. 7.
+series from a training result for Fig. 7.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional
 
 from ..training.trainer import TrainingResult
-from ..whitening.metrics import covariance_condition_number
 
 
 @dataclass
@@ -49,41 +45,3 @@ def trace_from_result(model_name: str, result: TrainingResult) -> ConditioningTr
         training_losses=[float(value) for value in losses],
     )
 
-
-def condition_number_of_model(model) -> float:
-    """Condition number of a model's current projected item matrix."""
-    return covariance_condition_number(model.item_matrix_numpy())
-
-
-def convergence_epoch(losses: Sequence[float], tolerance: float = 0.01) -> int:
-    """First epoch after which the relative loss improvement stays < tolerance.
-
-    Used to compare convergence speed between models (the Fig. 7 discussion
-    notes WhitenRec/WhitenRec+ converge faster than the other text-based
-    methods).
-    """
-    losses = list(losses)
-    if len(losses) < 2:
-        return len(losses)
-    for epoch in range(1, len(losses)):
-        previous, current = losses[epoch - 1], losses[epoch]
-        if previous <= 0:
-            continue
-        if (previous - current) / abs(previous) < tolerance:
-            return epoch
-    return len(losses)
-
-
-def summarize_traces(traces: Dict[str, ConditioningTrace]) -> List[Dict[str, float]]:
-    """Produce a compact table (one row per model) from conditioning traces."""
-    rows: List[Dict[str, float]] = []
-    for name, trace in traces.items():
-        rows.append(
-            {
-                "model": name,
-                "final_condition_number": trace.final_condition_number or float("nan"),
-                "final_loss": trace.final_loss or float("nan"),
-                "convergence_epoch": convergence_epoch(trace.training_losses),
-            }
-        )
-    return rows

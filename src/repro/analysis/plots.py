@@ -1,14 +1,14 @@
 """ASCII plotting helpers for figure-style experiment outputs.
 
 The benchmark harness runs in terminals without matplotlib, so figure
-experiments (singular value spectra, CDFs, per-epoch trajectories) are
+experiments (singular value spectra, CDFs) are
 rendered as compact ASCII charts.  These are intentionally simple — enough to
 eyeball the shape the paper's figures show.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,45 +27,6 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
     span = high - low if high > low else 1.0
     indices = ((values - low) / span * (len(blocks) - 1)).round().astype(int)
     return "".join(blocks[i] for i in indices)
-
-
-def line_plot(series: Dict[str, Sequence[float]], height: int = 12, width: int = 60,
-              title: Optional[str] = None) -> str:
-    """Render one or more numeric series as an ASCII line chart.
-
-    Each series gets its own marker character; the y-axis is shared.
-    """
-    markers = "*o+x#@%&"
-    prepared = {
-        name: np.asarray(list(values), dtype=np.float64)
-        for name, values in series.items() if len(values) > 0
-    }
-    if not prepared:
-        return title or ""
-    all_values = np.concatenate(list(prepared.values()))
-    low, high = float(all_values.min()), float(all_values.max())
-    span = high - low if high > low else 1.0
-
-    grid = [[" "] * width for _ in range(height)]
-    for series_index, (name, values) in enumerate(prepared.items()):
-        marker = markers[series_index % len(markers)]
-        xs = np.linspace(0, width - 1, num=len(values)).round().astype(int)
-        for x, value in zip(xs, values):
-            y = int(round((value - low) / span * (height - 1)))
-            grid[height - 1 - y][x] = marker
-
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(f"{high:10.4f} ┐")
-    for row in grid:
-        lines.append(" " * 11 + "│" + "".join(row))
-    lines.append(f"{low:10.4f} ┘" + "─" * width)
-    legend = "   ".join(
-        f"{markers[i % len(markers)]} {name}" for i, name in enumerate(prepared)
-    )
-    lines.append(" " * 12 + legend)
-    return "\n".join(lines)
 
 
 def histogram(values: Sequence[float], bins: int = 10, width: int = 40,

@@ -6,7 +6,7 @@ helpers keep that formatting consistent (and testable) across experiments.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import List, Mapping, Optional, Sequence, Union
 
 Number = Union[int, float]
 

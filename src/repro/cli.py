@@ -609,7 +609,7 @@ def _command_stream_run(args) -> int:
                     for _ in range(per_cycle))
             epochs = trainer.run_until_caught_up()
             report = publisher.publish(trainer, args.dataset)
-            applied = sum(epoch.events for epoch in epochs)
+            applied = sum(epoch.events - epoch.skipped for epoch in epochs)
             loss = epochs[-1].loss if epochs else 0.0
             summary = {
                 "cycle": cycle + 1,

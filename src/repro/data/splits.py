@@ -14,7 +14,7 @@ which is only possible for text-based item representations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 

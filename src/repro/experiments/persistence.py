@@ -18,11 +18,6 @@ from ..models.checkpoint import (PathLike, json_sanitize, load_checkpoint,
                                  save_checkpoint)
 
 
-def result_to_json(result: Dict[str, Any]) -> str:
-    """Render a runner result as a pretty-printed JSON string."""
-    return json.dumps(json_sanitize(result), indent=2, sort_keys=True)
-
-
 def save_result(result: Dict[str, Any], path: PathLike,
                 experiment_id: Optional[str] = None) -> Path:
     """Write a runner result to ``path`` (directories are created).
@@ -42,12 +37,3 @@ def save_result(result: Dict[str, Any], path: PathLike,
         json.dump(payload, handle, indent=2, sort_keys=True)
     temporary.replace(path)
     return path
-
-
-def load_result(path: PathLike) -> Dict[str, Any]:
-    """Load a result file written by :func:`save_result`."""
-    with open(Path(path), "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if "result" not in payload:
-        raise ValueError(f"{path!s} is not a repro result file")
-    return payload

@@ -6,7 +6,7 @@ model / training configurations.  :func:`prepare_experiment` builds all of
 them from a small set of knobs and caches the result per
 ``(dataset, scale, cold_start, seed)`` for the rest of the process; the
 trained cells of :func:`repro.experiments.runners.train_model` are cached
-beside it, and :func:`clear_setup_cache` drops both.
+beside it in ``_CELL_CACHE``.
 
 Two scales are provided:
 
@@ -142,9 +142,3 @@ def setup_key(setup: ExperimentSetup) -> Tuple:
         if cached is setup:
             return key
     raise ValueError("setup was not built by prepare_experiment (or was cleared)")
-
-
-def clear_setup_cache() -> None:
-    """Drop cached setups and trained cells (used by tests that need isolation)."""
-    _SETUP_CACHE.clear()
-    _CELL_CACHE.clear()

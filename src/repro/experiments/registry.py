@@ -155,8 +155,3 @@ def get_experiment(experiment_id: str) -> ExperimentSpec:
             f"unknown experiment {experiment_id!r}; available: {sorted(_EXPERIMENTS)}"
         )
     return _EXPERIMENTS[experiment_id]
-
-
-def run_experiment(experiment_id: str, **kwargs):
-    """Run an experiment by id, forwarding keyword arguments to its runner."""
-    return get_experiment(experiment_id).runner(**kwargs)

@@ -72,7 +72,7 @@ def train_model(setup: ExperimentSetup, model_name: str,
     """The cell ``(setup, model, kwargs, overrides)``, trained and tested.
 
     The first call fits the cell; later calls in the same process read it
-    back (:func:`~repro.experiments.presets.clear_setup_cache` drops it).  A
+    back.  A
     kwarg equal to the constructor's default and an override equal to the
     setup's ``TrainingConfig`` value are dropped before keying, so
     ``{"num_groups": 1}`` and ``{}`` name the same WhitenRec cell.  The

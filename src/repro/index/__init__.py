@@ -25,7 +25,6 @@ from .base import (
     ItemIndex,
     available_indexes,
     build_index,
-    load_index,
     register_index,
     topk_best_first,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "build_index",
     "default_n_lists",
     "kmeans_plus_plus",
-    "load_index",
     "minibatch_kmeans",
     "pairwise_sq_distances",
     "register_index",

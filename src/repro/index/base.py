@@ -11,7 +11,7 @@ Persistence mirrors the ``repro.models.checkpoint`` conventions:
 one ``.npz`` per index holding the state arrays plus a JSON metadata blob
 under ``__metadata__``, written atomically through a temporary file.  Loading
 dispatches on the recorded ``kind`` through the registry, so
-:func:`load_index` round-trips any registered index class.
+``ItemIndex.load`` round-trips any registered index class.
 """
 
 from __future__ import annotations
@@ -264,11 +264,6 @@ class ItemIndex:
         index = klass(metric=metadata["metric"])
         index._restore(arrays, metadata)
         return index
-
-
-def load_index(path: PathLike) -> ItemIndex:
-    """Load any registered index from an ``.npz`` written by ``save``."""
-    return ItemIndex.load(path)
 
 
 @register_index

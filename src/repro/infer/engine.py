@@ -21,7 +21,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .plans import InferencePlan, UnsupportedModelError, compile_plan
+from .plans import InferencePlan, compile_plan
 
 
 class InferenceEngine:

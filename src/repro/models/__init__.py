@@ -12,7 +12,6 @@ from .registry import (
     build_model,
     canonical_name,
     display_label,
-    requires_text_features,
 )
 from .s3rec import S3Rec
 from .sasrec import SASRecID, SASRecText, SASRecTextID
@@ -46,5 +45,4 @@ __all__ = [
     "canonical_name",
     "display_label",
     "product_quantize",
-    "requires_text_features",
 ]

@@ -114,16 +114,12 @@ def canonical_name(name: str) -> str:
     """Resolve a model name or alias to its canonical registry key."""
     key = name.strip().lower().replace(" ", "")
     if key not in _ALIASES:
-        raise KeyError(f"unknown model {name!r}; known: {sorted(set(_ALIASES.values()))}")
+        raise KeyError(f"unknown model {name!r}; known: {available_models()}")
     return _ALIASES[key]
 
 
 def available_models() -> List[str]:
     return sorted(set(_ALIASES.values()))
-
-
-def requires_text_features(name: str) -> bool:
-    return canonical_name(name) in TEXT_MODELS
 
 
 def display_label(name: str) -> str:

@@ -9,7 +9,7 @@ fine-tuned directly with the vector-quantised item representations.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 

@@ -18,7 +18,6 @@ from .layers import (
     Embedding,
     FrozenEmbedding,
     GELU,
-    Identity,
     LayerNorm,
     Linear,
     MLPProjectionHead,
@@ -50,7 +49,6 @@ __all__ = [
     "Embedding",
     "FrozenEmbedding",
     "GELU",
-    "Identity",
     "LayerNorm",
     "Linear",
     "MLPProjectionHead",

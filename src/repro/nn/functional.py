@@ -1,12 +1,12 @@
 """Functional neural-network operations built on :class:`repro.nn.tensor.Tensor`.
 
 These free functions mirror the parts of ``torch.nn.functional`` that the
-models in this reproduction need: softmax / log-softmax, cross entropy over
+models in this reproduction need: softmax, cross entropy over
 the full item catalogue, layer normalisation, dropout and masking utilities
 for causal self-attention.
 
 Each op has one implementation.  The training hot-path ops (softmax,
-log-softmax, cross entropy, linear, layer norm, dropout, masked fill) are
+cross entropy, linear, layer norm, dropout, masked fill) are
 fused kernels: the forward value is computed with ``out=`` ufuncs and the
 gradient is evaluated from its closed form in one or two allocations,
 reusing saved forward intermediates.  ``tests/`` checks every op's forward
@@ -42,26 +42,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         inner = grad * value
         dx = grad - inner.sum(axis=axis, keepdims=True)
         dx *= value
-        x._accumulate_owned(dx)
-
-    out._backward = _backward if out.requires_grad else None
-    return out
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    sum_exp = exps.sum(axis=axis, keepdims=True)
-    shifted -= np.log(sum_exp)
-    out = x._make_child(shifted, (x,))
-
-    def _backward(grad: np.ndarray) -> None:
-        # dx = g - softmax * sum(g); softmax is recovered from the saved
-        # (unnormalised) exponentials instead of re-exponentiating.
-        dx = exps / sum_exp
-        dx *= -grad.sum(axis=axis, keepdims=True)
-        dx += grad
         x._accumulate_owned(dx)
 
     out._backward = _backward if out.requires_grad else None
@@ -492,14 +472,3 @@ def padded_catalogue_scores(users: np.ndarray, scoring_matrix: np.ndarray,
     scores = catalogue_scores(pad_scoring_rows(users), scoring_matrix,
                               dtype=score_dtype)
     return scores[:users.shape[0]]
-
-
-def mse_loss(prediction: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
-    """Mean squared error."""
-    diff = prediction - target
-    losses = diff * diff
-    if reduction == "none":
-        return losses
-    if reduction == "sum":
-        return losses.sum()
-    return losses.mean()

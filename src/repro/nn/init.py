@@ -37,17 +37,6 @@ def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator,
     return _finalize(rng.uniform(-limit, limit, size=shape), dtype)
 
 
-def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator,
-                  gain: float = 1.0, dtype=None) -> np.ndarray:
-    """Glorot/Xavier normal initialisation."""
-    if len(shape) < 2:
-        fan_in = fan_out = shape[0]
-    else:
-        fan_in, fan_out = shape[-2], shape[-1]
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return _finalize(rng.normal(0.0, std, size=shape), dtype)
-
-
 def truncated_normal(shape: Tuple[int, ...], rng: np.random.Generator,
                      std: float = 0.02, bound: Optional[float] = None,
                      dtype=None) -> np.ndarray:

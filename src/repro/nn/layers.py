@@ -7,7 +7,7 @@ small MLP projection heads the paper uses in its item encoder (``MLP-1``,
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -163,11 +163,6 @@ class GELU(Module):
 class Tanh(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.tanh()
-
-
-class Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x
 
 
 class Sequential(Module):

@@ -8,7 +8,7 @@ interface.  Parameters are :class:`Parameter` objects, i.e. tensors with
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 

@@ -9,7 +9,6 @@ fp32 path (``ServingConfig.catalogue_codec="int8"``).
 from .codec import (
     INT8_LEVELS,
     QuantizedMatrix,
-    dequantize,
     quantize_matrix,
 )
 from .scorer import (
@@ -21,7 +20,6 @@ from .scorer import (
 __all__ = [
     "INT8_LEVELS",
     "QuantizedMatrix",
-    "dequantize",
     "quantize_matrix",
     "DEFAULT_REFINE_FACTOR",
     "SCAN_CHUNK_ROWS",

@@ -16,7 +16,6 @@ intervals and recover the exact dense top-K.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -155,25 +154,3 @@ def quantize_matrix(matrix: np.ndarray) -> QuantizedMatrix:
         code_norms=code_norms,
         scaled_norms=scales * code_norms,
     )
-
-
-def dequantize(quantized: QuantizedMatrix, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Reconstruct the fp32 approximation ``scales[:, None] * codes``.
-
-    This is *not* the original matrix — the scorer never uses it for returned
-    scores — but it is what the int8 GEMM effectively scores against, which
-    makes it the right reference for error-bound tests.
-    """
-
-    if out is None:
-        out = np.empty((quantized.num_rows, quantized.dim), dtype=np.float32)
-    elif out.shape != (quantized.num_rows, quantized.dim) or out.dtype != np.float32:
-        raise ValueError("out must be float32 with the quantized shape")
-    for start in range(0, quantized.num_rows, _NORM_BLOCK_ROWS):
-        stop = min(start + _NORM_BLOCK_ROWS, quantized.num_rows)
-        np.multiply(
-            quantized.codes[start:stop].astype(np.float32),
-            quantized.scales[start:stop, None],
-            out=out[start:stop],
-        )
-    return out

@@ -31,7 +31,7 @@ import json
 import random
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 #: fault kinds a plan may schedule
 FAULT_KINDS = ("kill", "delay", "drop")

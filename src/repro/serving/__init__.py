@@ -21,7 +21,7 @@ from .config import (CATALOGUE_CODECS, SERVING_BACKENDS, SHARD_BACKENDS,
 from .generations import GenerationClock, GenerationalCache
 from .recommender import Recommender, TopKResult, full_sort_topk
 from .store import EmbeddingStore
-from .throughput import ThroughputReport, measure_throughput, per_sequence_topk
+from .throughput import ThroughputReport, measure_throughput
 
 __all__ = [
     "CATALOGUE_CODECS",
@@ -37,5 +37,4 @@ __all__ = [
     "TopKResult",
     "full_sort_topk",
     "measure_throughput",
-    "per_sequence_topk",
 ]

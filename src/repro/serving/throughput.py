@@ -1,19 +1,14 @@
 """Serving throughput measurement helpers.
 
-Used by the ``repro serve`` CLI and the serving micro-benchmark to report
-sequences/second for the batched fast path, and to provide the per-sequence
-evaluation-loop baseline it is compared against.
+Used by the ``repro serve`` CLI to report sequences/second for the batched
+fast path.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
-
-import numpy as np
-
-from ..data.dataloader import make_batch
+from typing import Callable
 
 
 @dataclass
@@ -47,23 +42,3 @@ def measure_throughput(serve_fn: Callable[[], object], num_sequences: int,
     seconds = time.perf_counter() - start
     return ThroughputReport(num_sequences=num_sequences, seconds=seconds,
                             repeats=repeats)
-
-
-def per_sequence_topk(model, sequences: Sequence[Sequence[int]],
-                      k: int) -> List[np.ndarray]:
-    """Evaluation-loop baseline: score one sequence at a time via the model.
-
-    This is how the training/evaluation stack ranks items — one
-    :meth:`predict_scores` call (a full float64 forward pass) per history,
-    followed by a full argsort.  Histories are padded to the model's
-    ``max_seq_length`` window, exactly like evaluation batches, so the
-    resulting rankings are comparable with the batched fast path.
-    """
-    results: List[np.ndarray] = []
-    for sequence in sequences:
-        history = [int(i) for i in sequence if 0 < int(i) <= model.num_items]
-        history = history[-model.max_seq_length:]
-        batch = make_batch([(0, history, 0)], model.max_seq_length)
-        scores = model.predict_scores(batch)[0]
-        results.append(np.argsort(-scores, kind="stable")[:k])
-    return results

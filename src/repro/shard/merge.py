@@ -15,7 +15,7 @@ ordering convention in the codebase, not two.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -53,8 +53,3 @@ def merge_topk(parts: Iterable[Tuple[np.ndarray, np.ndarray]],
         return (np.empty((batch, 0), dtype=np.int64),
                 np.empty((batch, 0), dtype=scores.dtype))
     return topk_best_first(ids, scores, k)
-
-
-def merged_width(part_widths: Sequence[int], k: int) -> int:
-    """Number of columns :func:`merge_topk` returns for the given parts."""
-    return min(int(k), int(sum(part_widths)))

@@ -5,11 +5,8 @@ The closed loop that keeps served recommendations fresh (ROADMAP item 3):
 * :class:`InteractionLog` — crash-safe, seekable, append-only event log
   with fsync'd per-consumer commit offsets (ingest);
 * :class:`IncrementalTrainer` — micro-epochs over new events with the
-  in-place fused optimisers, against a deep-copied working model that
-  never aliases serving tensors (train);
-* :class:`OnlineWhitener` — the paper's whitening statistics maintained by
-  batched rank-k updates, with a drift threshold for exact refits (a
-  stand-alone tool: the loop below does not call it);
+  in-place Adam step, against a deep-copied working model that never
+  aliases serving tensors (train);
 * :class:`Publisher` — detached checkpoint, atomic
   :meth:`ModelRegistry.reload` hot-swap, warm-up of the new deployment,
   and cache coherence through the single generation-stamp mechanism of
@@ -23,13 +20,11 @@ parity beside a concurrent writer).
 from .log import InteractionLog, StreamEvent
 from .publish import Publisher, PublishReport
 from .trainer import IncrementalTrainer, MicroEpochReport, clone_model
-from .whitening_online import OnlineWhitener
 
 __all__ = [
     "IncrementalTrainer",
     "InteractionLog",
     "MicroEpochReport",
-    "OnlineWhitener",
     "Publisher",
     "PublishReport",
     "StreamEvent",

@@ -64,6 +64,9 @@ class MicroEpochReport:
     passes: int
     loss: float
     seconds: float
+    #: consumed events whose item the model cannot score yet; they train
+    #: nothing and are not counted as applied
+    skipped: int
     #: seconds between the newest applied event's timestamp and apply time
     ingest_lag_s: Optional[float] = None
     users_touched: List[int] = field(default_factory=list)
@@ -149,7 +152,8 @@ class IncrementalTrainer:
                 labelnames=("consumer",)).labels(consumer=consumer)
             self._counter_applied = metrics.counter(
                 "repro_stream_events_applied_total",
-                "Events consumed from the interaction log by micro-epochs.",
+                "Events applied by micro-epochs; events naming an item "
+                "the model cannot score yet are consumed but not counted.",
                 labelnames=("consumer",)).labels(consumer=consumer)
 
     # ------------------------------------------------------------------ #
@@ -172,21 +176,26 @@ class IncrementalTrainer:
     # Micro-epochs
     # ------------------------------------------------------------------ #
     def _examples_from(self, events: List[StreamEvent]
-                       ) -> List[Tuple[int, List[int], int]]:
+                       ) -> Tuple[List[Tuple[int, List[int], int]],
+                                  List[StreamEvent]]:
         """(user, history, target) triples: each event is the next-item
-        target of the history accumulated *before* it, then extends it."""
+        target of the history accumulated *before* it, then extends it.
+        Also returns the events applied: those naming an item the current
+        model can score; the rest are skipped."""
         examples: List[Tuple[int, List[int], int]] = []
+        applied: List[StreamEvent] = []
         num_items = self.model.num_items
         for event in events:
             if not 1 <= event.item_id <= num_items:
-                continue  # an item the current model cannot score yet
+                continue
+            applied.append(event)
             history = self.histories.setdefault(int(event.user_id), [])
             if history:
                 examples.append((int(event.user_id),
                                  list(history[-self.max_sequence_length:]),
                                  int(event.item_id)))
             history.append(int(event.item_id))
-        return examples
+        return examples, applied
 
     def micro_epoch(self, max_events: Optional[int] = None,
                     passes: int = 1) -> MicroEpochReport:
@@ -202,7 +211,7 @@ class IncrementalTrainer:
         started = time.perf_counter()
         start_offset = self._offset
         events = list(self.log.read(start_offset, max_events=max_events))
-        examples = self._examples_from(events)
+        examples, applied = self._examples_from(events)
         total_loss = 0.0
         total_rows = 0
         if examples:
@@ -230,10 +239,10 @@ class IncrementalTrainer:
             self.log.commit(self.consumer, new_offset)
             self._offset = new_offset
         self.micro_epochs += 1
-        self.events_applied += len(events)
-        lag = (time.time() - events[-1].timestamp) if events else None
-        if self._counter_applied is not None and events:
-            self._counter_applied.inc(len(events))
+        self.events_applied += len(applied)
+        lag = (time.time() - applied[-1].timestamp) if applied else None
+        if self._counter_applied is not None and applied:
+            self._counter_applied.inc(len(applied))
         if self._gauge_lag is not None and lag is not None:
             self._gauge_lag.set(max(lag, 0.0))
         self.events_behind  # refresh the gauge
@@ -245,6 +254,7 @@ class IncrementalTrainer:
             passes=passes if examples else 0,
             loss=(total_loss / total_rows) if total_rows else 0.0,
             seconds=time.perf_counter() - started,
+            skipped=len(events) - len(applied),
             ingest_lag_s=lag,
             users_touched=sorted({event.user_id for event in events}),
         )

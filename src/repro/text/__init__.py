@@ -8,9 +8,9 @@ from .corpus import (
     generate_catalogue,
     item_texts,
 )
-from .encoder import EncoderConfig, PretrainedTextEncoder, encode_catalogue
+from .encoder import EncoderConfig, PretrainedTextEncoder
 from .features import PADDING_ITEM, build_feature_table, encode_items, strip_padding_row
-from .tokenizer import Vocabulary, hash_token, tokenize
+from .tokenizer import hash_token, tokenize
 
 __all__ = [
     "CategorySpec",
@@ -18,11 +18,9 @@ __all__ = [
     "ItemRecord",
     "PADDING_ITEM",
     "PretrainedTextEncoder",
-    "Vocabulary",
     "available_domains",
     "build_feature_table",
     "category_index",
-    "encode_catalogue",
     "encode_items",
     "generate_catalogue",
     "hash_token",

@@ -29,7 +29,7 @@ The encoder is deterministic given its seed, so "pre-computing" embeddings
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -155,13 +155,3 @@ class PretrainedTextEncoder:
         from ..whitening.metrics import mean_pairwise_cosine
 
         return mean_pairwise_cosine(embeddings, max_pairs=max_pairs, seed=seed)
-
-
-def encode_catalogue(texts: Sequence[str], embedding_dim: int = 64,
-                     seed: int = 0, **config_overrides) -> np.ndarray:
-    """One-call helper: encode item ``texts`` with default anisotropic settings."""
-    config = EncoderConfig(embedding_dim=embedding_dim, seed=seed, **config_overrides)
-    if "semantic_dim" not in config_overrides:
-        config.semantic_dim = max(8, min(int(embedding_dim * 0.75), embedding_dim - 1))
-    encoder = PretrainedTextEncoder(config)
-    return encoder.encode(list(texts))

@@ -3,15 +3,13 @@
 The paper concatenates item titles, categories and brands and feeds them to a
 pre-trained BERT.  Our substitute encoder (:mod:`repro.text.encoder`) works on
 bag-of-token features, so the tokenizer only needs lower-casing, punctuation
-stripping and a vocabulary with optional feature hashing for
-out-of-vocabulary robustness.
+stripping and feature hashing into a fixed number of buckets.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
-from typing import Dict, Iterable, List, Optional
+from typing import List
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
 
@@ -19,56 +17,6 @@ _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
 def tokenize(text: str) -> List[str]:
     """Lower-case and split ``text`` into alphanumeric tokens."""
     return _TOKEN_PATTERN.findall(text.lower())
-
-
-class Vocabulary:
-    """Token → integer id mapping with a reserved unknown token.
-
-    Ids are assigned by descending frequency so that truncating the vocabulary
-    keeps the most common tokens, which is what matters for the hashing-based
-    encoder downstream.
-    """
-
-    UNK = "<unk>"
-
-    def __init__(self, max_size: Optional[int] = None, min_count: int = 1):
-        self.max_size = max_size
-        self.min_count = min_count
-        self.token_to_id: Dict[str, int] = {self.UNK: 0}
-        self.id_to_token: List[str] = [self.UNK]
-        self._frozen = False
-
-    def __len__(self) -> int:
-        return len(self.id_to_token)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
-    def build(self, texts: Iterable[str]) -> "Vocabulary":
-        """Build the vocabulary from an iterable of raw texts."""
-        if self._frozen:
-            raise RuntimeError("vocabulary already built")
-        counts = Counter()
-        for text in texts:
-            counts.update(tokenize(text))
-        eligible = [
-            (token, count) for token, count in counts.items() if count >= self.min_count
-        ]
-        eligible.sort(key=lambda pair: (-pair[1], pair[0]))
-        if self.max_size is not None:
-            eligible = eligible[: max(self.max_size - 1, 0)]
-        for token, _ in eligible:
-            self.token_to_id[token] = len(self.id_to_token)
-            self.id_to_token.append(token)
-        self._frozen = True
-        return self
-
-    def encode(self, text: str) -> List[int]:
-        """Map ``text`` to a list of token ids (unknowns map to id 0)."""
-        return [self.token_to_id.get(token, 0) for token in tokenize(text)]
-
-    def decode(self, ids: Iterable[int]) -> List[str]:
-        return [self.id_to_token[i] if 0 <= i < len(self.id_to_token) else self.UNK for i in ids]
 
 
 def hash_token(token: str, num_buckets: int, seed: int = 0) -> int:

@@ -4,7 +4,6 @@ from .config import TrainingConfig
 from .evaluation import (
     compute_metrics,
     evaluate_model,
-    evaluate_model_sampled,
     inference_catalogue_scores,
     mrr_at_k,
     ndcg_at_k,
@@ -20,7 +19,6 @@ __all__ = [
     "TrainingResult",
     "compute_metrics",
     "evaluate_model",
-    "evaluate_model_sampled",
     "inference_catalogue_scores",
     "mrr_at_k",
     "ndcg_at_k",

@@ -181,36 +181,3 @@ def evaluate_model(model, cases: Sequence[EvaluationCase],
 
     ranks = np.concatenate(all_ranks)
     return compute_metrics(ranks, ks)
-
-
-def evaluate_model_sampled(model, cases: Sequence[EvaluationCase],
-                           num_negatives: int = 100,
-                           ks: Sequence[int] = (20, 50),
-                           batch_size: int = 512,
-                           max_sequence_length: int = 20,
-                           seed: int = 0) -> Dict[str, float]:
-    """Sampled-negative evaluation (the protocol the paper deliberately avoids).
-
-    Each ground-truth item is ranked against ``num_negatives`` uniformly
-    sampled negative items instead of the full catalogue.  The paper follows
-    Krichene & Rendle's recommendation and evaluates on the entire item set;
-    this function exists so that the inconsistency of sampled metrics can be
-    demonstrated (and for downstream users with very large catalogues).
-    """
-    if not cases:
-        return {f"{metric}@{k}": 0.0 for k in ks for metric in ("recall", "ndcg")}
-    rng = np.random.default_rng(seed)
-    all_ranks: List[int] = []
-    catalogue = np.arange(1, model.num_items + 1)
-    for batch in evaluation_batches(list(cases), batch_size, max_sequence_length):
-        scores = model.predict_scores(batch)
-        for row, target in enumerate(batch.targets):
-            pool = catalogue[catalogue != target]
-            sample_size = min(num_negatives, pool.size)
-            negatives = rng.choice(pool, size=sample_size, replace=False)
-            candidate_scores = np.concatenate(
-                ([scores[row, target]], scores[row, negatives])
-            )
-            rank = 1 + int((candidate_scores[1:] > candidate_scores[0]).sum())
-            all_ranks.append(rank)
-    return compute_metrics(np.asarray(all_ranks), ks)

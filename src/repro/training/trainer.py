@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..data.dataloader import SequenceDataLoader, make_batch
+from ..data.dataloader import SequenceDataLoader
 from ..data.splits import DatasetSplit, EvaluationCase, training_examples
 from ..nn.optim import Adam, clip_grad_norm
 from ..whitening.metrics import covariance_condition_number

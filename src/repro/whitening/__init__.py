@@ -20,13 +20,9 @@ from .linear import BatchNormWhitening, CholeskyWhitening, PCAWhitening, ZCAWhit
 from .metrics import (
     cosine_similarity_cdf,
     covariance_condition_number,
-    covariance_off_diagonal_ratio,
-    isotropy_score,
     mean_pairwise_cosine,
     pairwise_cosine_similarities,
     singular_values,
-    spectral_decay_ratio,
-    whitening_error,
 )
 from .parametric import ParametricWhitening
 
@@ -45,16 +41,12 @@ __all__ = [
     "centered_covariance",
     "cosine_similarity_cdf",
     "covariance_condition_number",
-    "covariance_off_diagonal_ratio",
     "get_whitening",
     "group_slices",
-    "isotropy_score",
     "mean_pairwise_cosine",
     "pairwise_cosine_similarities",
     "register_whitening",
     "resolve_group_count",
     "singular_values",
-    "spectral_decay_ratio",
     "whiten_with_groups",
-    "whitening_error",
 ]

@@ -15,7 +15,7 @@ models never re-estimate statistics during training.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 

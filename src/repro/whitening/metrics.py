@@ -12,7 +12,7 @@ These metrics back the paper's empirical analyses:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -84,13 +84,6 @@ def singular_values(embeddings: np.ndarray, center: bool = True,
     return values
 
 
-def spectral_decay_ratio(embeddings: np.ndarray, top_k: int = 1) -> float:
-    """Fraction of spectral energy captured by the top-``k`` singular values."""
-    values = singular_values(embeddings, center=False)
-    energy = values ** 2
-    return float(energy[:top_k].sum() / energy.sum())
-
-
 def covariance_condition_number(embeddings: np.ndarray, eps: float = 1e-12) -> float:
     """Condition number κ of the covariance of ``embeddings`` (Sec. IV-D2)."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
@@ -99,39 +92,3 @@ def covariance_condition_number(embeddings: np.ndarray, eps: float = 1e-12) -> f
     eigenvalues = np.linalg.eigvalsh(covariance)
     eigenvalues = np.clip(eigenvalues, eps, None)
     return float(eigenvalues[-1] / eigenvalues[0])
-
-
-def covariance_off_diagonal_ratio(embeddings: np.ndarray) -> float:
-    """Mean absolute off-diagonal correlation (0 for perfectly whitened data)."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    centered = embeddings - embeddings.mean(axis=0)
-    covariance = centered.T @ centered / embeddings.shape[0]
-    std = np.sqrt(np.clip(np.diag(covariance), 1e-12, None))
-    correlation = covariance / np.outer(std, std)
-    dim = correlation.shape[0]
-    off_diagonal = correlation[~np.eye(dim, dtype=bool)]
-    return float(np.abs(off_diagonal).mean())
-
-
-def isotropy_score(embeddings: np.ndarray) -> float:
-    """Isotropy in [0, 1]: ratio of min to max covariance eigenvalue.
-
-    1.0 means perfectly isotropic (whitened); values near 0 indicate a
-    dominant direction (anisotropy).
-    """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    centered = embeddings - embeddings.mean(axis=0)
-    covariance = centered.T @ centered / embeddings.shape[0]
-    eigenvalues = np.clip(np.linalg.eigvalsh(covariance), 0.0, None)
-    if eigenvalues[-1] <= 0:
-        return 0.0
-    return float(eigenvalues[0] / eigenvalues[-1])
-
-
-def whitening_error(embeddings: np.ndarray) -> float:
-    """Frobenius distance between the covariance of ``embeddings`` and identity."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    centered = embeddings - embeddings.mean(axis=0)
-    covariance = centered.T @ centered / embeddings.shape[0]
-    identity = np.eye(covariance.shape[0])
-    return float(np.linalg.norm(covariance - identity, ord="fro"))

@@ -9,8 +9,6 @@ from repro.analysis import (
     alignment_and_uniformity,
     alignment_loss,
     analyze_embeddings,
-    condition_number_of_model,
-    convergence_epoch,
     cosine_cdf_by_group,
     format_metric_table,
     format_table,
@@ -19,13 +17,11 @@ from repro.analysis import (
     pca_projection,
     relative_improvement,
     singular_value_spectrum,
-    summarize_traces,
     trace_from_result,
     tsne,
     uniformity_loss,
 )
-from repro.analysis.conditioning import ConditioningTrace
-from repro.models import ModelConfig, SASRecID
+from repro.models import SASRecID
 from repro.training.trainer import EpochRecord, TrainingResult
 
 
@@ -122,25 +118,6 @@ class TestConditioning:
         assert trace.condition_numbers == [30.0, 20.0, 15.0]
         assert trace.final_condition_number == 15.0
         assert trace.final_loss == 7.0
-
-    def test_condition_number_of_model(self, tiny_model_config):
-        model = SASRecID(25, tiny_model_config)
-        assert condition_number_of_model(model) >= 1.0
-
-    def test_convergence_epoch(self):
-        assert convergence_epoch([100.0, 50.0, 49.9, 49.8]) == 2
-        assert convergence_epoch([100.0, 90.0, 80.0]) == 3
-        assert convergence_epoch([5.0]) == 1
-
-    def test_summarize_traces(self):
-        traces = {
-            "a": ConditioningTrace("a", [3.0, 2.0], [10.0, 5.0]),
-            "b": ConditioningTrace("b", [], []),
-        }
-        rows = summarize_traces(traces)
-        assert len(rows) == 2
-        assert rows[0]["final_condition_number"] == 2.0
-        assert np.isnan(rows[1]["final_condition_number"])
 
 
 class TestTSNE:

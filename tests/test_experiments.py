@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
-    clear_setup_cache,
     get_experiment,
     get_scale,
     list_experiments,
     prepare_experiment,
-    run_experiment,
     train_model,
 )
+from repro.experiments import presets
 from repro.experiments.registry import ExperimentSpec
 from repro.experiments.runners import (
     run_ablation_zca_epsilon,
@@ -36,6 +35,12 @@ from repro.training.trainer import Trainer
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 ONE_EPOCH = {"num_epochs": 1, "early_stopping_patience": 1}
+
+
+def clear_setup_cache() -> None:
+    """Drop the process's cached setups and trained cells."""
+    presets._SETUP_CACHE.clear()
+    presets._CELL_CACHE.clear()
 
 
 class TestPresets:
@@ -88,8 +93,8 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_experiment("tab99")
 
-    def test_run_experiment_dispatches(self):
-        result = run_experiment("fig2", dataset="arts", scale="bench")
+    def test_registered_runner_runs(self):
+        result = get_experiment("fig2").runner(dataset="arts", scale="bench")
         assert "singular_values" in result
 
 

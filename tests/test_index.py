@@ -22,7 +22,6 @@ from repro.index import (
     available_indexes,
     build_index,
     default_n_lists,
-    load_index,
     minibatch_kmeans,
     topk_best_first,
 )
@@ -216,7 +215,7 @@ class TestPersistence:
         index = build_index(kind, **params).build(vectors, ids=np.arange(1, 601))
         path = index.save(tmp_path / f"{kind}_index")
         assert path.suffix == ".npz"
-        restored = load_index(path)
+        restored = ItemIndex.load(path)
         assert type(restored) is type(index)
         original_ids, original_scores = index.search(queries, 6)
         restored_ids, restored_scores = restored.search(queries, 6)
@@ -234,7 +233,7 @@ class TestPersistence:
         foreign = tmp_path / "foreign.npz"
         np.savez(foreign, data=np.arange(3))
         with pytest.raises(ValueError):
-            load_index(foreign)
+            ItemIndex.load(foreign)
 
     def test_registry(self):
         assert set(available_indexes()) == {"flat", "ivf"}
@@ -323,7 +322,7 @@ class TestIndexCLI:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "recall@10 vs exact" in captured.out
-        restored = load_index(output.with_suffix(".npz"))
+        restored = ItemIndex.load(output.with_suffix(".npz"))
         assert isinstance(restored, IVFFlatIndex)
         assert len(restored) == 400
 
@@ -336,7 +335,7 @@ class TestIndexCLI:
         dataset = load_dataset("arts", scale="tiny", seed=7)
         features = encode_items(dataset.items, embedding_dim=32, seed=7)
         whitened = EmbeddingStore(features).whitened("zca", 1)
-        index = load_index(output.with_suffix(".npz"))
+        index = ItemIndex.load(output.with_suffix(".npz"))
         assert len(index) == dataset.num_items
         ids, _ = index.search(whitened[1:4], 1)
         assert ids.ravel().tolist() == [1, 2, 3]

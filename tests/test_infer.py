@@ -18,7 +18,8 @@ from repro.infer import (
     UnsupportedModelError,
     compile_plan,
 )
-from repro.models import ModelConfig, available_models, build_model, requires_text_features
+from repro.models import ModelConfig, available_models, build_model
+from repro.models.registry import TEXT_MODELS
 from repro.models.base import NextItemRecommender, SequentialRecommender
 from repro.nn.functional import catalogue_scores, padded_catalogue_scores
 from repro.serving import Recommender, ServingConfig
@@ -49,7 +50,7 @@ def _build(name, features, train_sequences, dtype="float64", seed=0,
     config = ModelConfig(hidden_dim=16, num_layers=num_layers, num_heads=2,
                          dropout=0.2, max_seq_length=MAX_SEQ, seed=seed)
     kwargs = {}
-    if requires_text_features(name):
+    if name in TEXT_MODELS:
         kwargs["feature_table"] = features
     if name == "grcn":
         kwargs["train_sequences"] = train_sequences

@@ -31,7 +31,6 @@ from repro.models import (
     canonical_name,
     display_label,
     product_quantize,
-    requires_text_features,
 )
 from repro.models.cl4srec import crop_sequence, mask_sequence, reorder_sequence
 from repro.nn.functional import MIN_SCORING_ROWS
@@ -357,9 +356,11 @@ class TestRegistryAPI:
         with pytest.raises(KeyError):
             canonical_name("bert4rec")
 
-    def test_requires_text_features(self):
-        assert requires_text_features("whitenrec")
-        assert not requires_text_features("sasrec_id")
+    def test_unknown_name_error_lists_the_known_models(self):
+        with pytest.raises(KeyError) as raised:
+            canonical_name("bert4rec")
+        for name in available_models():
+            assert repr(name) in str(raised.value)
 
     def test_text_model_without_features_raises(self, config, num_items):
         with pytest.raises(ValueError):

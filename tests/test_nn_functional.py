@@ -31,13 +31,6 @@ class TestSoftmax:
         assert np.isfinite(probs).all()
         assert probs[0, 0] == pytest.approx(1.0)
 
-    def test_log_softmax_matches_log_of_softmax(self):
-        logits = Tensor(np.random.default_rng(2).standard_normal((3, 6)))
-        np.testing.assert_allclose(
-            F.log_softmax(logits).data, np.log(F.softmax(logits).data), atol=1e-10
-        )
-
-
 class TestCrossEntropy:
     def test_matches_manual_computation(self):
         logits_values = np.array([[2.0, 1.0, 0.1], [0.5, 2.5, 0.3]])
@@ -200,14 +193,6 @@ class TestNormalizationHelpers:
         out = F.l2_normalize(x).data
         np.testing.assert_allclose(np.linalg.norm(out, axis=-1), np.ones(6), atol=1e-8)
 
-    def test_mse_loss(self):
-        prediction = Tensor(np.array([1.0, 2.0, 3.0]))
-        target = Tensor(np.array([1.5, 2.0, 2.0]))
-        assert F.mse_loss(prediction, target).item() == pytest.approx(
-            np.mean([0.25, 0.0, 1.0])
-        )
-
-
 def _composed_op_cases():
     """``op -> (forward(*tensors), numpy(*arrays), input arrays)``.
 
@@ -215,7 +200,7 @@ def _composed_op_cases():
     checked in ``test_nn_dtype.py::TestFusedKernels``.
     """
     rng = np.random.default_rng(11)
-    x, y = rng.standard_normal((4, 5)), rng.standard_normal((4, 5))
+    x = rng.standard_normal((4, 5))
     rows = (np.array([0, 2, 3]), np.array([4, 1, 1]))
 
     def scattered(a):
@@ -223,11 +208,7 @@ def _composed_op_cases():
         full[rows] = a
         return full
 
-    def reduce(losses, reduction):
-        return {"none": losses, "sum": losses.sum(),
-                "mean": losses.mean()}[reduction]
-
-    cases = {
+    return {
         "l2_normalize": (
             lambda t: F.l2_normalize(t, axis=0),
             lambda a: a / np.sqrt((a * a).sum(axis=0, keepdims=True) + 1e-12),
@@ -238,12 +219,6 @@ def _composed_op_cases():
             lambda t: F.scatter_rows(t, rows, (4, 5, 2)), scattered,
             (rng.standard_normal((3, 2)),)),
     }
-    for reduction in ("none", "sum", "mean"):
-        cases[f"mse_loss-{reduction}"] = (
-            lambda a, b, r=reduction: F.mse_loss(a, b, reduction=r),
-            lambda a, b, r=reduction: reduce((a - b) ** 2, r),
-            (x, y))
-    return cases
 
 
 COMPOSED_OPS = _composed_op_cases()

@@ -30,8 +30,6 @@ from repro.data.splits import leave_one_out_split
 from repro.models import ModelConfig, build_model
 from repro.models.checkpoint import save_checkpoint
 from repro.observability import (
-    BATCH_SIZE_BUCKETS,
-    LATENCY_BUCKETS_MS,
     MetricsRegistry,
     RequestTrace,
     STAGES,
@@ -41,7 +39,6 @@ from repro.observability.loadgen import (
     find_max_sustainable_rps,
     poisson_offsets,
     run_open_loop,
-    service_sender,
     session_requests,
 )
 from repro.observability.metrics import escape_label_value

@@ -17,7 +17,6 @@ from repro.data.splits import leave_one_out_split
 from repro.models import ModelConfig, build_model
 from repro.quant import (
     QuantizedMatrix,
-    dequantize,
     quantize_matrix,
     quantized_topk,
 )
@@ -30,6 +29,8 @@ from repro.serving import (
 from repro.shard import ItemMatrixLayout, LocalShardClient
 from repro.shard.scoring import exact_shard_topk
 from repro.text import encode_items
+
+from oracles import dequantize
 
 K = 8
 

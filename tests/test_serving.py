@@ -39,10 +39,11 @@ from repro.serving import (
     ServingConfig,
     full_sort_topk,
     measure_throughput,
-    per_sequence_topk,
 )
 from repro.text import encode_items
 from repro.whitening import build_whitening
+
+from oracles import per_sequence_topk
 
 
 def _untrained_setup(num_users, num_items):

@@ -33,11 +33,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.index.base import topk_best_first
-from repro.shard import (DEFAULT_BLOCK_ROWS, ItemMatrixLayout,
-                         LocalShardClient, PoolClosedError, ShardPool,
-                         ShardTimeout, WorkerCrashed, merge_topk,
+from repro.shard import (ItemMatrixLayout, LocalShardClient, PoolClosedError,
+                         ShardPool, ShardTimeout, WorkerCrashed, merge_topk,
                          partition_ranges)
-from repro.shard.merge import merged_width
 from repro.shard.scoring import exact_shard_topk
 
 PROCESS_TIMEOUT = 120.0  # generous: spawn start-up on loaded CI runners
@@ -187,11 +185,6 @@ class TestMergeTopk:
         part_b = (np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             merge_topk([part_a, part_b], 2)
-
-    def test_merged_width(self):
-        assert merged_width([3, 0, 2], 4) == 4
-        assert merged_width([1, 1], 4) == 2
-
 
 # --------------------------------------------------------------------- #
 # LocalShardClient parity

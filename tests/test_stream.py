@@ -3,11 +3,10 @@
 Covers: the unified generation-stamp mechanism (`repro.serving.generations`
 — clock and memo semantics and the item-matrix integration), the
 crash-safe interaction log (round-trip, segment rolling, replay-from-offset,
-torn-tail truncation, fsync'd commit offsets), the online whitening
-statistics (exactness against the batch fit, drift-triggered refits), the
-detached-snapshot discipline (`Checkpoint.snapshot`, aliasing asserts,
+torn-tail truncation, fsync'd commit offsets), the detached-snapshot
+discipline (`Checkpoint.snapshot`, aliasing asserts,
 fine-tune-after-publish isolation), the incremental trainer (micro-epochs,
-at-least-once offsets), the publisher (version bumps, warm-up, in-place
+at-least-once offsets, out-of-catalogue events), the publisher (version bumps, warm-up, in-place
 refresh), hot-swap under concurrent batched / sharded / session-cached
 traffic (old-or-new, never torn).
 """
@@ -28,6 +27,7 @@ from repro.data import load_dataset
 from repro.data.splits import leave_one_out_split
 from repro.models import ModelConfig, build_model
 from repro.models.checkpoint import Checkpoint, save_checkpoint
+from repro.observability import MetricsRegistry
 from repro.service import Deployment, ModelRegistry, RecommenderService
 from repro.serving import (
     EmbeddingStore,
@@ -39,12 +39,10 @@ from repro.serving import (
 from repro.stream import (
     IncrementalTrainer,
     InteractionLog,
-    OnlineWhitener,
     Publisher,
     clone_model,
 )
 from repro.text import encode_items
-from repro.whitening.base import centered_covariance, get_whitening
 
 
 # --------------------------------------------------------------------- #
@@ -300,63 +298,6 @@ class TestInteractionLog:
 
 
 # --------------------------------------------------------------------- #
-# Online whitening statistics
-# --------------------------------------------------------------------- #
-class TestOnlineWhitener:
-    def test_statistics_match_batch_fit(self):
-        rng = np.random.default_rng(0)
-        rows = rng.normal(size=(200, 8)) @ rng.normal(size=(8, 8))
-        whitener = OnlineWhitener(dim=8, eps=1e-5)
-        for start in range(0, 200, 13):  # uneven batches on purpose
-            whitener.ingest(rows[start:start + 13])
-        mean, covariance = centered_covariance(rows, eps=1e-5)
-        assert whitener.count == 200
-        np.testing.assert_allclose(whitener.mean, mean, atol=1e-12)
-        np.testing.assert_allclose(whitener.covariance(), covariance,
-                                   atol=1e-10)
-
-    def test_transform_matches_batch_transform(self):
-        rng = np.random.default_rng(1)
-        rows = rng.normal(size=(120, 6)) * np.linspace(0.5, 3.0, 6)
-        whitener = OnlineWhitener(dim=6, method="zca", eps=1e-5)
-        whitener.ingest(rows[:50])
-        whitener.ingest(rows[50:])
-        online = whitener.transform()
-        batch = get_whitening("zca", eps=1e-5)
-        batch.fit(rows)
-        np.testing.assert_allclose(online.matrix_, batch.matrix_, atol=1e-10)
-        np.testing.assert_allclose(online.transform(rows),
-                                   batch.transform(rows), atol=1e-9)
-
-    def test_drift_triggers_refit_and_refit_resets(self):
-        rng = np.random.default_rng(2)
-        base = rng.normal(size=(100, 4))
-        whitener = OnlineWhitener(dim=4, drift_threshold=0.2)
-        whitener.ingest(base)
-        assert whitener.drift() == pytest.approx(0.0)
-        assert not whitener.needs_refit
-        whitener.ingest(base + 8.0)  # a very different regime
-        assert whitener.needs_refit
-        catalogue = np.vstack([base, base + 8.0])
-        whitener.refit(catalogue)
-        assert not whitener.needs_refit
-        assert whitener.refit_count == 1
-        mean, covariance = centered_covariance(catalogue, eps=0.0)
-        np.testing.assert_allclose(whitener.covariance(ridge=False),
-                                   covariance, atol=1e-10)
-        np.testing.assert_allclose(whitener.mean, mean, atol=1e-12)
-
-    def test_rejects_non_matrix_methods_and_bad_shapes(self):
-        with pytest.raises((ValueError, KeyError)):
-            OnlineWhitener(dim=4, method="iterative-normalization")
-        whitener = OnlineWhitener(dim=4)
-        with pytest.raises(ValueError, match="batch"):
-            whitener.ingest(np.zeros((3, 5)))
-        with pytest.raises(RuntimeError):
-            whitener.covariance()
-
-
-# --------------------------------------------------------------------- #
 # Detached snapshots (the serving-aliasing hazard)
 # --------------------------------------------------------------------- #
 class TestDetachedSnapshots:
@@ -490,7 +431,58 @@ class TestIncrementalTrainer:
             report = trainer.micro_epoch()
             assert report.events == 2
             assert report.examples == 1  # the unknown item trains nothing
+            assert report.skipped == 1
+            assert trainer.events_applied == 1  # ...nor counts as applied
             assert trainer.offset == 2  # ...but the offset still advances
+
+    def test_skipped_events_stay_out_of_the_applied_counter(self, stream_setup,
+                                                             tmp_path):
+        dataset, split, features, make_model = stream_setup
+        metrics = MetricsRegistry()
+        with _log(tmp_path) as log:
+            user = sorted(split.train_sequences)[0]
+            log.append_many([(user, dataset.num_items + 50, 0.0),
+                             (user, 1, 0.0), (user, 2, 0.0)])
+            trainer = IncrementalTrainer(
+                make_model(0), log, feature_table=features,
+                train_sequences=split.train_sequences, metrics=metrics)
+            trainer.micro_epoch()
+        counter = metrics.get("repro_stream_events_applied_total")
+        assert counter.labels(consumer="trainer").value == 2
+
+    def test_ingest_lag_is_read_from_the_newest_applied_event(
+            self, stream_setup, tmp_path):
+        dataset, split, features, make_model = stream_setup
+        metrics = MetricsRegistry()
+        with _log(tmp_path) as log:
+            user = sorted(split.train_sequences)[0]
+            now = time.time()
+            # The newest event names an unknown item: it is skipped, so the
+            # lag is the older, applied event's.
+            log.append_many([(user, 1, now - 1000.0),
+                             (user, dataset.num_items + 50, now)])
+            trainer = IncrementalTrainer(
+                make_model(0), log, feature_table=features,
+                train_sequences=split.train_sequences, metrics=metrics)
+            report = trainer.micro_epoch()
+        assert report.ingest_lag_s >= 1000.0
+        gauge = metrics.get("repro_stream_ingest_lag_seconds")
+        assert gauge.labels(consumer="trainer").value >= 1000.0
+
+    def test_a_micro_epoch_of_only_skipped_events_reports_no_lag(
+            self, stream_setup, tmp_path):
+        dataset, split, features, make_model = stream_setup
+        with _log(tmp_path) as log:
+            user = sorted(split.train_sequences)[0]
+            log.append_many([(user, dataset.num_items + 50, time.time())])
+            trainer = IncrementalTrainer(
+                make_model(0), log, feature_table=features,
+                train_sequences=split.train_sequences)
+            report = trainer.micro_epoch()
+            assert (report.events, report.skipped, report.examples) == (1, 1, 0)
+            assert report.ingest_lag_s is None
+            assert trainer.events_applied == 0
+            assert trainer.offset == 1
 
     def test_run_until_caught_up_drains_in_bounded_epochs(self, stream_setup,
                                                           tmp_path):
@@ -694,3 +686,15 @@ class TestStreamCommand:
         assert log_dir.is_dir()
         assert sorted(path.name for path in checkpoints.iterdir()) == [
             "arts-v000001.npz", "arts-v000002.npz"]
+
+    def test_applied_count_leaves_out_skipped_events(self, tmp_path, capsys):
+        log_dir = tmp_path / "log"
+        with InteractionLog(log_dir, durable=False) as log:
+            log.append_many([(1, 2, 0.0), (2, 10 ** 6, 0.0), (2, 3, 0.0)])
+        assert cli_main(["stream", "run", "arts", "--cycles", "1",
+                         "--log", str(log_dir),
+                         "--checkpoints", str(tmp_path / "ckpt"),
+                         "--json"]) == 0
+        cycles = [json.loads(line)
+                  for line in capsys.readouterr().out.splitlines()]
+        assert [cycle["events_applied"] for cycle in cycles] == [2]

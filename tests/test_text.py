@@ -20,10 +20,19 @@ from repro.text.corpus import (
     generate_catalogue,
     item_texts,
 )
-from repro.text.encoder import EncoderConfig, PretrainedTextEncoder, encode_catalogue
+from repro.text.encoder import EncoderConfig, PretrainedTextEncoder
 from repro.text.features import build_feature_table, encode_items, strip_padding_row
-from repro.text.tokenizer import Vocabulary, hash_token, tokenize
+from repro.text.tokenizer import hash_token, tokenize
 from repro.whitening.metrics import mean_pairwise_cosine, singular_values
+
+
+def encode_catalogue(texts, embedding_dim: int = 64, seed: int = 0,
+                     **config_overrides) -> np.ndarray:
+    """Encode item ``texts`` with default anisotropic settings."""
+    config = EncoderConfig(embedding_dim=embedding_dim, seed=seed, **config_overrides)
+    if "semantic_dim" not in config_overrides:
+        config.semantic_dim = max(8, min(int(embedding_dim * 0.75), embedding_dim - 1))
+    return PretrainedTextEncoder(config).encode(list(texts))
 
 
 class TestTokenizer:
@@ -35,33 +44,6 @@ class TestTokenizer:
     def test_tokenize_empty(self):
         assert tokenize("") == []
         assert tokenize("!!! ???") == []
-
-    def test_vocabulary_build_and_encode(self):
-        vocab = Vocabulary().build(["red paint", "red brush", "blue paint"])
-        assert "red" in vocab
-        assert "paint" in vocab
-        encoded = vocab.encode("red paint unknownword")
-        assert encoded[0] != 0 and encoded[1] != 0
-        assert encoded[2] == 0  # unknown
-
-    def test_vocabulary_max_size(self):
-        vocab = Vocabulary(max_size=3).build(["a a a b b c d"])
-        assert len(vocab) <= 3
-
-    def test_vocabulary_min_count(self):
-        vocab = Vocabulary(min_count=2).build(["common common rare"])
-        assert "common" in vocab
-        assert "rare" not in vocab
-
-    def test_vocabulary_decode(self):
-        vocab = Vocabulary().build(["alpha beta"])
-        ids = vocab.encode("alpha beta")
-        assert vocab.decode(ids) == ["alpha", "beta"]
-
-    def test_vocabulary_cannot_rebuild(self):
-        vocab = Vocabulary().build(["x"])
-        with pytest.raises(RuntimeError):
-            vocab.build(["y"])
 
     def test_hash_token_deterministic_and_in_range(self):
         for token in ["paint", "drill", "yarn", ""]:

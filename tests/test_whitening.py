@@ -25,11 +25,14 @@ from repro.whitening.group import group_slices, resolve_group_count, whiten_with
 from repro.whitening.metrics import (
     cosine_similarity_cdf,
     covariance_condition_number,
-    covariance_off_diagonal_ratio,
-    isotropy_score,
     mean_pairwise_cosine,
     pairwise_cosine_similarities,
     singular_values,
+)
+
+from oracles import (
+    covariance_off_diagonal_ratio,
+    isotropy_score,
     spectral_decay_ratio,
     whitening_error,
 )
